@@ -6,62 +6,27 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import harness, presets
-from .epidemic import WormBehavior
-from .graph import (
-    ParseError,
-    read_degree_histogram,
-    read_edge_list,
-    write_edge_list,
-)
-from .netgen import GenerationError, NetworkSpec, build_network, degree_distribution
+from .graph import ParseError, read_edge_list, write_edge_list
+from .netgen import FAMILIES, GenerationError, build_network, degree_distribution
 from .percolation import analytical_threshold, empirical_threshold
 from .throttle import ThrottleConfig, process_trace
 
 
-def _parse_peaks(text: str):
-    peaks = []
-    for item in text.split(","):
-        d, w = item.split(":")
-        peaks.append((int(d), float(w)))
-    return tuple(peaks)
+def _section(args, name: str) -> dict:
+    """Config section ``name`` from the flags given: each flag is named after
+    its key, parsed like a config value, and defaulted like one."""
+    given = {
+        key: harness.convert_value(args.command, name, key, value)
+        for key, value in vars(args).items()
+        if key in harness._SECTIONS[name] and value is not None
+    }
+    return harness.with_defaults(name, given)
 
 
 def _cmd_generate(args) -> int:
-    if args.preset:
-        spec = presets.preset(args.preset)
-        if args.n:
-            import dataclasses
-
-            spec = dataclasses.replace(spec, n=args.n)
-        if args.seed is not None:
-            import dataclasses
-
-            spec = dataclasses.replace(spec, seed=args.seed)
-    else:
-        if not args.family:
-            raise ValueError("generate requires --preset or --family")
-        kwargs = dict(seed=args.seed or 0, directed=args.directed)
-        if args.family == "configmodel":
-            if not args.degree_histogram:
-                raise ValueError("configmodel family requires --degree-histogram")
-            dist = read_degree_histogram(args.degree_histogram)
-            spec = NetworkSpec("configmodel", n=dist.n, distribution=dist, **kwargs)
-        elif args.family == "multimodal":
-            if not args.peaks:
-                raise ValueError("multimodal family requires --peaks")
-            spec = NetworkSpec("multimodal", n=args.n, peaks=_parse_peaks(args.peaks), **kwargs)
-        elif args.family == "powerlaw":
-            spec = NetworkSpec(
-                "powerlaw", n=args.n, alpha=args.alpha, k_min=args.k_min,
-                k_max=args.k_max, **kwargs,
-            )
-        elif args.family == "complete":
-            spec = NetworkSpec("complete", n=args.n)
-        else:
-            raise ValueError(f"unknown family {args.family!r}")
+    master = harness.with_defaults("run", {})["seed"]
+    spec = harness.network_spec(_section(args, "network"), args.command, master)
     g = build_network(spec)
     write_edge_list(g, args.out)
     print(f"wrote {g!r} to {args.out}")
@@ -70,27 +35,12 @@ def _cmd_generate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     g = read_edge_list(args.graph)
-    worm = WormBehavior(
-        targeting=args.targeting,
-        attempt_rate=args.rate,
-        infection_probability=args.pinfect,
-        address_space=args.address_space,
-    )
-    throttle = None
-    if args.throttle_rate is not None:
-        throttle = ThrottleConfig(
-            rate=args.throttle_rate,
-            working_set_capacity=args.working_set,
-            queue_capacity=args.queue_capacity,
-        )
-    vaccination = None
-    if args.vaccinate:
-        from .percolation import VaccinationStrategy
-
-        vaccination = VaccinationStrategy(args.vaccinate, args.fraction)
+    worm = harness.worm_behavior(_section(args, "worm"), args.command)
+    vaccination, throttle = harness.controls(_section(args, "controls"), args.command)
+    run = _section(args, "run")
     ts = harness.run_replicate(
         g, worm, vaccination, throttle,
-        args.seed_infected, args.dt, args.tmax, args.seed, 0,
+        run["seed_infected"], run["dt"], run["tmax"], run["seed"], 0,
     )
     ts.to_csv(args.out)
     print(f"wrote {len(ts)} rows to {args.out}")
@@ -112,8 +62,7 @@ def _cmd_threshold(args) -> int:
             f"{result.kind},{result.f_c:.10g},{result.method},{s_min},"
             f"{result.trials},{result.ci_halfwidth:.10g}\n"
         )
-    flag = " (non-monotone response!)" if result.non_monotone else ""
-    print(f"f_c({result.kind}, {result.method}) = {result.f_c:.4g}{flag}")
+    print(f"f_c({result.kind}, {result.method}) = {result.f_c:.4g}")
     return 0
 
 
@@ -153,7 +102,8 @@ def _cmd_experiment(args) -> int:
     print(
         f"{cfg.replicates} replicate(s) -> {args.out}; "
         f"growth_rate mean = {harness._na(agg['growth_rate_mean'])}, "
-        f"time_to_{agg['q']:g} mean = {harness._na(agg['time_to_fraction_mean'])}"
+        f"time_to_{harness.TIME_TO_FRACTION_Q:g} mean = "
+        f"{harness._na(agg['time_to_fraction_mean'])}"
     )
     return 0
 
@@ -179,35 +129,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # flags of generate/simulate are the config keys of [network], or of
+    # [worm]/[controls]/[run], parsed and defaulted as in a config file
     p = sub.add_parser("generate", help="generate a network and write an edge list")
     p.add_argument("--preset", choices=presets.PRESET_NAMES)
-    p.add_argument("--family", choices=["complete", "multimodal", "configmodel", "powerlaw"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--k-min", type=int, dest="k_min")
-    p.add_argument("--k-max", type=int, dest="k_max")
+    p.add_argument("--family", choices=FAMILIES)
+    p.add_argument("--n")
+    p.add_argument("--alpha")
+    p.add_argument("--k-min", dest="k_min")
+    p.add_argument("--k-max", dest="k_max")
     p.add_argument("--peaks", help="degree:weight,degree:weight,...")
-    p.add_argument("--degree-histogram", dest="degree_histogram")
-    p.add_argument("--directed", action="store_true")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--degree-histogram", dest="degrees_file")
+    p.add_argument("--directed", action="store_const", const="true")
+    p.add_argument("--seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("simulate", help="run one propagation and write a time series")
     p.add_argument("--graph", required=True)
     p.add_argument("--targeting", choices=["neighbor", "scan"], required=True)
-    p.add_argument("--rate", type=float, required=True)
-    p.add_argument("--pinfect", type=float, default=1.0)
-    p.add_argument("--address-space", type=int, dest="address_space")
-    p.add_argument("--throttle-rate", type=float, dest="throttle_rate")
-    p.add_argument("--working-set", type=int, dest="working_set", default=4)
-    p.add_argument("--queue-capacity", type=int, dest="queue_capacity")
+    p.add_argument("--rate", required=True)
+    p.add_argument("--pinfect")
+    p.add_argument("--address-space", dest="address_space")
+    p.add_argument("--throttle-rate", dest="throttle_rate")
+    p.add_argument("--working-set", dest="working_set")
+    p.add_argument("--queue-capacity", dest="queue_capacity")
     p.add_argument("--vaccinate", choices=["random", "targeted"])
-    p.add_argument("--fraction", type=float, default=0.0)
-    p.add_argument("--seed-infected", type=int, dest="seed_infected", default=1)
-    p.add_argument("--dt", type=float, default=0.1)
-    p.add_argument("--tmax", type=float, default=60.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--fraction")
+    p.add_argument("--seed-infected", dest="seed_infected")
+    p.add_argument("--dt")
+    p.add_argument("--tmax")
+    p.add_argument("--seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 

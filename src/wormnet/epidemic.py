@@ -12,9 +12,8 @@ Runs are fully deterministic given (graph, worm, controls, seeds).
 from __future__ import annotations
 
 import heapq
-import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,20 +53,6 @@ class WormBehavior:
             raise ValueError("infection_probability must lie in (0, 1]")
         if self.max_attempts_per_tick < 1:
             raise ValueError("max_attempts_per_tick must be >= 1")
-
-
-@dataclass
-class EpidemicState:
-    """Compartment assignment plus the simulation clock."""
-
-    compartments: np.ndarray  # int8 per node
-    t: float
-    dt: float
-    tick: int
-
-    def counts(self) -> tuple[int, int, int]:
-        c = np.bincount(self.compartments, minlength=3)
-        return int(c[SUSCEPTIBLE]), int(c[INFECTED]), int(c[RECOVERED])
 
 
 class TimeSeries:
@@ -216,10 +201,6 @@ class Simulation:
     @property
     def t(self) -> float:
         return self.tick_index * self.dt
-
-    @property
-    def state(self) -> EpidemicState:
-        return EpidemicState(self.compartments, self.t, self.dt, self.tick_index)
 
     def step(self) -> tuple[int, float, int, int, int, int, int]:
         """Advance one tick; return the resulting TimeSeries row."""

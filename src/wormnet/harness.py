@@ -67,6 +67,9 @@ _SECTIONS = {
     },
 }
 
+# Fraction of nodes whose first infection time an experiment summarises.
+TIME_TO_FRACTION_Q = 0.95
+
 _DEFAULTS = {
     ("worm", "pinfect"): 1.0,
     ("controls", "working_set"): 4,
@@ -91,15 +94,6 @@ class ExperimentConfig:
     seed: int
     seed_infected: int
     resolved: dict = dataclasses.field(default_factory=dict, compare=False)
-
-    def network_key(self) -> dict:
-        return dict(self.resolved.get("network", {}))
-
-    def worm_key(self) -> dict:
-        return dict(self.resolved.get("worm", {}))
-
-    def controls_key(self) -> dict:
-        return dict(self.resolved.get("controls", {}))
 
 
 @dataclass
@@ -145,7 +139,11 @@ def _parse_kv_file(path) -> dict[str, dict[str, tuple[str, int]]]:
     return sections
 
 
-def _convert(path, section, key, value, lineno):
+def convert_value(where, section, key, value):
+    """Parse the text ``value`` of ``key`` in ``section`` to its config type.
+
+    ``where`` prefixes the error message (``path:lineno`` for a file).
+    """
     typ = _SECTIONS[section][key]
     try:
         if typ is int:
@@ -166,91 +164,93 @@ def _convert(path, section, key, value, lineno):
             return tuple(peaks)
         return value
     except (ValueError, TypeError):
-        raise ConfigError(
-            f"{path}:{lineno}: bad value {value!r} for key {key!r}"
-        ) from None
+        raise ConfigError(f"{where}: bad value {value!r} for key {key!r}") from None
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse and validate an experiment config, filling documented defaults."""
-    raw = _parse_kv_file(path)
-    values: dict[str, dict] = {s: {} for s in _SECTIONS}
-    for section, entries in raw.items():
-        for key, (text, lineno) in entries.items():
-            values[section][key] = _convert(path, section, key, text, lineno)
-    for (section, key), default in _DEFAULTS.items():
-        values[section].setdefault(key, default)
+def with_defaults(section: str, given: dict) -> dict:
+    """``given`` with the documented defaults of ``section`` filled in."""
+    values = {key: default for (sec, key), default in _DEFAULTS.items() if sec == section}
+    values.update(given)
+    return values
 
-    net = values["network"]
+
+def network_spec(net: dict, where, master: int) -> NetworkSpec | None:
+    """The NetworkSpec of a ``[network]`` section, or None when it names a file.
+
+    Exactly one of preset/family/file must be given.  A family's seed
+    defaults to the run's ``master`` seed; ``configmodel`` takes its degrees
+    and n from ``degrees_file``, and every other family requires ``n``.
+    """
     sources = [k for k in ("preset", "family", "file") if k in net]
     if len(sources) != 1:
         raise ConfigError(
-            f"{path}: [network] requires exactly one of preset/family/file, got {sources}"
+            f"{where}: [network] requires exactly one of preset/family/file, got {sources}"
         )
-
-    run_sec = values["run"]
-    master = run_sec["seed"]
-    network_spec = None
-    graph_path = None
     if "file" in net:
-        graph_path = net["file"]
-        if not os.path.exists(graph_path):
-            raise ConfigError(f"{path}: graph file not found: {graph_path}")
-    elif "preset" in net:
+        if not os.path.exists(net["file"]):
+            raise ConfigError(f"{where}: graph file not found: {net['file']}")
+        return None
+    if "preset" in net:
         try:
-            network_spec = presets.preset(net["preset"])
+            spec = presets.preset(net["preset"])
+            if "n" in net:
+                spec = dataclasses.replace(spec, n=net["n"])
+            if "seed" in net:
+                spec = dataclasses.replace(spec, seed=net["seed"])
         except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-        if "n" in net:
-            network_spec = dataclasses.replace(network_spec, n=net["n"])
-        if "seed" in net:
-            network_spec = dataclasses.replace(network_spec, seed=net["seed"])
+            raise ConfigError(f"{where}: [network] {exc}") from None
+        return spec
+    family = net["family"]
+    if family == "configmodel":
+        if "degrees_file" not in net:
+            raise ConfigError(f"{where}: [network] configmodel family requires degrees_file")
+        if not os.path.exists(net["degrees_file"]):
+            raise ConfigError(f"{where}: degrees file not found: {net['degrees_file']}")
+        dist = read_degree_histogram(net["degrees_file"])
+        kwargs = {"distribution": dist, "n": dist.n}
     else:
-        family = net["family"]
-        if family == "configmodel" and "degrees_file" in net:
-            if not os.path.exists(net["degrees_file"]):
-                raise ConfigError(f"{path}: degrees file not found: {net['degrees_file']}")
-            dist = read_degree_histogram(net["degrees_file"])
-            kwargs = {"distribution": dist, "n": dist.n}
-        else:
-            kwargs = {"n": net.get("n", 0)}
-        try:
-            network_spec = NetworkSpec(
-                family,
-                seed=net.get("seed", master),
-                directed=net.get("directed", False),
-                alpha=net.get("alpha"),
-                k_min=net.get("k_min"),
-                k_max=net.get("k_max"),
-                peaks=net.get("peaks"),
-                **kwargs,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: [network] {exc}") from None
-
-    worm_sec = values["worm"]
-    for required in ("targeting", "rate"):
-        if required not in worm_sec:
-            raise ConfigError(f"{path}: [worm] missing required key {required!r}")
+        kwargs = {"n": net.get("n")}
     try:
-        worm = WormBehavior(
-            targeting=worm_sec["targeting"],
-            attempt_rate=worm_sec["rate"],
-            infection_probability=worm_sec["pinfect"],
-            address_space=worm_sec.get("address_space"),
+        return NetworkSpec(
+            family,
+            seed=net.get("seed", master),
+            directed=net.get("directed", False),
+            alpha=net.get("alpha"),
+            k_min=net.get("k_min"),
+            k_max=net.get("k_max"),
+            peaks=net.get("peaks"),
+            **kwargs,
         )
     except ValueError as exc:
-        raise ConfigError(f"{path}: [worm] {exc}") from None
+        raise ConfigError(f"{where}: [network] {exc}") from None
 
-    ctl = values["controls"]
+
+def worm_behavior(worm: dict, where) -> WormBehavior:
+    """The WormBehavior of a defaults-filled ``[worm]`` section."""
+    for required in ("targeting", "rate"):
+        if required not in worm:
+            raise ConfigError(f"{where}: [worm] missing required key {required!r}")
+    try:
+        return WormBehavior(
+            targeting=worm["targeting"],
+            attempt_rate=worm["rate"],
+            infection_probability=worm["pinfect"],
+            address_space=worm.get("address_space"),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{where}: [worm] {exc}") from None
+
+
+def controls(ctl: dict, where) -> tuple[VaccinationStrategy | None, ThrottleConfig | None]:
+    """The vaccination and throttle of a defaults-filled ``[controls]`` section."""
     vaccination = None
     if "vaccinate" in ctl:
         if "fraction" not in ctl:
-            raise ConfigError(f"{path}: [controls] vaccinate requires 'fraction'")
+            raise ConfigError(f"{where}: [controls] vaccinate requires 'fraction'")
         try:
             vaccination = VaccinationStrategy(ctl["vaccinate"], ctl["fraction"])
         except ValueError as exc:
-            raise ConfigError(f"{path}: [controls] {exc}") from None
+            raise ConfigError(f"{where}: [controls] {exc}") from None
     throttle = None
     if "throttle_rate" in ctl:
         try:
@@ -260,7 +260,21 @@ def load_config(path) -> ExperimentConfig:
                 queue_capacity=ctl.get("queue_capacity"),
             )
         except ValueError as exc:
-            raise ConfigError(f"{path}: [controls] {exc}") from None
+            raise ConfigError(f"{where}: [controls] {exc}") from None
+    return vaccination, throttle
+
+
+def load_config(path) -> ExperimentConfig:
+    """Parse and validate an experiment config, filling documented defaults."""
+    raw = _parse_kv_file(path)
+    values: dict[str, dict] = {s: {} for s in _SECTIONS}
+    for section, entries in raw.items():
+        for key, (text, lineno) in entries.items():
+            values[section][key] = convert_value(f"{path}:{lineno}", section, key, text)
+    net, worm_sec, ctl, run_sec = (with_defaults(s, values[s]) for s in _SECTIONS)
+    spec = network_spec(net, path, run_sec["seed"])
+    worm = worm_behavior(worm_sec, path)
+    vaccination, throttle = controls(ctl, path)
 
     resolved = {
         "network": dict(sorted(net.items())),
@@ -270,15 +284,15 @@ def load_config(path) -> ExperimentConfig:
     }
 
     return ExperimentConfig(
-        network_spec=network_spec,
-        graph_path=graph_path,
+        network_spec=spec,
+        graph_path=net.get("file"),
         worm=worm,
         vaccination=vaccination,
         throttle=throttle,
         replicates=run_sec["replicates"],
         dt=run_sec["dt"],
         t_max=run_sec["tmax"],
-        seed=master,
+        seed=run_sec["seed"],
         seed_infected=run_sec["seed_infected"],
         resolved=resolved,
     )
@@ -362,15 +376,14 @@ def write_resolved_config(cfg: ExperimentConfig, path: str) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def run_experiment(cfg: ExperimentConfig, outdir: str, q: float = 0.95) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig, outdir: str) -> ExperimentResult:
     """Execute all replicates, writing CSVs and a summary to ``outdir``."""
     os.makedirs(outdir, exist_ok=True)
     g = build_graph(cfg)
     write_resolved_config(cfg, os.path.join(outdir, "resolved.cfg"))
 
     paths: list[str] = []
-    rates: list[float | None] = []
-    times: list[float | None] = []
+    series: list[TimeSeries] = []
     for i in range(cfg.replicates):
         ts = run_replicate(
             g,
@@ -386,29 +399,36 @@ def run_experiment(cfg: ExperimentConfig, outdir: str, q: float = 0.95) -> Exper
         path = os.path.join(outdir, f"rep_{i:03d}.csv")
         _atomic_write(path, ts.to_csv_text())
         paths.append(path)
+        series.append(ts)
+    result = summarize(outdir, cfg, paths, series)
+
+    agg = result.aggregates
+    summary = ["replicate,growth_rate,time_to_fraction"]
+    for i, (r, t) in enumerate(zip(result.growth_rates, result.times_to_fraction)):
+        summary.append(f"{i},{_na(r)},{_na(t)}")
+    summary.append(f"mean,{_na(agg['growth_rate_mean'])},{_na(agg['time_to_fraction_mean'])}")
+    summary.append(f"std,{_na(agg['growth_rate_std'])},{_na(agg['time_to_fraction_std'])}")
+    _atomic_write(os.path.join(outdir, "summary.csv"), "\n".join(summary) + "\n")
+    return result
+
+
+def summarize(outdir, cfg, paths, series) -> ExperimentResult:
+    """Growth rate and time to TIME_TO_FRACTION_Q of each replicate, with
+    their mean and standard deviation over the replicates that have one."""
+    rates: list[float | None] = []
+    times: list[float | None] = []
+    for ts in series:
         try:
             rates.append(growth_rate(ts))
         except ValueError:
             rates.append(None)
-        times.append(time_to_fraction(ts, q))
-
+        times.append(time_to_fraction(ts, TIME_TO_FRACTION_Q))
     aggregates = {
         "growth_rate_mean": _mean(rates),
         "growth_rate_std": _std(rates),
         "time_to_fraction_mean": _mean(times),
         "time_to_fraction_std": _std(times),
-        "q": q,
     }
-
-    summary = ["replicate,growth_rate,time_to_fraction"]
-    for i, (r, t) in enumerate(zip(rates, times)):
-        summary.append(f"{i},{_na(r)},{_na(t)}")
-    summary.append(f"mean,{_na(aggregates['growth_rate_mean'])},"
-                   f"{_na(aggregates['time_to_fraction_mean'])}")
-    summary.append(f"std,{_na(aggregates['growth_rate_std'])},"
-                   f"{_na(aggregates['time_to_fraction_std'])}")
-    _atomic_write(os.path.join(outdir, "summary.csv"), "\n".join(summary) + "\n")
-
     return ExperimentResult(outdir, cfg, paths, rates, times, aggregates)
 
 
@@ -436,23 +456,7 @@ def load_result(outdir: str) -> ExperimentResult:
     )
     if not paths:
         raise ConfigError(f"{outdir}: no replicate CSVs found")
-    rates: list[float | None] = []
-    times: list[float | None] = []
-    for path in paths:
-        ts = TimeSeries.from_csv(path)
-        try:
-            rates.append(growth_rate(ts))
-        except ValueError:
-            rates.append(None)
-        times.append(time_to_fraction(ts, 0.95))
-    aggregates = {
-        "growth_rate_mean": _mean(rates),
-        "growth_rate_std": _std(rates),
-        "time_to_fraction_mean": _mean(times),
-        "time_to_fraction_std": _std(times),
-        "q": 0.95,
-    }
-    return ExperimentResult(outdir, cfg, paths, rates, times, aggregates)
+    return summarize(outdir, cfg, paths, [TimeSeries.from_csv(p) for p in paths])
 
 
 def compare(baseline: ExperimentResult, treated: ExperimentResult) -> list[dict]:
@@ -461,11 +465,12 @@ def compare(baseline: ExperimentResult, treated: ExperimentResult) -> list[dict]
     Refuses to compare runs whose network or worm settings differ; the
     controls must differ (otherwise there is nothing to compare).
     """
-    if baseline.config.network_key() != treated.config.network_key():
+    a, b = baseline.config.resolved, treated.config.resolved
+    if a.get("network", {}) != b.get("network", {}):
         raise ValueError("cannot compare: experiments use different networks")
-    if baseline.config.worm_key() != treated.config.worm_key():
+    if a.get("worm", {}) != b.get("worm", {}):
         raise ValueError("cannot compare: experiments use different worm behavior")
-    if baseline.config.controls_key() == treated.config.controls_key():
+    if a.get("controls", {}) == b.get("controls", {}):
         raise ValueError("cannot compare: experiments apply identical controls")
 
     rows = []

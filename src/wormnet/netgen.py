@@ -11,7 +11,7 @@ whose degree sequences match the request exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
@@ -53,6 +53,8 @@ class NetworkSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        if self.n is None:
+            raise ValueError(f"{self.family} family requires n")
         if self.n < 0:
             raise ValueError("n must be >= 0")
         if self.family == "multimodal":
@@ -117,29 +119,47 @@ def build_configuration_model(
     if n and deg.max() >= n:
         raise ValueError("max degree must be < n")
     if directed:
-        return _directed_config_model(deg, in_degrees, n, rng)
-    if deg.sum() % 2:
-        raise ValueError("undirected degree sum must be even")
-    return _undirected_config_model(deg, n, rng)
+        if in_degrees is None:
+            in_deg = rng.permutation(deg)
+        else:
+            in_deg = np.asarray(in_degrees, dtype=np.int64)
+            if len(in_deg) != n:
+                raise ValueError("in_degrees length must match degrees length")
+            if np.any(in_deg < 0) or (n and in_deg.max() >= n):
+                raise ValueError("in_degrees out of range")
+            if in_deg.sum() != deg.sum():
+                raise ValueError("in/out degree sums must be equal")
+        src = np.repeat(np.arange(n, dtype=np.int64), deg)
+        dst = np.repeat(np.arange(n, dtype=np.int64), in_deg)
+        rng.shuffle(dst)
+    else:
+        if deg.sum() % 2:
+            raise ValueError("undirected degree sum must be even")
+        stubs = np.repeat(np.arange(n, dtype=np.int64), deg)
+        rng.shuffle(stubs)
+        src, dst = stubs[0::2], stubs[1::2]
+    return _wire(n, directed, src, dst, rng)
 
 
-def _undirected_config_model(deg, n, rng) -> Graph:
-    stubs = np.repeat(np.arange(n, dtype=np.int64), deg)
-    rng.shuffle(stubs)
-    m = len(stubs) // 2
+def _wire(n, directed, src, dst, rng) -> Graph:
+    """Match stub ``src[i]`` with stub ``dst[i]``, then repair by edge swaps.
 
+    A pair that is a self-loop or repeats an edge is a leftover.  Each
+    leftover (u, v) replaces a random edge (x, y) by (u, y) and (x, v), which
+    keeps every (out- and in-) degree; an undirected edge is first given a
+    random orientation.  The whole repair shares a budget of 100 draws per pair.
+    """
     edge_set: set[tuple[int, int]] = set()
     leftovers: list[tuple[int, int]] = []
-    for i in range(m):
-        u, v = int(stubs[2 * i]), int(stubs[2 * i + 1])
-        e = (u, v) if u < v else (v, u)
+    for u, v in zip(src.tolist(), dst.tolist()):
+        e = (u, v) if directed or u < v else (v, u)
         if u == v or e in edge_set:
             leftovers.append((u, v))
         else:
             edge_set.add(e)
 
     if leftovers:
-        budget = 100 * max(m, 1)
+        budget = 100 * max(len(src), 1)
         edge_list = list(edge_set)
         for u, v in leftovers:
             placed = False
@@ -148,68 +168,15 @@ def _undirected_config_model(deg, n, rng) -> Graph:
                 if not edge_list:
                     break
                 j = int(rng.integers(len(edge_list)))
-                x, y = edge_list[j]
-                if rng.integers(2):
+                x, y = old = edge_list[j]
+                if not directed and not rng.integers(2):
                     x, y = y, x
-                # swap (x,y) out for (u,x) and (v,y): degrees are preserved
-                e1 = (u, x) if u < x else (x, u)
-                e2 = (v, y) if v < y else (y, v)
-                if u == x or v == y or e1 == e2 or e1 in edge_set or e2 in edge_set:
-                    continue
-                edge_set.discard((x, y) if x < y else (y, x))
-                edge_set.add(e1)
-                edge_set.add(e2)
-                edge_list[j] = e1
-                edge_list.append(e2)
-                placed = True
-            if not placed:
-                raise GenerationError("edge-swap repair exhausted its retry budget")
-
-    return Graph(n, False, edge_set)
-
-
-def _directed_config_model(out_deg, in_degrees, n, rng) -> Graph:
-    if in_degrees is None:
-        in_deg = rng.permutation(out_deg)
-    else:
-        in_deg = np.asarray(in_degrees, dtype=np.int64)
-        if len(in_deg) != n:
-            raise ValueError("in_degrees length must match degrees length")
-        if np.any(in_deg < 0) or (n and in_deg.max() >= n):
-            raise ValueError("in_degrees out of range")
-        if in_deg.sum() != out_deg.sum():
-            raise ValueError("in/out degree sums must be equal")
-
-    out_stubs = np.repeat(np.arange(n, dtype=np.int64), out_deg)
-    in_stubs = np.repeat(np.arange(n, dtype=np.int64), in_deg)
-    rng.shuffle(in_stubs)
-
-    edge_set: set[tuple[int, int]] = set()
-    leftovers: list[tuple[int, int]] = []
-    for u, v in zip(out_stubs, in_stubs):
-        u, v = int(u), int(v)
-        if u == v or (u, v) in edge_set:
-            leftovers.append((u, v))
-        else:
-            edge_set.add((u, v))
-
-    if leftovers:
-        budget = 100 * max(len(out_stubs), 1)
-        edge_list = list(edge_set)
-        for u, v in leftovers:
-            placed = False
-            while budget > 0 and not placed:
-                budget -= 1
-                if not edge_list:
-                    break
-                j = int(rng.integers(len(edge_list)))
-                x, y = edge_list[j]
-                # swap (x,y) out for (u,y) and (x,v): out/in degrees preserved
-                e1 = (u, y)
-                e2 = (x, v)
+                e1, e2 = (u, y), (x, v)
+                if not directed:
+                    e1, e2 = tuple(sorted(e1)), tuple(sorted(e2))
                 if u == y or x == v or e1 == e2 or e1 in edge_set or e2 in edge_set:
                     continue
-                edge_set.discard((x, y))
+                edge_set.discard(old)
                 edge_set.add(e1)
                 edge_set.add(e2)
                 edge_list[j] = e1
@@ -218,7 +185,7 @@ def _directed_config_model(out_deg, in_degrees, n, rng) -> Graph:
             if not placed:
                 raise GenerationError("edge-swap repair exhausted its retry budget")
 
-    return Graph(n, True, edge_set)
+    return Graph(n, directed, edge_set)
 
 
 def build_multimodal(

@@ -39,17 +39,29 @@ class VaccinationStrategy:
 
 @dataclass(frozen=True)
 class ThresholdResult:
+    """A critical vaccination fraction and how it was obtained.
+
+    ``ci_halfwidth`` is the resolution of the estimate, not a confidence
+    interval: the empirical bisection stops at ``max(1/n, 1e-3)``, and the
+    analytical value is exact (0).  It says nothing about the spread of f_c
+    between trial seeds.
+    """
+
     f_c: float
     method: str  # "empirical" or "analytical"
     kind: str
     s_min: float | None
     trials: int
     ci_halfwidth: float
-    non_monotone: bool = False
 
 
 def _target_count(fraction: float, n: int) -> int:
     return int(np.floor(fraction * n + 0.5))
+
+
+def _degree_order(g: Graph) -> np.ndarray:
+    """Nodes by descending total degree, ties broken by ascending node id."""
+    return np.lexsort((np.arange(g.n), -g.degrees("total")))
 
 
 def vaccinate(g: Graph, strategy: VaccinationStrategy, seed: int = 0) -> set[int]:
@@ -62,8 +74,7 @@ def vaccinate(g: Graph, strategy: VaccinationStrategy, seed: int = 0) -> set[int
     if strategy.kind == RANDOM:
         rng = np.random.default_rng(seed)
         return set(map(int, rng.choice(g.n, size=k, replace=False)))
-    order = np.lexsort((np.arange(g.n), -g.degrees("total")))
-    return set(map(int, order[:k]))
+    return set(map(int, _degree_order(g)[:k]))
 
 
 def giant_component_fraction(g: Graph, removed) -> float:
@@ -108,6 +119,9 @@ def empirical_threshold(
     removes a prefix of one fixed permutation), so the response is exactly
     monotone per trial and the bisection is well posed.  Targeted removal is
     deterministic, so a single evaluation per f suffices.
+
+    ``ci_halfwidth`` of the result is the bisection resolution
+    ``max(1/n, 1e-3)``, not a confidence interval over trials.
     """
     if not 0.0 < s_min < 1.0:
         raise ValueError("s_min must lie in (0, 1)")
@@ -119,21 +133,15 @@ def empirical_threshold(
         raise ValueError("graph has no nodes")
 
     if kind == TARGETED:
-        order = np.lexsort((np.arange(g.n), -g.degrees("total")))
-        orders = [order]
+        orders = [_degree_order(g)]
         trials = 1
     else:
         ss = np.random.SeedSequence(seed)
         orders = [np.random.default_rng(c).permutation(g.n) for c in ss.spawn(trials)]
 
-    evaluated: list[tuple[float, float]] = []
-
     def response(f: float) -> float:
         k = _target_count(f, g.n)
-        vals = [giant_component_fraction(g, order[:k]) for order in orders]
-        mean = float(np.mean(vals))
-        evaluated.append((f, mean))
-        return mean
+        return float(np.mean([giant_component_fraction(g, order[:k]) for order in orders]))
 
     tol = max(1.0 / g.n, 1e-3)
     lo, hi = 0.0, 1.0
@@ -148,13 +156,6 @@ def empirical_threshold(
                 lo = mid
         f_c = hi
 
-    # Non-monotone responses (beyond bisection's implicit assumption) are
-    # flagged but the bisection value is still reported.
-    evaluated.sort()
-    non_monotone = any(
-        b - a > 1e-12 for (_, a), (_, b) in zip(evaluated, evaluated[1:])
-    )
-
     return ThresholdResult(
         f_c=f_c,
         method="empirical",
@@ -162,7 +163,6 @@ def empirical_threshold(
         s_min=s_min,
         trials=trials,
         ci_halfwidth=tol,
-        non_monotone=non_monotone,
     )
 
 

@@ -46,6 +46,23 @@ class TestGenerate:
         degs = read_edge_list(path).degrees()
         assert np.isin(degs, [2, 3, 6, 7]).all()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--family", "powerlaw", "--alpha", "2.5", "--k-min", "1", "--k-max", "5"],
+         "powerlaw family requires n"),
+        (["--family", "complete"], "complete family requires n"),
+        (["--preset", "net-a", "--family", "complete", "--n", "5"],
+         "exactly one of preset/family/file"),
+        (["--family", "multimodal", "--n", "10", "--peaks", "2:0.5,6"],
+         "bad value '2:0.5,6' for key 'peaks'"),
+    ])
+    def test_bad_network_is_one_line_error(self, tmp_path, capsys, argv, message):
+        rc = main(["generate", *argv, "--out", str(tmp_path / "x.edges")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("wormnet: error:")
+        assert len(err.strip().splitlines()) == 1
+        assert message in err
+
 
 class TestSimulate:
     def test_produces_time_series(self, tmp_path):
@@ -73,6 +90,15 @@ class TestSimulate:
         assert rc == 0
         ts = TimeSeries.from_csv(out)
         assert ts.rows[0][4] == 8  # floor(0.05 * 150 + 0.5) vaccinated nodes
+
+    def test_vaccinate_requires_fraction(self, tmp_path, capsys):
+        graph = _generate(tmp_path)
+        rc = main([
+            "simulate", "--graph", str(graph), "--targeting", "neighbor",
+            "--rate", "5", "--vaccinate", "random", "--out", str(tmp_path / "o.csv"),
+        ])
+        assert rc == 1
+        assert "vaccinate requires 'fraction'" in capsys.readouterr().err
 
     def test_missing_graph_file(self, tmp_path, capsys):
         rc = main([

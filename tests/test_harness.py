@@ -76,6 +76,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="exactly one"):
             load_config(_write(tmp_path, text))
 
+    def test_family_requires_n(self, tmp_path):
+        text = BASE_CFG.replace("n = 200\n", "")
+        with pytest.raises(ConfigError, match=r"\[network\] powerlaw family requires n"):
+            load_config(_write(tmp_path, text))
+
+    def test_bad_preset_override_is_config_error(self, tmp_path):
+        text = "[network]\npreset = net-b\nn = 10\n\n[worm]\ntargeting = scan\nrate = 1\n"
+        with pytest.raises(ConfigError, match=r"\[network\] peak degrees must lie in"):
+            load_config(_write(tmp_path, text))
+
     def test_missing_worm_keys(self, tmp_path):
         text = BASE_CFG.replace("targeting = neighbor\n", "")
         with pytest.raises(ConfigError, match="missing required key 'targeting'"):
