@@ -11,11 +11,12 @@ Runs are fully deterministic given (graph, worm, controls, seeds).
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from .graph import Graph
 from .throttle import Admitted, ThrottleConfig, ThrottleState
@@ -107,6 +108,13 @@ class Simulation:
     empty release budget: a freshly infected machine does not get a free
     instant connection, so its novel-destination rate is bounded by the
     throttle rate from its very first contact.
+
+    A tick's deliveries (unthrottled attempts, working-set passes and queue
+    releases) are gathered as ``(dest, ok)`` arrays and applied once, as a
+    set, at the end of the tick; no request or release reads the
+    compartments, so the result does not depend on delivery order.  A
+    throttled host with a non-empty queue has its next release time in
+    ``_due`` (``inf`` for every other node).
     """
 
     def __init__(
@@ -156,41 +164,40 @@ class Simulation:
             if self.address_space < g.n:
                 raise ValueError("address_space must be >= n")
 
-        self._reachable = self._reachable_susceptible(init_infected, vaccinated)
+        self._reachable = self._reachable_susceptible(self._infected)
         self.remaining_reachable = int(self._reachable.sum())
 
         self._throttles: dict[int, ThrottleState] = {}
         self._success_q: dict[int, deque] = {}
-        self._release_heap: list[tuple[float, int]] = []
-        self._scheduled: set[int] = set()
+        self._due = np.full(g.n, np.inf)
         self.queued_total = 0
         if throttle is not None:
-            for u in sorted(init_infected):
+            for u in self._infected.tolist():
                 self._new_throttle(u, 0.0)
 
     # -- setup helpers -----------------------------------------------------
 
-    def _reachable_susceptible(self, init_infected, vaccinated) -> np.ndarray:
-        """Susceptible nodes a future infection could ever reach."""
-        reach = np.zeros(self.g.n, dtype=bool)
+    def _reachable_susceptible(self, seeds: np.ndarray) -> np.ndarray:
+        """Susceptible nodes a future infection could ever reach.
+
+        A breadth-first search over out-edges from a virtual root that points
+        at every seed; edges into vaccinated nodes are dropped, so they block
+        the search.  The seeds themselves are not counted.
+        """
+        n = self.g.n
         if self.worm.targeting == SCAN:
-            reach[self.compartments == SUSCEPTIBLE] = True
-            return reach
-        seen = np.zeros(self.g.n, dtype=bool)
-        frontier = list(init_infected)
-        for u in frontier:
-            seen[u] = True
+            return self.compartments == SUSCEPTIBLE
         indptr, adj = self._indptr, self._adj
-        while frontier:
-            u = frontier.pop()
-            for v in adj[indptr[u]:indptr[u + 1]]:
-                v = int(v)
-                if seen[v] or v in vaccinated:
-                    continue
-                seen[v] = True
-                reach[v] = True  # susceptible and reachable
-                frontier.append(v)
-        return reach
+        kept = self.compartments[adj] != RECOVERED
+        kept_before = np.concatenate([[0], np.cumsum(kept)])
+        indptr = np.concatenate([kept_before[indptr], [kept_before[-1] + len(seeds)]])
+        indices = np.concatenate([adj[kept], seeds])
+        csr = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n + 1, n + 1))
+        order = breadth_first_order(csr, n, directed=True, return_predecessors=False)
+        reach = np.zeros(n + 1, dtype=bool)
+        reach[order] = True
+        reach[seeds] = False
+        return reach[:n]
 
     def _new_throttle(self, node: int, t: float) -> None:
         self._throttles[node] = ThrottleState(self.throttle_config, t0=t, initial_budget=0.0)
@@ -203,27 +210,20 @@ class Simulation:
         return self.tick_index * self.dt
 
     def step(self) -> tuple[int, float, int, int, int, int, int]:
-        """Advance one tick; return the resulting TimeSeries row."""
+        """Advance one tick; return the resulting TimeSeries row.
+
+        Every infected node draws its attempts.  Without a throttle every
+        valid attempt is delivered.  With one, the source's throttle passes
+        a working-set destination and queues a new one; then every host whose
+        ``_due`` time has come releases its queue head(s).  All of the tick's
+        deliveries are applied together at the end, as a set.
+        """
         self.tick_index += 1
         t = self.tick_index * self.dt
         worm = self.worm
-        comp = self.compartments
-        n = self.g.n
         rng = self.rng
-        delivered = 0
-        newly_infected: list[int] = []
-
-        def deliver(dest: int, success: bool) -> None:
-            nonlocal delivered
-            delivered += 1
-            if success and dest < n and comp[dest] == SUSCEPTIBLE:
-                comp[dest] = INFECTED
-                self.n_susceptible -= 1
-                self.n_infected += 1
-                if self._reachable[dest]:
-                    self._reachable[dest] = False
-                    self.remaining_reachable -= 1
-                newly_infected.append(dest)
+        dests = []
+        oks = []
 
         snapshot = self._infected
         total = 0
@@ -249,70 +249,27 @@ class Simulation:
                 valid = degs > 0
             else:
                 targets = rng.integers(0, self.address_space, size=total)
-                valid = np.ones(total, dtype=bool)
+                valid = slice(None)  # every scanned address is a valid attempt
             if worm.infection_probability < 1.0:
                 success = rng.random(total) < worm.infection_probability
             else:
                 success = np.ones(total, dtype=bool)
-
-            if self.throttle_config is None:
-                tgt_l = targets.tolist()
-                ok_l = success.tolist()
-                val_l = valid.tolist()
-                for j in range(total):
-                    if val_l[j]:
-                        deliver(tgt_l[j], ok_l[j])
-            else:
-                src_l = sources.tolist()
-                tgt_l = targets.tolist()
-                ok_l = success.tolist()
-                val_l = valid.tolist()
-                for s, d, ok, va in zip(src_l, tgt_l, ok_l, val_l):
-                    if not va:
-                        continue
-                    st = self._throttles[s]
-                    drops_before = st.drops
-                    if isinstance(st.request(d, t), Admitted):
-                        deliver(d, ok)
-                    else:
-                        sq = self._success_q[s]
-                        if st.drops > drops_before:  # bounded queue evicted its head
-                            sq.popleft()
-                            st.drop_log.clear()
-                            self.queued_total -= 1
-                        sq.append(ok)
-                        self.queued_total += 1
-                        if s not in self._scheduled:
-                            heapq.heappush(self._release_heap, (st.next_release_due(), s))
-                            self._scheduled.add(s)
+            sources, targets, success = sources[valid], targets[valid], success[valid]
+            if self.throttle_config is not None:
+                targets, success = self._request(sources, targets, success, t)
+            dests.append(targets)
+            oks.append(success)
 
         if self.throttle_config is not None:
-            heap = self._release_heap
-            while heap and heap[0][0] <= t + 1e-9:
-                _, s = heapq.heappop(heap)
-                self._scheduled.discard(s)
-                st = self._throttles[s]
-                sq = self._success_q[s]
-                for d, _delay in st.tick(t):
-                    deliver(d, sq.popleft())
-                    self.queued_total -= 1
-                if st.delay_queue:
-                    # guard against re-popping within this tick: a due time
-                    # that has not advanced past t would spin forever
-                    due = max(st.next_release_due(), t + 2e-9)
-                    heapq.heappush(heap, (due, s))
-                    self._scheduled.add(s)
+            released, success = self._release(t)
+            dests.append(released)
+            oks.append(success)
 
-        if newly_infected:
-            # canonical order: keeps the rng-to-node mapping independent of
-            # within-tick delivery order
-            newly_infected.sort()
-            if self.throttle_config is not None:
-                for u in newly_infected:
-                    self._new_throttle(u, t)
-            self._infected = np.concatenate(
-                [self._infected, np.array(newly_infected, dtype=np.int64)]
-            )
+        delivered = 0
+        if dests:
+            dest = np.concatenate(dests)
+            delivered = len(dest)
+            self._infect(dest[np.concatenate(oks)], t)
 
         return (
             self.tick_index,
@@ -323,6 +280,72 @@ class Simulation:
             self.queued_total,
             delivered,
         )
+
+    def _request(self, sources, targets, success, t):
+        """Classify each attempt with its source's throttle; return the
+        ``(dest, ok)`` arrays of the working-set passes."""
+        throttles, success_q = self._throttles, self._success_q
+        passed_dest, passed_ok = [], []
+        scheduled, scheduled_due = [], []
+        queued = 0
+        for s, d, ok in zip(sources.tolist(), targets.tolist(), success.tolist()):
+            st = throttles[s]
+            decision = st.request(d, t)
+            if isinstance(decision, Admitted):
+                passed_dest.append(d)
+                passed_ok.append(ok)
+                continue
+            # sq holds the success flags of the requests queued before this one
+            sq = success_q[s]
+            position = decision.position
+            if position <= len(sq):  # the bounded queue evicted its head
+                sq.popleft()
+                st.drop_log.clear()
+                queued -= 1
+            elif position == 1:  # the queue was empty: schedule a release
+                scheduled.append(s)
+                scheduled_due.append(st.next_release_due())
+            sq.append(ok)
+            queued += 1
+        self.queued_total += queued
+        self._due[scheduled] = scheduled_due
+        return np.array(passed_dest, dtype=np.int64), np.array(passed_ok, dtype=bool)
+
+    def _release(self, t):
+        """Release the queue head(s) of every host that is due by t; return
+        the released ``(dest, ok)`` arrays."""
+        dests, oks = [], []
+        hosts = np.nonzero(self._due <= t + 1e-9)[0].tolist()
+        next_due = []
+        for s in hosts:
+            st = self._throttles[s]
+            sq = self._success_q[s]
+            for d, _delay in st.tick(t):
+                dests.append(d)
+                oks.append(sq.popleft())
+            due = st.next_release_due()
+            # a host that has just released is never due again at this t
+            next_due.append(np.inf if due is None else max(due, t + 2e-9))
+        self.queued_total -= len(dests)
+        self._due[hosts] = next_due
+        return np.array(dests, dtype=np.int64), np.array(oks, dtype=bool)
+
+    def _infect(self, hits: np.ndarray, t: float) -> None:
+        """Infect the still-susceptible nodes among the successful targets."""
+        hits = hits[hits < self.g.n]
+        hits = hits[self.compartments[hits] == SUSCEPTIBLE]
+        if not len(hits):
+            return
+        hits = np.unique(hits)
+        self.compartments[hits] = INFECTED
+        self.n_susceptible -= len(hits)
+        self.n_infected += len(hits)
+        self.remaining_reachable -= int(self._reachable[hits].sum())
+        self._reachable[hits] = False
+        if self.throttle_config is not None:
+            for u in hits.tolist():
+                self._new_throttle(u, t)
+        self._infected = np.concatenate([self._infected, hits])
 
     def exhausted(self) -> bool:
         """True when no further compartment change is possible."""

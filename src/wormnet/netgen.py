@@ -109,7 +109,8 @@ def build_configuration_model(
     Self-loops and duplicate edges left over from the matching are repaired
     with double-edge swaps, which preserves the degree sequence exactly.  For
     directed graphs ``degrees`` are out-degrees; if ``in_degrees`` is omitted
-    the in-degrees are a random permutation of the same multiset.
+    the in-degrees are a random permutation of the same multiset.  Degrees
+    that no simple graph has raise ``GenerationError`` before any matching.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     deg = np.asarray(degrees, dtype=np.int64)
@@ -129,16 +130,72 @@ def build_configuration_model(
                 raise ValueError("in_degrees out of range")
             if in_deg.sum() != deg.sum():
                 raise ValueError("in/out degree sums must be equal")
+        _check_digraphic(deg, in_deg)
         src = np.repeat(np.arange(n, dtype=np.int64), deg)
         dst = np.repeat(np.arange(n, dtype=np.int64), in_deg)
         rng.shuffle(dst)
     else:
         if deg.sum() % 2:
             raise ValueError("undirected degree sum must be even")
+        _check_graphical(deg)
         stubs = np.repeat(np.arange(n, dtype=np.int64), deg)
         rng.shuffle(stubs)
         src, dst = stubs[0::2], stubs[1::2]
     return _wire(n, directed, src, dst, rng)
+
+
+def _check_graphical(deg: np.ndarray) -> None:
+    """Raise GenerationError unless some simple graph has these degrees.
+
+    Erdős–Gallai: with d_1 >= ... >= d_n and an even sum, the sequence is
+    graphical iff sum_{i<=k} d_i <= k(k-1) + sum_{i>k} min(d_i, k) for every
+    k.  The right-hand sum is read off prefix sums: d_i >= k exactly for the
+    first c_k = #{i : d_i >= k} entries.  O(n log n); no random draws.
+    """
+    n = len(deg)
+    d = np.sort(deg)[::-1]
+    prefix = np.concatenate([[0], np.cumsum(d)])
+    k = np.arange(1, n + 1, dtype=np.int64)
+    at_least_k = n - np.searchsorted(d[::-1], k, side="left")
+    m = np.maximum(k, at_least_k)
+    rhs = k * (k - 1) + k * (m - k) + prefix[-1] - prefix[m]
+    bad = np.nonzero(prefix[1:] > rhs)[0]
+    if len(bad):
+        raise GenerationError(
+            "degree sequence is not graphical: the Erdős–Gallai inequality "
+            f"fails for the k = {bad[0] + 1} largest degrees"
+        )
+
+
+def _check_digraphic(out_deg: np.ndarray, in_deg: np.ndarray) -> None:
+    """Raise GenerationError unless some simple digraph has these (out, in)
+    degree pairs.
+
+    Fulkerson–Chen–Anstee: with the pairs (a_i, b_i) in non-increasing
+    lexicographic order and equal sums, they are digraphic iff
+    sum_{i<=k} a_i <= sum_{i<=k} min(b_i, k-1) + sum_{i>k} min(b_i, k) for
+    every k.  The right side is sum_i min(b_i, k) less #{i <= k : b_i >= k};
+    entry i adds one to that count for every k in [i, b_i].  O(n log n); no
+    random draws.
+    """
+    n = len(out_deg)
+    order = np.lexsort((-in_deg, -out_deg))
+    a, b = out_deg[order], in_deg[order]
+    k = np.arange(1, n + 1, dtype=np.int64)
+    b_sorted = np.sort(b)
+    b_prefix = np.concatenate([[0], np.cumsum(b_sorted)])
+    below_k = np.searchsorted(b_sorted, k, side="left")
+    min_sum = b_prefix[below_k] + k * (n - below_k)
+    spans = b >= k
+    starts = np.bincount(k[spans], minlength=n + 2)
+    ends = np.bincount(b[spans] + 1, minlength=n + 2)
+    capped = np.cumsum(starts - ends)[1:n + 1]
+    bad = np.nonzero(np.cumsum(a) > min_sum - capped)[0]
+    if len(bad):
+        raise GenerationError(
+            "out/in degree sequences are not digraphic: the Fulkerson–Chen–Anstee "
+            f"inequality fails for the k = {bad[0] + 1} largest out-degrees"
+        )
 
 
 def _wire(n, directed, src, dst, rng) -> Graph:
@@ -213,27 +270,28 @@ def sample_powerlaw_degrees(
 ) -> np.ndarray:
     """Draw n degrees from the discrete distribution p_k proportional to k^-alpha.
 
-    The support is [k_min, k_max]; the sum is forced even by resampling one
-    uniformly chosen entry.
+    The support is [k_min, k_max]; the sum is forced even by resampling
+    uniformly chosen entries.  A single-degree support (k_min == k_max) with
+    an odd n * k_min has no even-sum sample inside it and is rejected.
     """
     if alpha <= 1:
         raise ValueError("alpha must be > 1")
     if not (1 <= k_min <= k_max):
         raise ValueError("need 1 <= k_min <= k_max")
+    if k_min == k_max and n * k_min % 2:
+        raise ValueError(
+            f"k_min = k_max = {k_min} with n = {n} gives an odd degree sum; "
+            "widen the degree range or change n"
+        )
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     ks = np.arange(k_min, k_max + 1, dtype=np.int64)
     with np.errstate(over="ignore"):
         weights = ks.astype(float) ** (-alpha)
     p = weights / weights.sum()
     degrees = rng.choice(ks, size=n, p=p)
-    if degrees.sum() % 2:
-        if k_min == k_max:
-            # single-degree support cannot change parity by resampling
-            degrees = _even_sum(degrees, rng, k_max + 2)
-        else:
-            while degrees.sum() % 2:
-                i = int(rng.integers(n))
-                degrees[i] = rng.choice(ks, p=p)
+    while degrees.sum() % 2:
+        i = int(rng.integers(n))
+        degrees[i] = rng.choice(ks, p=p)
     return degrees
 
 

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wormnet.epidemic import (
     CSV_HEADER,
+    Simulation,
     TimeSeries,
     WormBehavior,
     growth_rate,
@@ -19,6 +22,41 @@ from wormnet.throttle import ThrottleConfig
 
 def _star(n):
     return Graph(n, False, [(0, i) for i in range(1, n)])
+
+
+def _reachable_oracle(g, init_infected, vaccinated):
+    """Depth-first search from the seeds over out-edges, one node at a time:
+    the susceptible nodes that vaccinated nodes do not cut off from every
+    seed (the seeds themselves excluded)."""
+    indptr, adj = g.out_adjacency
+    reach = np.zeros(g.n, dtype=bool)
+    seen = np.zeros(g.n, dtype=bool)
+    frontier = list(init_infected)
+    for u in frontier:
+        seen[u] = True
+    while frontier:
+        u = frontier.pop()
+        for v in adj[indptr[u]:indptr[u + 1]]:
+            v = int(v)
+            if seen[v] or v in vaccinated:
+                continue
+            seen[v] = True
+            reach[v] = True
+            frontier.append(v)
+    return reach
+
+
+@st.composite
+def _graph_seeds_vaccinated(draw):
+    n = draw(st.integers(1, 25))
+    directed = draw(st.booleans())
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    edges = {(u, v) if directed else (min(u, v), max(u, v)) for u, v in pairs if u != v}
+    roles = draw(st.lists(st.sampled_from("svi"), min_size=n, max_size=n))
+    seeds = {v for v, r in enumerate(roles) if r == "i"}
+    vaccinated = {v for v, r in enumerate(roles) if r == "v"}
+    return Graph(n, directed, sorted(edges)), seeds, vaccinated
 
 
 def _series(infected, n, dt=1.0):
@@ -120,6 +158,30 @@ class TestRunInvariants:
         worm = WormBehavior("neighbor", attempt_rate=50.0)
         ts = run(g, worm, init_infected={2}, dt=0.1, t_max=10.0, seed=0)
         assert ts.rows[-1][3] == 1  # node 2 has no out-edges
+
+
+class TestReachability:
+    @settings(max_examples=200, deadline=None)
+    @given(_graph_seeds_vaccinated())
+    def test_matches_search_oracle(self, case):
+        g, seeds, vaccinated = case
+        sim = Simulation(g, WormBehavior("neighbor", attempt_rate=1.0),
+                         init_infected=seeds, vaccinated=vaccinated)
+        expected = _reachable_oracle(g, seeds, vaccinated)
+        assert sim._reachable.tolist() == expected.tolist()
+        assert sim.remaining_reachable == int(expected.sum())
+
+    def test_vaccinated_node_blocks_the_path(self):
+        g = Graph(4, True, [(0, 1), (1, 2), (2, 3)])
+        sim = Simulation(g, WormBehavior("neighbor", attempt_rate=1.0),
+                         init_infected={0}, vaccinated={2})
+        assert sim._reachable.tolist() == [False, True, False, False]
+
+    def test_scan_reaches_every_susceptible_node(self):
+        g = Graph(4, True, [])
+        sim = Simulation(g, WormBehavior("scan", attempt_rate=1.0),
+                         init_infected={0}, vaccinated={3})
+        assert sim._reachable.tolist() == [False, True, True, False]
 
 
 class TestAgainstMarkovOracle:

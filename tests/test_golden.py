@@ -9,6 +9,7 @@ output change.
 
 import dataclasses
 import hashlib
+import math
 
 import pytest
 
@@ -83,6 +84,78 @@ def test_replicate_csv(small_net_b, key):
         2, 0.1, 4.0, 3, 0,
     )
     assert _sha(ts.to_csv_text().encode()) == REPLICATES[key]
+
+
+# Engine cases the net-b matrix misses: a directed graph (net-c family, with
+# nodes of out-degree 0), failed attempts (infection_probability 0.5) that
+# travel through the delay queue, random vaccination that leaves a strict
+# subset reachable and lets unthrottled runs stop before t_max, an infinite
+# release rate, an empty working set and a one-slot queue.
+DIRECTED_WORMS = {
+    "neighbor": WormBehavior("neighbor", attempt_rate=20.0),
+    "neighbor-p0.5": WormBehavior("neighbor", attempt_rate=20.0, infection_probability=0.5),
+    "scan-p0.5": WormBehavior(
+        "scan", attempt_rate=20.0, infection_probability=0.5, address_space=400),
+}
+DIRECTED_THROTTLES = {
+    "none": None,
+    "unbounded": ThrottleConfig(rate=1.0, working_set_capacity=4),
+    "rate-inf": ThrottleConfig(rate=math.inf, working_set_capacity=4),
+    "ws0": ThrottleConfig(rate=1.0, working_set_capacity=0),
+    "queue1": ThrottleConfig(rate=1.0, working_set_capacity=4, queue_capacity=1),
+}
+DIRECTED_VACCINATIONS = {
+    "none": None,
+    "random": VaccinationStrategy("random", 0.3),
+}
+
+DIRECTED_REPLICATES = {
+    ("neighbor", "none", "none"): "7b7adedc5c0237a219c6dca44544d44b0b9d34605bda3bec5ce7e14399fd2eb1",
+    ("neighbor", "none", "random"): "e16e64d02542e6ba31c81ceec6dfdd78e78446b886cad0e9614cc57aa130bada",
+    ("neighbor", "unbounded", "none"): "5d035fbf9d7bd6b52a80025113a4a9294fe59ad813f252d304740b88e09ac326",
+    ("neighbor", "unbounded", "random"): "28b523556cb8ff40711ba36c704c246b3c8f971b7b753f5d2e22050c99949a88",
+    ("neighbor", "rate-inf", "none"): "7b7adedc5c0237a219c6dca44544d44b0b9d34605bda3bec5ce7e14399fd2eb1",
+    ("neighbor", "rate-inf", "random"): "e16e64d02542e6ba31c81ceec6dfdd78e78446b886cad0e9614cc57aa130bada",
+    ("neighbor", "ws0", "none"): "dd491b900d238bdbe51b21925572b5ff9cc8320860b894a89ef34cf7f78a4b8a",
+    ("neighbor", "ws0", "random"): "e0876b9085a0c0fd62d94c8b4623123edf76147024a680a7698aebadefcb438d",
+    ("neighbor", "queue1", "none"): "1cbcbe07fda05f70d5eb55bed7f567b39d4151640853b4c8fae92b3725af5bc5",
+    ("neighbor", "queue1", "random"): "aa1da0a12a9726e6972d73b18b5e765624ae597ecafe8cc45d73b3a7abf39fa3",
+    ("neighbor-p0.5", "none", "none"): "a3a074e3961b27dee0c625db8b4a8ff8bb5f054b396765b64320426607d18994",
+    ("neighbor-p0.5", "none", "random"): "30db2a78e11700fa78fcb00359ebbdab222ac5bcc5eae6fa2c06fbfec18bebb8",
+    ("neighbor-p0.5", "unbounded", "none"): "a6e027b401425ebff21b521d244af079c6a534f44f824111fea117ba3b712f9d",
+    ("neighbor-p0.5", "unbounded", "random"): "0749d325383f170a19c35d2137adca4a5431d399bb9f0b8d1eb50cac1d81f921",
+    ("neighbor-p0.5", "rate-inf", "none"): "a3a074e3961b27dee0c625db8b4a8ff8bb5f054b396765b64320426607d18994",
+    ("neighbor-p0.5", "rate-inf", "random"): "30db2a78e11700fa78fcb00359ebbdab222ac5bcc5eae6fa2c06fbfec18bebb8",
+    ("neighbor-p0.5", "ws0", "none"): "d678a0bb2aab9ffd66700aa11fd5af4a0a275e9cbc9c379795f0754ace6b1377",
+    ("neighbor-p0.5", "ws0", "random"): "b868afbcb98a7fd6ac8df8326b0003f0201ebcedfc973024140b405e7a320ba9",
+    ("neighbor-p0.5", "queue1", "none"): "943d6050dc10356186243f1d8a09e5fc2849f302bfece41a78776de6f422645e",
+    ("neighbor-p0.5", "queue1", "random"): "237ec451e57dbcffe67884033d2e17ef97560198829b8170c08d29364eafabb6",
+    ("scan-p0.5", "none", "none"): "b5a43296fb61b3e52b5fd0c21e7315242969042398e65d19369fe21c22d2aa8a",
+    ("scan-p0.5", "none", "random"): "e33859c3778b6fa4b685bfae437de09c58f4359644697d06eb0c2c2571e2a74f",
+    ("scan-p0.5", "unbounded", "none"): "8fe0f7f843671e60c408b91c41d0e38d72ae4b449e925a8a27f48338ab1a5e7b",
+    ("scan-p0.5", "unbounded", "random"): "fbd201f63e98bff620af5fc239e327e4f1e0aeb7a7554fd59960554d4622fb5e",
+    ("scan-p0.5", "rate-inf", "none"): "b5a43296fb61b3e52b5fd0c21e7315242969042398e65d19369fe21c22d2aa8a",
+    ("scan-p0.5", "rate-inf", "random"): "e33859c3778b6fa4b685bfae437de09c58f4359644697d06eb0c2c2571e2a74f",
+    ("scan-p0.5", "ws0", "none"): "440c513d7792ace422bbec90943a92c0eaa39729ea31f69088f2ab33f2244080",
+    ("scan-p0.5", "ws0", "random"): "d4bf8bfb3e12aeb47a9a950315de2c7912221d8f2014c6dac1bc57bb62642ce3",
+    ("scan-p0.5", "queue1", "none"): "76c8cf7a2f1ecd818f6a35fe7cdb9835485052673b05ad60fa588de76dc35ac3",
+    ("scan-p0.5", "queue1", "random"): "de04f52befbf760f8ff1b5d790bd55cdecac8edb218cdd58fe0fa45d0c57a7ea",
+}
+
+
+@pytest.fixture(scope="module")
+def small_net_c():
+    return build_network(dataclasses.replace(presets.preset("net-c"), n=300))
+
+
+@pytest.mark.parametrize("key", sorted(DIRECTED_REPLICATES), ids="-".join)
+def test_directed_replicate_csv(small_net_c, key):
+    worm, throttle, vaccination = key
+    ts = harness.run_replicate(
+        small_net_c, DIRECTED_WORMS[worm], DIRECTED_VACCINATIONS[vaccination],
+        DIRECTED_THROTTLES[throttle], 2, 0.1, 10.0, 5, 0,
+    )
+    assert _sha(ts.to_csv_text().encode()) == DIRECTED_REPLICATES[key]
 
 
 THRESHOLDS = {

@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,37 @@ from wormnet.netgen import (
     build_powerlaw,
     degree_distribution,
     sample_powerlaw_degrees,
+    _check_digraphic,
+    _check_graphical,
 )
+
+
+def _realisable(n, directed):
+    """Degree sequences of every simple (di)graph on n nodes, by enumeration:
+    ``d`` tuples (undirected) or ``(out, in)`` tuple pairs (directed)."""
+    if directed:
+        slots = [(u, v) for u in range(n) for v in range(n) if u != v]
+    else:
+        slots = list(itertools.combinations(range(n), 2))
+    found = set()
+    for chosen in itertools.product((0, 1), repeat=len(slots)):
+        out, inn = [0] * n, [0] * n
+        for (u, v), on in zip(slots, chosen):
+            out[u] += on
+            inn[v] += on
+        if directed:
+            found.add((tuple(out), tuple(inn)))
+        else:
+            found.add(tuple(o + i for o, i in zip(out, inn)))
+    return found
+
+
+def _passes(check, *seqs):
+    try:
+        check(*(np.array(s, dtype=np.int64) for s in seqs))
+    except GenerationError:
+        return False
+    return True
 
 
 class TestNetworkSpec:
@@ -118,6 +151,34 @@ class TestConfigurationModel:
         assert len(g.edge_set()) == g.num_edges
 
 
+class TestGraphicality:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_erdos_gallai_matches_enumeration(self, n):
+        real = _realisable(n, directed=False)
+        for d in itertools.product(range(n), repeat=n):
+            if sum(d) % 2 == 0:
+                assert _passes(_check_graphical, d) == (d in real), d
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_fulkerson_chen_anstee_matches_enumeration(self, n):
+        real = _realisable(n, directed=True)
+        for out in itertools.product(range(n), repeat=n):
+            for inn in itertools.product(range(n), repeat=n):
+                if sum(out) == sum(inn):
+                    assert _passes(_check_digraphic, out, inn) == ((out, inn) in real)
+
+    def test_non_graphical_power_law_fails_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(GenerationError, match="Erdős–Gallai inequality fails for the k = 2"):
+            build_powerlaw(2000, 1.5, 1, 1999, seed=1)
+        assert time.perf_counter() - start < 1.0
+
+    def test_non_digraphic_pairs_rejected(self):
+        # node 2 needs two in-edges, but only node 0 has out-edges
+        with pytest.raises(GenerationError, match="Fulkerson–Chen–Anstee"):
+            build_configuration_model([2, 0, 0], directed=True, in_degrees=[0, 0, 2])
+
+
 class TestMultimodal:
     def test_degrees_land_on_peaks(self):
         peaks = ((3, 0.5), (9, 0.5))
@@ -160,6 +221,14 @@ class TestPowerlaw:
         degs = sample_powerlaw_degrees(600, 2.2, 1, 30, rng)
         g = build_configuration_model(degs, seed=rng)
         assert sorted(g.degrees().tolist()) == sorted(degs.tolist())
+
+    def test_single_degree_support_with_odd_sum_rejected(self):
+        # 7 nodes of degree 3 cannot form a graph; bumping one degree to 4
+        # would leave the requested support
+        with pytest.raises(ValueError, match="k_min = k_max = 3 with n = 7"):
+            build_powerlaw(7, 2.5, 3, 3)
+        g = build_powerlaw(8, 2.5, 3, 3)
+        assert g.degrees().tolist() == [3] * 8
 
     def test_build_powerlaw_deterministic(self):
         a = build_powerlaw(300, 2.5, 1, 20, seed=8)
