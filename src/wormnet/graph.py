@@ -7,6 +7,7 @@ once in canonical ``(min, max)`` order.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -23,6 +24,14 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{lineno}: {message}")
 
 
+class EdgeError(ValueError):
+    """An edge breaks the simple-graph rule; ``index`` is its input position."""
+
+    def __init__(self, index: int, message: str):
+        self.index = index
+        super().__init__(message)
+
+
 class Graph:
     """Immutable simple graph over integer node ids.
 
@@ -33,27 +42,34 @@ class Graph:
     __slots__ = ("n", "directed", "_edges", "__dict__")
 
     def __init__(self, n: int, directed: bool, edges: Iterable[tuple[int, int]]):
+        """``edges``: (m, 2) array or iterable of pairs, left unmodified.  The first
+        in input order with an id outside [0, n), a self-loop or a repeat raises EdgeError."""
         if n < 0:
             raise ValueError("node count must be >= 0")
         self.n = int(n)
         self.directed = bool(directed)
 
-        arr = np.asarray(sorted(self._canonical(edges)), dtype=np.int64)
-        if arr.size == 0:
-            arr = np.empty((0, 2), dtype=np.int64)
-        if arr.size:
-            if arr.min() < 0 or arr.max() >= self.n:
-                raise ValueError("edge endpoint out of range")
-            if np.any(arr[:, 0] == arr[:, 1]):
-                raise ValueError("self-loops are not allowed")
-            if len(np.unique(arr, axis=0)) != len(arr):
-                raise ValueError("duplicate edges are not allowed")
-        self._edges = arr
-
-    def _canonical(self, edges):
-        if self.directed:
-            return [(int(u), int(v)) for u, v in edges]
-        return [(min(int(u), int(v)), max(int(u), int(v))) for u, v in edges]
+        arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        if arr.size and (arr.ndim != 2 or arr.shape[1] != 2):
+            raise ValueError(f"edges must be pairs, got an array of shape {arr.shape}")
+        arr = arr.reshape(-1, 2)
+        u, v = arr[:, 0], arr[:, 1]
+        if not self.directed:
+            u, v = np.minimum(u, v), np.maximum(u, v)
+        order = np.lexsort((v, u))
+        self._edges = np.column_stack((u[order], v[order]))
+        repeats = np.zeros(len(arr), dtype=bool)
+        repeats[order[1:][(self._edges[1:] == self._edges[:-1]).all(axis=1)]] = True
+        out_of_range = ((arr < 0) | (arr >= self.n)).any(axis=1)
+        bad = out_of_range | (u == v) | repeats
+        if bad.any():
+            i = int(np.argmax(bad))
+            a, b = arr[i].tolist()
+            why = "self-loop" if a == b else "duplicate"
+            if out_of_range[i]:
+                why = f"{'negative ' if min(a, b) < 0 else ''}node id out of range [0, {self.n})"
+            raise EdgeError(i, f"edge {a} {b}: {why}")
+        self._edges.flags.writeable = False
 
     @property
     def edge_array(self) -> np.ndarray:
@@ -76,33 +92,23 @@ class Graph:
             raise ValueError(f"unknown degree kind {kind!r}")
         out = np.bincount(self._edges[:, 0], minlength=self.n)
         inc = np.bincount(self._edges[:, 1], minlength=self.n)
-        if not self.directed:
-            return out + inc
-        if kind == "out":
-            return out
-        if kind == "in":
-            return inc
+        if self.directed and kind != "total":
+            return out if kind == "out" else inc
         return out + inc
 
     @cached_property
     def out_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR-style (indptr, targets) adjacency over out-neighbors.
+        """Read-only CSR-style (indptr, targets) adjacency over out-neighbors.
 
         Undirected graphs include both orientations.  Neighbor lists are
         sorted, so lookups are deterministic.
         """
-        if self.directed:
-            src = self._edges[:, 0]
-            dst = self._edges[:, 1]
-        else:
-            src = np.concatenate([self._edges[:, 0], self._edges[:, 1]])
-            dst = np.concatenate([self._edges[:, 1], self._edges[:, 0]])
-        order = np.lexsort((dst, src))
-        src = src[order]
-        dst = dst[order]
-        counts = np.bincount(src, minlength=self.n)
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        return indptr.astype(np.int64), dst.astype(np.int64)
+        e = self._edges
+        src, dst = (e if self.directed else np.concatenate([e, e[:, ::-1]])).T
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=self.n))])
+        targets = dst[np.lexsort((dst, src))]
+        indptr.flags.writeable = targets.flags.writeable = False
+        return indptr, targets
 
     def neighbors(self, u: int) -> np.ndarray:
         indptr, targets = self.out_adjacency
@@ -152,10 +158,8 @@ class DegreeDistribution:
 
     def to_sequence(self) -> np.ndarray:
         """Expand the histogram into an explicit degree sequence (sorted)."""
-        return np.repeat(
-            np.array(sorted(self.counts), dtype=np.int64),
-            np.array([self.counts[k] for k in sorted(self.counts)], dtype=np.int64),
-        )
+        ks = sorted(self.counts)
+        return np.repeat(np.array(ks, dtype=np.int64), [self.counts[k] for k in ks])
 
     def mean(self) -> float:
         return sum(k * c for k, c in self.counts.items()) / self.n
@@ -176,7 +180,7 @@ def cumulative_distribution(dist: DegreeDistribution) -> dict[int, float]:
     for k in range(max_k + 1, -1, -1):
         tail += dist.counts.get(k, 0)
         cum[k] = tail / dist.n if dist.n else 0.0
-    return dict(sorted(cum.items()))
+    return dict(reversed(cum.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -192,74 +196,83 @@ def _content_lines(path):
                 yield lineno, text
 
 
+def _int_pairs(path, lines, fields: str, noun: str):
+    """An (m, 2) int64 array of lines of two integers, each row's line number,
+    and the ParseError of the line that stopped the parse, or None.  Callers
+    raise it after checking the rows, so the first bad line in the file wins."""
+    values, linenos, error = array("q"), array("q"), None
+    for lineno, text in lines:
+        parts = text.split()
+        if len(parts) != 2:
+            error = ParseError(path, lineno, f"expected {fields!r}, got {text!r}")
+            break
+        try:
+            values.fromlist([int(parts[0]), int(parts[1])])
+        except ValueError:
+            error = ParseError(path, lineno, f"non-integer {noun} in {text!r}")
+            break
+        linenos.append(lineno)
+    return np.frombuffer(values, dtype=np.int64).reshape(-1, 2), linenos, error
+
+
 def read_edge_list(path) -> Graph:
     """Parse an edge-list file.
 
-    Grammar: first non-comment line is ``directed`` or ``undirected``; each
-    subsequent line is ``u v`` with decimal ids.  Undirected files must list
-    each edge once with u < v.  ``#`` starts a comment.  The node count is
-    inferred as max id + 1.
+    Grammar: first non-comment line is ``directed`` or ``undirected``,
+    optionally followed by the node count; each subsequent line is ``u v``
+    with decimal ids.  Undirected files must list each edge once with u < v.
+    ``#`` starts a comment.  Without a count, n is max id + 1.
     """
-    directed = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, text in _content_lines(path):
-        if directed is None:
-            if text not in ("directed", "undirected"):
-                raise ParseError(path, lineno, f"expected 'directed' or 'undirected', got {text!r}")
-            directed = text == "directed"
-            continue
-        parts = text.split()
-        if len(parts) != 2:
-            raise ParseError(path, lineno, f"expected 'u v', got {text!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(path, lineno, f"non-integer node id in {text!r}") from None
-        if u < 0 or v < 0:
-            raise ParseError(path, lineno, "negative node id")
-        if u == v:
-            raise ParseError(path, lineno, f"self-loop at node {u}")
-        if not directed and u >= v:
-            raise ParseError(path, lineno, f"undirected edge must satisfy u < v, got {u} {v}")
-        if (u, v) in seen:
-            raise ParseError(path, lineno, f"duplicate edge {u} {v}")
-        seen.add((u, v))
-        edges.append((u, v))
-    if directed is None:
-        raise ParseError(path, 1, "missing 'directed'/'undirected' header line")
-    n = 1 + max((max(u, v) for u, v in edges), default=-1)
-    return Graph(n, directed, edges)
+    lines = _content_lines(path)
+    lineno, header = next(lines, (1, ""))
+    kind, *count = header.split() or [""]
+    if kind not in ("directed", "undirected") or count[1:] or not all(map(str.isdecimal, count)):
+        raise ParseError(
+            path, lineno, f"expected 'directed' or 'undirected' header line, got {header!r}")
+    directed = kind == "directed"
+    pairs, linenos, error = _int_pairs(path, lines, "u v", "node id")
+    n = int(count[0]) if count else int(pairs.max(initial=-1)) + 1
+    # Graph checks the rows before the first u > v; a negative id there is its error.
+    wrong_way = (not directed) & (pairs[:, 0] > pairs[:, 1]) & (pairs[:, 1] >= 0)
+    stop = int(np.argmax(wrong_way)) if wrong_way.any() else len(pairs)
+    try:
+        g = Graph(n, directed, pairs[:stop])
+    except EdgeError as err:
+        raise ParseError(path, linenos[err.index], str(err)) from None
+    if stop < len(pairs):
+        u, v = pairs[stop].tolist()
+        raise ParseError(path, linenos[stop], f"undirected edge must satisfy u < v, got {u} {v}")
+    if error:
+        raise error
+    return g
 
 
 def write_edge_list(g: Graph, path) -> None:
-    """Write a graph in canonical edge-list form (sorted, no comments)."""
+    """Write a graph in canonical edge-list form (sorted, no comments); the
+    header carries the node count only when it exceeds max id + 1."""
+    n = f" {g.n}" if g.n > int(g.edge_array.max(initial=-1)) + 1 else ""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("directed\n" if g.directed else "undirected\n")
-        for u, v in g.edge_array:
-            fh.write(f"{u} {v}\n")
+        fh.write(("directed" if g.directed else "undirected") + n + "\n")
+        fh.write("".join(f"{u} {v}\n" for u, v in g.edge_array.tolist()))
 
 
 def read_degree_histogram(path) -> DegreeDistribution:
     """Parse a ``k count`` histogram file into a DegreeDistribution."""
-    counts: dict[int, int] = {}
-    for lineno, text in _content_lines(path):
-        parts = text.split()
-        if len(parts) != 2:
-            raise ParseError(path, lineno, f"expected 'k count', got {text!r}")
-        try:
-            k, c = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(path, lineno, f"non-integer value in {text!r}") from None
-        if k < 0 or c < 0:
-            raise ParseError(path, lineno, "negative value")
-        if k in counts:
-            raise ParseError(path, lineno, f"duplicate degree key {k}")
-        counts[k] = c
+    pairs, linenos, error = _int_pairs(path, _content_lines(path), "k count", "value")
+    negative = (pairs < 0).any(axis=1)
+    repeats = np.ones(len(pairs), dtype=bool)
+    repeats[np.unique(pairs[:, 0], return_index=True)[1]] = False
+    bad = negative | repeats
+    if bad.any():
+        i = int(np.argmax(bad))
+        why = "negative value" if negative[i] else f"duplicate degree key {pairs[i, 0]}"
+        raise ParseError(path, linenos[i], why)
+    if error:
+        raise error
+    counts = dict(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
     return DegreeDistribution(counts, sum(counts.values()))
 
 
 def write_degree_histogram(dist: DegreeDistribution, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for k in sorted(dist.counts):
-            fh.write(f"{k} {dist.counts[k]}\n")
+        fh.write("".join(f"{k} {dist.counts[k]}\n" for k in sorted(dist.counts)))

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import presets
 from .epidemic import TimeSeries, WormBehavior, growth_rate, run, time_to_fraction
-from .graph import Graph, read_degree_histogram, read_edge_list
+from .graph import Graph, _content_lines, read_degree_histogram, read_edge_list
 from .netgen import NetworkSpec, build_network
 from .percolation import VaccinationStrategy, vaccinate
 from .throttle import ThrottleConfig
@@ -110,32 +110,26 @@ def _parse_kv_file(path) -> dict[str, dict[str, tuple[str, int]]]:
     sections: dict[str, dict[str, tuple[str, int]]] = {}
     current = None
     try:
-        fh = open(path, "r", encoding="utf-8")
+        lines = list(_content_lines(path))
     except OSError as exc:
         raise ConfigError(f"cannot open config {path}: {exc}") from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if text.startswith("[") and text.endswith("]"):
-                current = text[1:-1].strip()
-                if current not in _SECTIONS:
-                    raise ConfigError(f"{path}:{lineno}: unknown section [{current}]")
-                sections.setdefault(current, {})
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
-            if current is None:
-                raise ConfigError(f"{path}:{lineno}: key outside any [section]")
-            key, value = (part.strip() for part in text.split("=", 1))
-            if key not in _SECTIONS[current]:
-                raise ConfigError(
-                    f"{path}:{lineno}: unknown key {key!r} in section [{current}]"
-                )
-            if key in sections[current]:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            sections[current][key] = (value, lineno)
+    for lineno, text in lines:
+        if text.startswith("[") and text.endswith("]"):
+            current = text[1:-1].strip()
+            if current not in _SECTIONS:
+                raise ConfigError(f"{path}:{lineno}: unknown section [{current}]")
+            sections.setdefault(current, {})
+            continue
+        if "=" not in text:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
+        if current is None:
+            raise ConfigError(f"{path}:{lineno}: key outside any [section]")
+        key, value = (part.strip() for part in text.split("=", 1))
+        if key not in _SECTIONS[current]:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in section [{current}]")
+        if key in sections[current]:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        sections[current][key] = (value, lineno)
     return sections
 
 

@@ -12,7 +12,6 @@ whose degree sequences match the request exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -81,7 +80,7 @@ class NetworkSpec:
 
 def build_complete(n: int) -> Graph:
     """Complete undirected graph: every pair connected, degree n - 1."""
-    return Graph(n, False, combinations(range(n), 2))
+    return Graph(n, False, np.column_stack(np.triu_indices(n, 1)))
 
 
 def _even_sum(degrees: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -136,7 +135,7 @@ def build_configuration_model(
         rng.shuffle(dst)
     else:
         if deg.sum() % 2:
-            raise ValueError("undirected degree sum must be even")
+            raise ValueError(f"undirected degree sum must be even, got {deg.sum()}")
         _check_graphical(deg)
         stubs = np.repeat(np.arange(n, dtype=np.int64), deg)
         rng.shuffle(stubs)
@@ -316,14 +315,8 @@ def build_network(spec: NetworkSpec) -> Graph:
     if spec.family == "multimodal":
         return build_multimodal(spec.n, spec.peaks, spec.seed)
     if spec.family == "configmodel":
-        if spec.degrees is not None:
-            degrees = np.asarray(spec.degrees, dtype=np.int64)
-        else:
-            degrees = spec.distribution.to_sequence()
-        rng = np.random.default_rng(spec.seed)
-        if not spec.directed and degrees.sum() % 2:
-            degrees = _even_sum(degrees, rng, len(degrees))
-        return build_configuration_model(degrees, directed=spec.directed, seed=rng)
+        degrees = spec.distribution.to_sequence() if spec.degrees is None else spec.degrees
+        return build_configuration_model(degrees, directed=spec.directed, seed=spec.seed)
     if spec.family == "powerlaw":
         return build_powerlaw(
             spec.n, spec.alpha, spec.k_min, spec.k_max, spec.seed, spec.directed

@@ -1,16 +1,110 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wormnet.graph import (
     DegreeDistribution,
+    EdgeError,
     Graph,
     ParseError,
+    _content_lines,
     cumulative_distribution,
     read_degree_histogram,
     read_edge_list,
     write_degree_histogram,
     write_edge_list,
 )
+from wormnet.netgen import build_configuration_model
+
+
+def _read_edge_list_oracle(path):
+    """The per-line edge-list rules, one line at a time: ``(n, directed,
+    edges)``, or ``ParseError`` whose message is the word its rule is matched by."""
+    directed = None
+    edges, seen = [], set()
+    for lineno, text in _content_lines(path):
+        if directed is None:
+            if text not in ("directed", "undirected"):
+                raise ParseError(path, lineno, "directed")
+            directed = text == "directed"
+            continue
+        parts = text.split()
+        if len(parts) != 2:
+            raise ParseError(path, lineno, "expected")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(path, lineno, "non-integer") from None
+        if u < 0 or v < 0:
+            raise ParseError(path, lineno, "negative")
+        if u == v:
+            raise ParseError(path, lineno, "self-loop")
+        if not directed and u >= v:
+            raise ParseError(path, lineno, "u < v")
+        if (u, v) in seen:
+            raise ParseError(path, lineno, "duplicate")
+        seen.add((u, v))
+        edges.append((u, v))
+    if directed is None:
+        raise ParseError(path, 1, "header")
+    return 1 + max((max(e) for e in edges), default=-1), directed, sorted(edges)
+
+
+def _read_degree_histogram_oracle(path):
+    """The per-line histogram rules, one line at a time, as above."""
+    counts = {}
+    for lineno, text in _content_lines(path):
+        parts = text.split()
+        if len(parts) != 2:
+            raise ParseError(path, lineno, "expected")
+        try:
+            k, c = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(path, lineno, "non-integer") from None
+        if k < 0 or c < 0:
+            raise ParseError(path, lineno, "negative")
+        if k in counts:
+            raise ParseError(path, lineno, "duplicate degree")
+        counts[k] = c
+    return counts
+
+
+def _oracle_outcome(oracle, path):
+    try:
+        return "ok", oracle(path)
+    except ParseError as err:
+        return "error", (err.lineno, str(err).rsplit(": ", 1)[1])
+
+
+# Lines that break one rule each, or none (comments, blanks, padded ids).
+_FAULTS = ["0 x", "7", "1 2 3", "-1 2", "2 -1", "3 3", "5 2", "2 5", "# note", "", "+4 06 # c"]
+
+
+@st.composite
+def _edge_files(draw):
+    directed = draw(st.booleans())
+    n = draw(st.integers(2, 9))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          unique=True, max_size=15))
+    lines = [f"{u} {v}" for u, v in pairs if u != v and (directed or u < v)]
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(lines)))
+        extra = _FAULTS + lines[:3] + [" ".join(line.split()[::-1]) for line in lines[:3]]
+        lines.insert(pos, draw(st.sampled_from(extra)))
+    header = draw(st.sampled_from(["directed" if directed else "undirected", "nonsense", None]))
+    return "\n".join(([header] if header is not None else []) + lines) + "\n"
+
+
+@st.composite
+def _simple_graphs(draw):
+    core = draw(st.integers(0, 10))
+    n = core + draw(st.integers(0, 3))  # trailing isolated nodes
+    directed = draw(st.booleans())
+    pairs = draw(st.lists(st.tuples(st.integers(0, max(core - 1, 0)),
+                                    st.integers(0, max(core - 1, 0))), max_size=30))
+    edges = {(u, v) if directed else (min(u, v), max(u, v)) for u, v in pairs if u != v}
+    return Graph(n, directed, sorted(edges))
 
 
 class TestGraph:
@@ -49,6 +143,29 @@ class TestGraph:
         g = Graph(0, False, [])
         assert g.num_edges == 0
         assert g.degrees().tolist() == []
+
+
+    def test_first_bad_edge_in_input_order_is_named_with_its_index(self):
+        with pytest.raises(EdgeError, match="edge 2 3: duplicate") as err:
+            Graph(4, False, [(0, 1), (3, 2), (2, 3), (1, 1)])
+        assert err.value.index == 2
+        with pytest.raises(EdgeError, match="edge 0 -1: negative node id out of range") as err:
+            Graph(4, True, [(0, -1), (2, 2)])
+        assert err.value.index == 0
+
+    def test_input_array_is_left_unsorted(self):
+        arr = np.array([[3, 1], [0, 2], [1, 0]])
+        g = Graph(4, False, arr)
+        assert arr.tolist() == [[3, 1], [0, 2], [1, 0]]
+        assert g.edge_array.tolist() == [[0, 1], [0, 2], [1, 3]]
+
+    def test_edges_and_adjacency_are_read_only(self):
+        g = Graph(3, False, [(0, 1), (1, 2)])
+        indptr, targets = g.out_adjacency
+        for arr in (g.edge_array, indptr, targets):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 2
+        assert g == Graph(3, False, [(0, 1), (1, 2)])
 
 
 class TestDegreeDistribution:
@@ -135,6 +252,76 @@ class TestEdgeListFiles:
             read_edge_list(p)
 
 
+    def test_trailing_isolated_nodes_survive_a_round_trip(self, tmp_path):
+        g = build_configuration_model([1, 1, 0, 0])
+        p = tmp_path / "g.edges"
+        write_edge_list(g, p)
+        assert p.read_text() == "undirected 4\n0 1\n"
+        assert read_edge_list(p) == g
+
+    @settings(max_examples=200, deadline=None)
+    @given(_simple_graphs())
+    def test_write_read_round_trip_is_exact_and_byte_stable(self, tmp_path_factory, g):
+        d = tmp_path_factory.mktemp("rt")
+        write_edge_list(g, d / "a.edges")
+        g2 = read_edge_list(d / "a.edges")
+        assert g2 == g
+        write_edge_list(g2, d / "b.edges")
+        assert (d / "a.edges").read_bytes() == (d / "b.edges").read_bytes()
+
+    @pytest.mark.parametrize(
+        "content, lineno, match",
+        [
+            ("undirected 3\n0 1\n1 3\n", 3, "out of range"),
+            ("undirected x\n0 1\n", 1, "header"),
+            ("undirected 3 4\n0 1\n", 1, "header"),
+            ("undirected -3\n0 1\n", 1, "header"),
+        ],
+    )
+    def test_optional_node_count_in_header(self, tmp_path, content, lineno, match):
+        p = tmp_path / "g.edges"
+        p.write_text(content)
+        with pytest.raises(ParseError, match=match) as err:
+            read_edge_list(p)
+        assert err.value.lineno == lineno
+
+    def test_header_count_equal_to_inferred_n_is_accepted(self, tmp_path):
+        p = tmp_path / "g.edges"
+        p.write_text("directed 2\n0 1\n1 0\n")
+        assert read_edge_list(p) == Graph(2, True, [(0, 1), (1, 0)])
+
+    @pytest.mark.parametrize(
+        "content, lineno, match",
+        [
+            ("undirected\n0 1\n0 1\n0 x\n", 3, "duplicate"),
+            ("undirected\n2 1\n0 1 2\n", 2, "u < v"),
+            ("directed\n1 1\n-1\n", 2, "self-loop"),
+        ],
+    )
+    def test_rule_error_before_bad_token_wins(self, tmp_path, content, lineno, match):
+        p = tmp_path / "bad.edges"
+        p.write_text(content)
+        with pytest.raises(ParseError, match=match) as err:
+            read_edge_list(p)
+        assert err.value.lineno == lineno
+
+    @settings(max_examples=300, deadline=None)
+    @given(_edge_files())
+    def test_reader_agrees_with_per_line_oracle(self, tmp_path_factory, content):
+        p = tmp_path_factory.mktemp("diff") / "g.edges"
+        p.write_text(content)
+        kind, expected = _oracle_outcome(_read_edge_list_oracle, p)
+        if kind == "ok":
+            n, directed, edges = expected
+            g = read_edge_list(p)
+            assert (g.n, g.directed, g.edge_array.tolist()) == (n, directed, [list(e) for e in edges])
+            return
+        lineno, word = expected
+        with pytest.raises(ParseError, match=word) as err:
+            read_edge_list(p)
+        assert err.value.lineno == lineno
+
+
 class TestHistogramFiles:
     def test_roundtrip(self, tmp_path):
         d = DegreeDistribution({1: 4, 3: 2, 9: 1}, 7)
@@ -154,3 +341,25 @@ class TestHistogramFiles:
         p.write_text("2 -1\n")
         with pytest.raises(ParseError, match="negative"):
             read_degree_histogram(p)
+
+    def test_rule_error_before_bad_token_wins(self, tmp_path):
+        p = tmp_path / "h.hist"
+        p.write_text("1 5\n-1 3\nfoo\n")
+        with pytest.raises(ParseError, match="negative") as err:
+            read_degree_histogram(p)
+        assert err.value.lineno == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(["0 3", "1 4", "2 1", "1 2", "-1 2", "3 -4", "x 1", "5",
+                                     "1 2 3", "# c", "", "7 0", "3 2"]), max_size=8))
+    def test_reader_agrees_with_per_line_oracle(self, tmp_path_factory, lines):
+        p = tmp_path_factory.mktemp("diff") / "h.hist"
+        p.write_text("\n".join(lines) + "\n")
+        kind, expected = _oracle_outcome(_read_degree_histogram_oracle, p)
+        if kind == "ok":
+            assert list(read_degree_histogram(p).counts.items()) == list(expected.items())
+            return
+        lineno, word = expected
+        with pytest.raises(ParseError, match=word) as err:
+            read_degree_histogram(p)
+        assert err.value.lineno == lineno

@@ -253,6 +253,15 @@ class TestBuildNetwork:
         g = build_network(NetworkSpec("configmodel", 15, distribution=dist))
         assert sorted(g.degrees().tolist()) == sorted(dist.to_sequence().tolist())
 
+    @pytest.mark.parametrize("source", [
+        {"degrees": (1, 1, 1, 0)},
+        {"distribution": DegreeDistribution({1: 3, 2: 1}, 4)},
+    ])
+    def test_configmodel_odd_explicit_sum_rejected_not_edited(self, source):
+        spec = NetworkSpec("configmodel", 4, **source)
+        with pytest.raises(ValueError, match="sum must be even, got [35]"):
+            build_network(spec)
+
     def test_degree_distribution_of_graph(self):
         g = build_complete(6)
         assert degree_distribution(g).counts == {5: 6}
