@@ -7,6 +7,7 @@ once in canonical ``(min, max)`` order.
 
 from __future__ import annotations
 
+import warnings
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,11 +26,16 @@ class ParseError(ValueError):
 
 
 class EdgeError(ValueError):
-    """An edge breaks the simple-graph rule; ``index`` is its input position."""
+    """An edge breaks the simple-graph rule, or a file row its format's rules;
+    ``index`` is its input position."""
 
     def __init__(self, index: int, message: str):
         self.index = index
         super().__init__(message)
+
+
+# The largest n whose packed edge keys (n + 2)**2 - 1 fit in int64.
+MAX_NODES = 3_037_000_497
 
 
 class Graph:
@@ -43,9 +49,12 @@ class Graph:
 
     def __init__(self, n: int, directed: bool, edges: Iterable[tuple[int, int]]):
         """``edges``: (m, 2) array or iterable of pairs, left unmodified.  The first
-        in input order with an id outside [0, n), a self-loop or a repeat raises EdgeError."""
+        in input order with an id outside [0, n), a self-loop or a repeat raises EdgeError.
+        ``n`` is at most MAX_NODES."""
         if n < 0:
             raise ValueError("node count must be >= 0")
+        if n > MAX_NODES:
+            raise ValueError(f"node count {n} exceeds {MAX_NODES}, the most a Graph can hold")
         self.n = int(n)
         self.directed = bool(directed)
 
@@ -56,10 +65,14 @@ class Graph:
         u, v = arr[:, 0], arr[:, 1]
         if not self.directed:
             u, v = np.minimum(u, v), np.maximum(u, v)
-        order = np.lexsort((v, u))
+        # One int64 key per edge, in (u, v) order.  Ids are clipped to [-1, n] so that
+        # an out-of-range edge never shares a key with an in-range one.
+        keys = (np.clip(u, -1, self.n) + 1) * (self.n + 2) + np.clip(v, -1, self.n) + 1
+        order = np.argsort(keys, kind="stable")
         self._edges = np.column_stack((u[order], v[order]))
+        keys = keys[order]
         repeats = np.zeros(len(arr), dtype=bool)
-        repeats[order[1:][(self._edges[1:] == self._edges[:-1]).all(axis=1)]] = True
+        repeats[order[1:][keys[1:] == keys[:-1]]] = True
         out_of_range = ((arr < 0) | (arr >= self.n)).any(axis=1)
         bad = out_of_range | (u == v) | repeats
         if bad.any():
@@ -196,12 +209,29 @@ def _content_lines(path):
                 yield lineno, text
 
 
-def _int_pairs(path, lines, fields: str, noun: str):
-    """An (m, 2) int64 array of lines of two integers, each row's line number,
-    and the ParseError of the line that stopped the parse, or None.  Callers
-    raise it after checking the rows, so the first bad line in the file wins."""
+def _int_pairs(path, after: int, fields: str, noun: str, build):
+    """``build(pairs)`` for the (m, 2) int64 array of the lines of two integers that
+    follow line ``after``.  ``build`` raises EdgeError(i, why) when row i breaks a rule
+    of the format.
+
+    numpy parses the lines in bulk, but without line numbers.  When it cannot, or a
+    rule fails, the lines are walked one at a time to name the line at fault: the
+    first bad line in the file wins, whether a rule or a token broke it."""
+    with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt only warns of a file with no rows
+        try:
+            pairs = np.loadtxt(fh, dtype=np.int64, comments="#", skiprows=after, ndmin=2)
+        except (ValueError, Warning):
+            pairs = None
+    if pairs is not None and pairs.shape[1] == 2:
+        try:
+            return build(pairs)
+        except EdgeError:
+            pass
     values, linenos, error = array("q"), array("q"), None
-    for lineno, text in lines:
+    for lineno, text in _content_lines(path):
+        if lineno <= after:
+            continue
         parts = text.split()
         if len(parts) != 2:
             error = ParseError(path, lineno, f"expected {fields!r}, got {text!r}")
@@ -211,8 +241,17 @@ def _int_pairs(path, lines, fields: str, noun: str):
         except ValueError:
             error = ParseError(path, lineno, f"non-integer {noun} in {text!r}")
             break
+        except OverflowError:
+            error = ParseError(path, lineno, f"{noun} out of int64 range in {text!r}")
+            break
         linenos.append(lineno)
-    return np.frombuffer(values, dtype=np.int64).reshape(-1, 2), linenos, error
+    try:
+        result = build(np.frombuffer(values, dtype=np.int64).reshape(-1, 2))
+    except EdgeError as err:
+        raise ParseError(path, linenos[err.index], str(err)) from None
+    if error:
+        raise error
+    return result
 
 
 def read_edge_list(path) -> Graph:
@@ -225,26 +264,25 @@ def read_edge_list(path) -> Graph:
     """
     lines = _content_lines(path)
     lineno, header = next(lines, (1, ""))
+    lines.close()
     kind, *count = header.split() or [""]
     if kind not in ("directed", "undirected") or count[1:] or not all(map(str.isdecimal, count)):
         raise ParseError(
             path, lineno, f"expected 'directed' or 'undirected' header line, got {header!r}")
     directed = kind == "directed"
-    pairs, linenos, error = _int_pairs(path, lines, "u v", "node id")
-    n = int(count[0]) if count else int(pairs.max(initial=-1)) + 1
-    # Graph checks the rows before the first u > v; a negative id there is its error.
-    wrong_way = (not directed) & (pairs[:, 0] > pairs[:, 1]) & (pairs[:, 1] >= 0)
-    stop = int(np.argmax(wrong_way)) if wrong_way.any() else len(pairs)
-    try:
+
+    def build(pairs):
+        n = int(count[0]) if count else int(pairs.max(initial=-1)) + 1
+        # Graph checks the rows before the first u > v; a negative id there is its error.
+        wrong_way = (not directed) & (pairs[:, 0] > pairs[:, 1]) & (pairs[:, 1] >= 0)
+        stop = int(np.argmax(wrong_way)) if wrong_way.any() else len(pairs)
         g = Graph(n, directed, pairs[:stop])
-    except EdgeError as err:
-        raise ParseError(path, linenos[err.index], str(err)) from None
-    if stop < len(pairs):
-        u, v = pairs[stop].tolist()
-        raise ParseError(path, linenos[stop], f"undirected edge must satisfy u < v, got {u} {v}")
-    if error:
-        raise error
-    return g
+        if stop < len(pairs):
+            u, v = pairs[stop].tolist()
+            raise EdgeError(stop, f"undirected edge must satisfy u < v, got {u} {v}")
+        return g
+
+    return _int_pairs(path, lineno, "u v", "node id", build)
 
 
 def write_edge_list(g: Graph, path) -> None:
@@ -258,19 +296,20 @@ def write_edge_list(g: Graph, path) -> None:
 
 def read_degree_histogram(path) -> DegreeDistribution:
     """Parse a ``k count`` histogram file into a DegreeDistribution."""
-    pairs, linenos, error = _int_pairs(path, _content_lines(path), "k count", "value")
-    negative = (pairs < 0).any(axis=1)
-    repeats = np.ones(len(pairs), dtype=bool)
-    repeats[np.unique(pairs[:, 0], return_index=True)[1]] = False
-    bad = negative | repeats
-    if bad.any():
-        i = int(np.argmax(bad))
-        why = "negative value" if negative[i] else f"duplicate degree key {pairs[i, 0]}"
-        raise ParseError(path, linenos[i], why)
-    if error:
-        raise error
-    counts = dict(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
-    return DegreeDistribution(counts, sum(counts.values()))
+
+    def build(pairs):
+        negative = (pairs < 0).any(axis=1)
+        repeats = np.ones(len(pairs), dtype=bool)
+        repeats[np.unique(pairs[:, 0], return_index=True)[1]] = False
+        bad = negative | repeats
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise EdgeError(i, "negative value" if negative[i] else
+                            f"duplicate degree key {pairs[i, 0]}")
+        counts = dict(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
+        return DegreeDistribution(counts, sum(counts.values()))
+
+    return _int_pairs(path, 0, "k count", "value", build)
 
 
 def write_degree_histogram(dist: DegreeDistribution, path) -> None:

@@ -80,30 +80,31 @@ def vaccinate(g: Graph, strategy: VaccinationStrategy, seed: int = 0) -> set[int
 def giant_component_fraction(g: Graph, removed) -> float:
     """Largest-component size of the residual graph over the original n.
 
-    Directed graphs use weak connectivity.
+    ``removed`` is an array or any iterable of node ids.  Directed graphs use
+    weak connectivity.
     """
     if g.n == 0:
         return 0.0
+    if not isinstance(removed, np.ndarray):
+        removed = np.fromiter(removed, dtype=np.int64)
     keep = np.ones(g.n, dtype=bool)
-    removed = list(removed)
-    if removed:
+    if len(removed):
         keep[removed] = False
-    n_kept = int(keep.sum())
+    n_kept = int(np.count_nonzero(keep))
     if n_kept == 0:
         return 0.0
     edges = g.edge_array
-    if len(edges):
-        mask = keep[edges[:, 0]] & keep[edges[:, 1]]
-        edges = edges[mask]
+    edges = edges[keep[edges[:, 0]] & keep[edges[:, 1]]]
     if len(edges) == 0:
         return 1.0 / g.n
+    # Components of the subgraph induced by the kept nodes, relabelled 0..n_kept-1.
+    edges = (np.cumsum(keep) - 1)[edges]
     adj = coo_matrix(
         (np.ones(len(edges), dtype=np.int8), (edges[:, 0], edges[:, 1])),
-        shape=(g.n, g.n),
+        shape=(n_kept, n_kept),
     )
     _, labels = connected_components(adj, directed=g.directed, connection="weak")
-    sizes = np.bincount(labels[keep])
-    return int(sizes.max()) / g.n
+    return int(np.bincount(labels).max()) / g.n
 
 
 def empirical_threshold(

@@ -100,6 +100,24 @@ class TestSimulate:
         assert rc == 1
         assert "vaccinate requires 'fraction'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, message", [
+        ("undirected\n0 99999999999999999999\n", ":2: node id out of int64 range"),
+        ("directed\n0 1\n9223372036854775808 0\n", ":3: node id out of int64 range"),
+        ("undirected 99999999999999999999\n0 1\n", "node count 99999999999999999999 exceeds"),
+    ])
+    def test_oversized_id_is_one_line_error(self, tmp_path, capsys, content, message):
+        graph = tmp_path / "big.edges"
+        graph.write_text(content)
+        rc = main([
+            "simulate", "--graph", str(graph), "--targeting", "scan", "--rate", "1",
+            "--out", str(tmp_path / "o.csv"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("wormnet: error:")
+        assert len(err.strip().splitlines()) == 1
+        assert message in err
+
     def test_missing_graph_file(self, tmp_path, capsys):
         rc = main([
             "simulate", "--graph", str(tmp_path / "nope.edges"),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from wormnet.graph import (
     DegreeDistribution,
+    MAX_NODES,
     EdgeError,
     Graph,
     ParseError,
@@ -21,13 +24,15 @@ from wormnet.netgen import build_configuration_model
 def _read_edge_list_oracle(path):
     """The per-line edge-list rules, one line at a time: ``(n, directed,
     edges)``, or ``ParseError`` whose message is the word its rule is matched by."""
-    directed = None
+    directed = count = None
     edges, seen = [], set()
     for lineno, text in _content_lines(path):
         if directed is None:
-            if text not in ("directed", "undirected"):
+            kind, *count = text.split()
+            if kind not in ("directed", "undirected") or count[1:] or not all(
+                    map(str.isdecimal, count)):
                 raise ParseError(path, lineno, "directed")
-            directed = text == "directed"
+            directed, count = kind == "directed", int(count[0]) if count else None
             continue
         parts = text.split()
         if len(parts) != 2:
@@ -36,19 +41,24 @@ def _read_edge_list_oracle(path):
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(path, lineno, "non-integer") from None
+        if not -2**63 <= min(u, v) <= max(u, v) < 2**63:
+            raise ParseError(path, lineno, "int64 range")
         if u < 0 or v < 0:
             raise ParseError(path, lineno, "negative")
+        if not directed and u > v:
+            raise ParseError(path, lineno, "u < v")
+        if count is not None and max(u, v) >= count:
+            raise ParseError(path, lineno, "out of range")
         if u == v:
             raise ParseError(path, lineno, "self-loop")
-        if not directed and u >= v:
-            raise ParseError(path, lineno, "u < v")
         if (u, v) in seen:
             raise ParseError(path, lineno, "duplicate")
         seen.add((u, v))
         edges.append((u, v))
     if directed is None:
         raise ParseError(path, 1, "header")
-    return 1 + max((max(e) for e in edges), default=-1), directed, sorted(edges)
+    n = count if count is not None else 1 + max((max(e) for e in edges), default=-1)
+    return n, directed, sorted(edges)
 
 
 def _read_degree_histogram_oracle(path):
@@ -62,6 +72,8 @@ def _read_degree_histogram_oracle(path):
             k, c = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(path, lineno, "non-integer") from None
+        if not -2**63 <= min(k, c) <= max(k, c) < 2**63:
+            raise ParseError(path, lineno, "int64 range")
         if k < 0 or c < 0:
             raise ParseError(path, lineno, "negative")
         if k in counts:
@@ -75,6 +87,51 @@ def _oracle_outcome(oracle, path):
         return "ok", oracle(path)
     except ParseError as err:
         return "error", (err.lineno, str(err).rsplit(": ", 1)[1])
+
+
+def _assert_agrees_with_oracle(tmp_path, content, oracle, read, view):
+    """``read`` gives ``oracle``'s result, seen through ``view``, or fails at its line
+    and with its word, and warns of nothing.  ``content`` is written as UTF-8 bytes,
+    line ends untouched."""
+    p = tmp_path / "f"
+    p.write_bytes(content.encode("utf-8"))
+    kind, expected = _oracle_outcome(oracle, p)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if kind == "ok":
+            assert view(read(p)) == view(expected)
+        else:
+            lineno, word = expected
+            with pytest.raises(ParseError, match=word) as err:
+                read(p)
+            assert err.value.lineno == lineno
+    assert [str(w.message) for w in caught] == []
+
+
+def _graph_view(g):
+    if isinstance(g, Graph):
+        return g.n, g.directed, g.edge_array.tolist()
+    n, directed, edges = g
+    return n, directed, [list(e) for e in edges]
+
+
+def _counts_view(d):
+    return list((d.counts if isinstance(d, DegreeDistribution) else d).items())
+
+
+# Inputs whose tokens, separators, line ends or layout numpy's bulk parse and
+# Python's int() might read differently.
+_TOKEN_CASES = [
+    "{h}\n+1 2\n", "{h}\n1_0 2\n", "{h}\n\uff11 2\n", "{h}\n007 010\n", "{h}\n-0 1\n",
+    "{h}\n0 9223372036854775808\n", "{h}\n0 99999999999999999999\n",
+    "{h}\n1 2\n-9223372036854775809 1\n", "{h}\n0 1\n99999999999999999999 x\n",
+    "{h}\n0\t1\n1 \t 2\n", "{h}\n0\xa01\n\xa0\n1\x0b2\n", "{h}\n0\x0c1\n2\u30003\n",
+    "{h}\r\n0 1\r\n1 2\r\n", "{h}\r\n0 1\r\n1 x\r\n", "{h}\r0 1\r2 1\r",
+    "{h}\r0 1\r\n\r1 1\n", "{h}\n0 1\n1 2", "{h}\n0 1\n1 1", "{h}\n", "{h}",
+    "{h}\n# only a comment\n\n", "# first\n\n{h}\n0 1\n", "# first\n{h}\n0 1\n2 x\n",
+    "{h}\n0 1\n1 2 # c\n\n# c\n1 0\n", "{h}\n0 1\n5\n", "{h}\n0 1 2\n3 4 5\n",
+    "{h}\n1.0 2\n", "{h}\n0 1\x85 2 3\n", "{h}\n0 1\n1 2\x00\n",
+]
 
 
 # Lines that break one rule each, or none (comments, blanks, padded ids).
@@ -152,6 +209,42 @@ class TestGraph:
         with pytest.raises(EdgeError, match="edge 0 -1: negative node id out of range") as err:
             Graph(4, True, [(0, -1), (2, 2)])
         assert err.value.index == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 6), st.booleans(),
+           st.lists(st.tuples(*[st.one_of(st.integers(-2, 8), st.sampled_from(
+               [-2**63, -2**62, 2**62, 2**63 - 1]))] * 2), max_size=12))
+    def test_agrees_with_a_per_edge_oracle(self, n, directed, pairs):
+        seen, expected = set(), None
+        for i, (a, b) in enumerate(pairs):
+            key = (a, b) if directed else (min(a, b), max(a, b))
+            why = ("out of range" if not (0 <= a < n and 0 <= b < n) else
+                   "self-loop" if a == b else "duplicate" if key in seen else None)
+            if why:
+                expected = (i, why)
+                break
+            seen.add(key)
+        if expected is None:
+            assert Graph(n, directed, pairs).edge_array.tolist() == [list(e) for e in sorted(seen)]
+            return
+        with pytest.raises(EdgeError, match=expected[1]) as err:
+            Graph(n, directed, pairs)
+        assert err.value.index == expected[0]
+        assert str(err.value).startswith(f"edge {pairs[expected[0]][0]} {pairs[expected[0]][1]}: ")
+
+    def test_node_count_limit_of_the_packed_sort(self):
+        big = MAX_NODES
+        assert (big + 2) ** 2 <= 2**63 < (big + 3) ** 2
+        g = Graph(big, False, [(big - 1, big - 2), (0, big - 1), (big - 2, 0)])
+        assert g.edge_array.tolist() == [[0, big - 2], [0, big - 1], [big - 2, big - 1]]
+        with pytest.raises(EdgeError, match="duplicate") as err:
+            Graph(big, True, [(big - 1, big - 2), (big - 2, big - 1), (big - 1, big - 2)])
+        assert err.value.index == 2
+        with pytest.raises(EdgeError, match="out of range") as err:
+            Graph(big, True, [(0, 1), (big, 0)])
+        assert err.value.index == 1
+        with pytest.raises(ValueError, match=f"node count {big + 1} exceeds {big}"):
+            Graph(big + 1, False, [])
 
     def test_input_array_is_left_unsorted(self):
         arr = np.array([[3, 1], [0, 2], [1, 0]])
@@ -322,6 +415,24 @@ class TestEdgeListFiles:
         assert err.value.lineno == lineno
 
 
+    @pytest.mark.parametrize("header", ["undirected", "directed", "undirected 6"])
+    @pytest.mark.parametrize("content", _TOKEN_CASES)
+    def test_token_and_layout_cases_agree_with_per_line_oracle(self, tmp_path, content, header):
+        _assert_agrees_with_oracle(tmp_path, content.format(h=header), _read_edge_list_oracle,
+                                   read_edge_list, _graph_view)
+
+    @pytest.mark.parametrize("content, lineno", [
+        ("undirected\n0 1\n1 9223372036854775808\n", 3),
+        ("directed\n# c\n-99999999999999999999 0\n", 3),
+    ])
+    def test_id_past_int64_names_its_line(self, tmp_path, content, lineno):
+        p = tmp_path / "g.edges"
+        p.write_text(content)
+        with pytest.raises(ParseError, match="node id out of int64 range") as err:
+            read_edge_list(p)
+        assert err.value.lineno == lineno
+
+
 class TestHistogramFiles:
     def test_roundtrip(self, tmp_path):
         d = DegreeDistribution({1: 4, 3: 2, 9: 1}, 7)
@@ -363,3 +474,9 @@ class TestHistogramFiles:
         with pytest.raises(ParseError, match=word) as err:
             read_degree_histogram(p)
         assert err.value.lineno == lineno
+
+    @pytest.mark.parametrize("content", [
+        c.format(h="# header") for c in _TOKEN_CASES] + ["1 5\n2 9223372036854775808\n"])
+    def test_token_and_layout_cases_agree_with_per_line_oracle(self, tmp_path, content):
+        _assert_agrees_with_oracle(tmp_path, content, _read_degree_histogram_oracle,
+                                   read_degree_histogram, _counts_view)

@@ -1,8 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
+from wormnet import percolation
 from wormnet.graph import DegreeDistribution, Graph
 from wormnet.netgen import build_complete, build_configuration_model
 from wormnet.percolation import (
@@ -49,7 +54,74 @@ def _largest_component_bfs(g, removed):
     return best
 
 
+def _giant_oracle(g, removed):
+    """giant_component_fraction as it was before the compacted kernel: components of
+    the full n-node graph with the removed nodes' edges dropped."""
+    if g.n == 0:
+        return 0.0
+    keep = np.ones(g.n, dtype=bool)
+    removed = list(removed)
+    if removed:
+        keep[removed] = False
+    n_kept = int(keep.sum())
+    if n_kept == 0:
+        return 0.0
+    edges = g.edge_array
+    if len(edges):
+        mask = keep[edges[:, 0]] & keep[edges[:, 1]]
+        edges = edges[mask]
+    if len(edges) == 0:
+        return 1.0 / g.n
+    adj = coo_matrix(
+        (np.ones(len(edges), dtype=np.int8), (edges[:, 0], edges[:, 1])),
+        shape=(g.n, g.n),
+    )
+    _, labels = connected_components(adj, directed=g.directed, connection="weak")
+    sizes = np.bincount(labels[keep])
+    return int(sizes.max()) / g.n
+
+
+@st.composite
+def _random_graphs(draw, max_n=30):
+    n = draw(st.integers(1, max_n))
+    directed = draw(st.booleans())
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    edges = {(u, v) if directed else (min(u, v), max(u, v)) for u, v in pairs if u != v}
+    return Graph(n, directed, sorted(edges))
+
+
+@st.composite
+def _graphs_and_removals(draw):
+    g = draw(_random_graphs())
+    ids = draw(st.lists(st.integers(0, g.n - 1), unique=True, max_size=g.n))
+    form = draw(st.sampled_from(["set", "list", "range", "array", "empty", "all"]))
+    if form == "range":
+        start = draw(st.integers(0, g.n))
+        ids = range(start, draw(st.integers(start, g.n)))
+    removed = {
+        "set": set(ids), "list": ids, "range": ids, "array": np.array(ids, dtype=np.int64),
+        "empty": draw(st.sampled_from([[], set(), range(0), np.array([], dtype=np.int64)])),
+        "all": draw(st.sampled_from([range(g.n), np.arange(g.n), list(range(g.n))[::-1]])),
+    }[form]
+    return g, removed
+
+
 class TestGiantComponent:
+    @settings(max_examples=300, deadline=None)
+    @given(_graphs_and_removals())
+    def test_equals_the_full_graph_oracle_exactly(self, case):
+        g, removed = case
+        assert giant_component_fraction(g, removed) == _giant_oracle(g, removed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_random_graphs(max_n=60), st.sampled_from([RANDOM, TARGETED]),
+           st.sampled_from([0.02, 0.1, 0.3]), st.integers(0, 1000))
+    def test_bisection_gives_the_oracle_bisections_threshold(self, g, kind, s_min, seed):
+        with mock.patch.object(percolation, "giant_component_fraction", _giant_oracle):
+            expected = empirical_threshold(g, kind, s_min=s_min, trials=3, seed=seed)
+        assert empirical_threshold(g, kind, s_min=s_min, trials=3, seed=seed) == expected
+
     def test_matches_bfs_reference_on_random_graphs(self):
         rng = np.random.default_rng(0)
         for trial in range(20):
