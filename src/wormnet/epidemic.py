@@ -28,6 +28,9 @@ SCAN = "scan"
 
 CSV_HEADER = "tick,t,susceptible,infected,recovered,queued,admitted"
 
+# Per-node cap on one tick's attempts, against pathological rate * dt products.
+MAX_ATTEMPTS_PER_TICK = 1_000_000
+
 
 @dataclass(frozen=True)
 class WormBehavior:
@@ -35,15 +38,13 @@ class WormBehavior:
 
     ``attempt_rate`` is new-connection attempts per second per infected node.
     ``address_space`` (scan targeting only) defaults to the node count;
-    addresses >= n miss.  ``max_attempts_per_tick`` caps pathological
-    rate * dt products per node.
+    addresses >= n miss.
     """
 
     targeting: str
     attempt_rate: float
     infection_probability: float = 1.0
     address_space: int | None = None
-    max_attempts_per_tick: int = 1_000_000
 
     def __post_init__(self):
         if self.targeting not in (NEIGHBOR, SCAN):
@@ -52,8 +53,6 @@ class WormBehavior:
             raise ValueError("attempt_rate must be > 0")
         if not 0.0 < self.infection_probability <= 1.0:
             raise ValueError("infection_probability must lie in (0, 1]")
-        if self.max_attempts_per_tick < 1:
-            raise ValueError("max_attempts_per_tick must be >= 1")
 
 
 class TimeSeries:
@@ -143,7 +142,7 @@ class Simulation:
         self.dt = float(dt)
         self.tick_index = 0
         self.throttle_config = throttle
-        self.rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        self.rng = np.random.default_rng(seed)
 
         self.compartments = np.zeros(g.n, dtype=np.int8)
         if vaccinated:
@@ -158,7 +157,6 @@ class Simulation:
         if worm.targeting == NEIGHBOR:
             self._indptr, self._adj = g.out_adjacency
             self._out_deg = np.diff(self._indptr)
-            self.address_space = g.n
         else:
             self.address_space = g.n if worm.address_space is None else int(worm.address_space)
             if self.address_space < g.n:
@@ -205,10 +203,6 @@ class Simulation:
 
     # -- stepping ----------------------------------------------------------
 
-    @property
-    def t(self) -> float:
-        return self.tick_index * self.dt
-
     def step(self) -> tuple[int, float, int, int, int, int, int]:
         """Advance one tick; return the resulting TimeSeries row.
 
@@ -230,8 +224,8 @@ class Simulation:
         if len(snapshot):
             lam = worm.attempt_rate * self.dt
             counts = rng.poisson(lam, size=len(snapshot))
-            if counts.max(initial=0) > worm.max_attempts_per_tick:
-                counts = np.minimum(counts, worm.max_attempts_per_tick)
+            if counts.max(initial=0) > MAX_ATTEMPTS_PER_TICK:
+                counts = np.minimum(counts, MAX_ATTEMPTS_PER_TICK)
             total = int(counts.sum())
 
         if total:

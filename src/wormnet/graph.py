@@ -142,15 +142,10 @@ class Graph:
 
 @dataclass(frozen=True)
 class DegreeDistribution:
-    """Histogram of node degrees: ``counts[k]`` nodes have degree ``k``.
-
-    ``alpha`` records the power-law exponent when the distribution was
-    synthesized from one; it is informational only.
-    """
+    """Histogram of node degrees: ``counts[k]`` nodes have degree ``k``."""
 
     counts: Mapping[int, int]
     n: int
-    alpha: float | None = None
 
     def __post_init__(self):
         total = sum(self.counts.values())
@@ -160,10 +155,10 @@ class DegreeDistribution:
             raise ValueError("degrees and counts must be non-negative")
 
     @classmethod
-    def from_degrees(cls, degrees, alpha: float | None = None) -> "DegreeDistribution":
+    def from_degrees(cls, degrees) -> "DegreeDistribution":
         degrees = np.asarray(degrees, dtype=np.int64)
         ks, cs = np.unique(degrees, return_counts=True)
-        return cls({int(k): int(c) for k, c in zip(ks, cs)}, int(len(degrees)), alpha)
+        return cls({int(k): int(c) for k, c in zip(ks, cs)}, int(len(degrees)))
 
     def fractions(self) -> dict[int, float]:
         """p_k, the fraction of nodes with each degree."""
@@ -269,6 +264,9 @@ def read_edge_list(path) -> Graph:
     if kind not in ("directed", "undirected") or count[1:] or not all(map(str.isdecimal, count)):
         raise ParseError(
             path, lineno, f"expected 'directed' or 'undirected' header line, got {header!r}")
+    if count and int(count[0]) > MAX_NODES:
+        raise ParseError(path, lineno, f"node count {count[0]} exceeds {MAX_NODES}, "
+                         "the most a Graph can hold")
     directed = kind == "directed"
 
     def build(pairs):

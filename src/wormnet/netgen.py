@@ -111,7 +111,7 @@ def build_configuration_model(
     the in-degrees are a random permutation of the same multiset.  Degrees
     that no simple graph has raise ``GenerationError`` before any matching.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     deg = np.asarray(degrees, dtype=np.int64)
     n = len(deg)
     if np.any(deg < 0):
@@ -251,7 +251,7 @@ def build_multimodal(
 ) -> Graph:
     """Graph whose degrees are drawn from a discrete mixture of peaks."""
     spec = NetworkSpec("multimodal", n, peaks=tuple((int(d), float(w)) for d, w in peaks))
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     peak_degs = np.array([d for d, _ in spec.peaks], dtype=np.int64)
     weights = np.array([w for _, w in spec.peaks], dtype=float)
     weights = weights / weights.sum()
@@ -282,7 +282,7 @@ def sample_powerlaw_degrees(
             f"k_min = k_max = {k_min} with n = {n} gives an odd degree sum; "
             "widen the degree range or change n"
         )
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     ks = np.arange(k_min, k_max + 1, dtype=np.int64)
     with np.errstate(over="ignore"):
         weights = ks.astype(float) ** (-alpha)
@@ -303,7 +303,7 @@ def build_powerlaw(
     directed: bool = False,
 ) -> Graph:
     """Configuration-model graph with power-law sampled degrees."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     degrees = sample_powerlaw_degrees(n, alpha, k_min, k_max, rng)
     return build_configuration_model(degrees, directed=directed, seed=rng)
 
@@ -317,11 +317,7 @@ def build_network(spec: NetworkSpec) -> Graph:
     if spec.family == "configmodel":
         degrees = spec.distribution.to_sequence() if spec.degrees is None else spec.degrees
         return build_configuration_model(degrees, directed=spec.directed, seed=spec.seed)
-    if spec.family == "powerlaw":
-        return build_powerlaw(
-            spec.n, spec.alpha, spec.k_min, spec.k_max, spec.seed, spec.directed
-        )
-    raise ValueError(f"unknown family {spec.family!r}")
+    return build_powerlaw(spec.n, spec.alpha, spec.k_min, spec.k_max, spec.seed, spec.directed)
 
 
 def degree_distribution(g: Graph, kind: str = "total") -> DegreeDistribution:

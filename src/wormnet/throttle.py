@@ -58,8 +58,8 @@ class ThrottleState:
     """Mutable per-host throttle state, driven in timestamp order.
 
     ``request`` classifies an incoming connection attempt; ``tick`` accrues
-    release budget up to the current time and drains the queue head(s).  The
-    budget is capped at one token, so releases cannot burst.
+    release budget up to the current time and drains the queue head(s).  At a
+    finite rate the budget is capped at one token, so releases cannot burst.
     """
 
     def __init__(self, config: ThrottleConfig, t0: float = 0.0, initial_budget: float = 1.0):
@@ -94,23 +94,17 @@ class ThrottleState:
             raise ClockError(f"tick at t={t} precedes state clock {self.last_update}")
         rate = self.config.rate
         if math.isinf(rate):
-            self.budget = 1.0
+            self.budget = math.inf  # inf - 1 is inf: the whole queue drains
         else:
             self.budget = min(1.0, self.budget + rate * (t - self.last_update))
         self.last_update = t
 
         released: list[tuple[int, float]] = []
-        if math.isinf(rate):
-            while self.delay_queue:
-                dest, t_enq = self.delay_queue.popleft()
-                self._admit_to_working_set(dest)
-                released.append((dest, t - t_enq))
-        else:
-            while self.budget >= 1.0 - _TOKEN_EPS and self.delay_queue:
-                dest, t_enq = self.delay_queue.popleft()
-                self.budget = max(0.0, self.budget - 1.0)
-                self._admit_to_working_set(dest)
-                released.append((dest, t - t_enq))
+        while self.budget >= 1.0 - _TOKEN_EPS and self.delay_queue:
+            dest, t_enq = self.delay_queue.popleft()
+            self.budget = max(0.0, self.budget - 1.0)
+            self._admit_to_working_set(dest)
+            released.append((dest, t - t_enq))
         return released
 
     def next_release_due(self) -> float | None:
@@ -122,7 +116,7 @@ class ThrottleState:
         if not self.delay_queue:
             return None
         head_t = self.delay_queue[0][1]
-        if self.budget >= 1.0 - _TOKEN_EPS or math.isinf(self.config.rate):
+        if self.budget >= 1.0 - _TOKEN_EPS:
             return max(self.last_update, head_t)
         return max(self.last_update + (1.0 - self.budget) / self.config.rate, head_t)
 
@@ -138,9 +132,7 @@ class ThrottleState:
         self.working_set[dest] = None
 
 
-def process_trace(
-    events, config: ThrottleConfig, initial_budget: float = 1.0
-) -> list[tuple[float, int, str, float]]:
+def process_trace(events, config: ThrottleConfig) -> list[tuple[float, int, str, float]]:
     """Run a (t, dest) request trace through one throttle.
 
     Returns decision rows ``(t, dest, decision, delay)`` with decision in
@@ -149,8 +141,7 @@ def process_trace(
     after the last event.
     """
     events = sorted(events, key=lambda e: e[0])
-    state = ThrottleState(config, t0=events[0][0] if events else 0.0,
-                          initial_budget=initial_budget)
+    state = ThrottleState(config, t0=events[0][0] if events else 0.0)
     rows: list[tuple[float, int, str, float]] = []
 
     def drain_until(t_limit: float) -> None:

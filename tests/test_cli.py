@@ -103,7 +103,7 @@ class TestSimulate:
     @pytest.mark.parametrize("content, message", [
         ("undirected\n0 99999999999999999999\n", ":2: node id out of int64 range"),
         ("directed\n0 1\n9223372036854775808 0\n", ":3: node id out of int64 range"),
-        ("undirected 99999999999999999999\n0 1\n", "node count 99999999999999999999 exceeds"),
+        ("undirected 99999999999999999999\n0 1\n", ":1: node count 99999999999999999999 exceeds"),
     ])
     def test_oversized_id_is_one_line_error(self, tmp_path, capsys, content, message):
         graph = tmp_path / "big.edges"
@@ -171,14 +171,18 @@ class TestThrottleDemo:
         times = [float(line.split(",")[0]) for line in lines[1:]]
         assert times == pytest.approx([0.0, 1.0, 2.0, 3.0, 4.0])
 
-    def test_bad_trace_header(self, tmp_path, capsys):
-        trace = tmp_path / "trace.csv"
-        trace.write_text("time,destination\n0,1\n")
+    @pytest.mark.parametrize("content, message", [
+        ("time,destination\n0,1\n", "t,dest"),
+        ("t,dest\n0,1\n\n0.5,x\n", "tr.csv:4: bad trace row '0.5,x'"),
+    ])
+    def test_bad_trace_header_or_row(self, tmp_path, capsys, content, message):
+        trace = tmp_path / "tr.csv"
+        trace.write_text(content)
         rc = main([
             "throttle-demo", "--trace", str(trace), "--out", str(tmp_path / "o.csv"),
         ])
         assert rc == 1
-        assert "t,dest" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 class TestExperimentAndCompare:

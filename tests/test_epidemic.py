@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from wormnet.epidemic import (
     CSV_HEADER,
+    MAX_ATTEMPTS_PER_TICK,
     Simulation,
     TimeSeries,
     WormBehavior,
@@ -146,6 +147,29 @@ class TestRunInvariants:
         worm = WormBehavior("neighbor", attempt_rate=1.0)
         with pytest.raises(ValueError, match="overlap"):
             run(g, worm, init_infected={0}, vaccinated={0}, t_max=1.0)
+
+    @pytest.mark.parametrize("kw, match", [
+        (dict(dt=0.0), "dt must be > 0"),
+        (dict(dt=-0.1), "dt must be > 0"),
+        (dict(t_max=0.0), "t_max must be > 0"),
+        (dict(t_max=-1.0), "t_max must be > 0"),
+        (dict(init_infected={5}), "node id 5 out of range"),
+        (dict(init_infected={0}, vaccinated={-1}), "node id -1 out of range"),
+    ])
+    def test_bad_run_arguments_rejected(self, kw, match):
+        g = build_complete(5)
+        worm = WormBehavior("neighbor", attempt_rate=1.0)
+        with pytest.raises(ValueError, match=match):
+            run(g, worm, **{"init_infected": {0}, **kw})
+
+    def test_attempts_per_tick_are_capped(self):
+        # rate * dt = 1e9 draws about 1e9 attempts; every scanned address is a
+        # valid attempt, so the tick delivers exactly the cap
+        g = build_complete(10)
+        worm = WormBehavior("scan", attempt_rate=1e9, address_space=2**62)
+        ts = run(g, worm, init_infected={0}, dt=1.0, t_max=1.0, seed=0)
+        assert MAX_ATTEMPTS_PER_TICK == 1_000_000
+        assert ts.column("admitted").tolist() == [0, MAX_ATTEMPTS_PER_TICK]
 
     def test_scan_address_space_must_cover_nodes(self):
         g = build_complete(100)

@@ -190,11 +190,18 @@ class TestGraph:
         assert g.degrees("out").tolist() == [2, 0, 1]
         assert g.degrees("in").tolist() == [1, 1, 1]
         assert g.degrees("total").tolist() == [3, 1, 2]
+        with pytest.raises(ValueError, match="unknown degree kind 'bogus'"):
+            g.degrees("bogus")
 
     def test_neighbors_symmetric_for_undirected(self):
         g = Graph(3, False, [(0, 1), (0, 2)])
         assert sorted(g.neighbors(0).tolist()) == [1, 2]
         assert g.neighbors(1).tolist() == [0]
+
+    @pytest.mark.parametrize("edges", [np.array([[0, 1, 2]]), np.array([0, 1]), [(0, 1, 2)]])
+    def test_edges_must_be_pairs(self, edges):
+        with pytest.raises(ValueError, match="edges must be pairs, got an array of shape"):
+            Graph(3, False, edges)
 
     def test_empty_graph(self):
         g = Graph(0, False, [])
@@ -369,6 +376,8 @@ class TestEdgeListFiles:
             ("undirected x\n0 1\n", 1, "header"),
             ("undirected 3 4\n0 1\n", 1, "header"),
             ("undirected -3\n0 1\n", 1, "header"),
+            ("# c\nundirected 3037000498\n0 1\n0 x\n", 2,
+             "node count 3037000498 exceeds 3037000497, the most a Graph can hold"),
         ],
     )
     def test_optional_node_count_in_header(self, tmp_path, content, lineno, match):

@@ -5,8 +5,9 @@ import pytest
 
 from wormnet import harness
 from wormnet.epidemic import TimeSeries, WormBehavior
+from wormnet.graph import read_edge_list, write_edge_list
 from wormnet.harness import ConfigError, load_config
-from wormnet.netgen import build_complete
+from wormnet.netgen import build_complete, build_powerlaw
 from wormnet.percolation import VaccinationStrategy
 from wormnet.throttle import ThrottleConfig
 
@@ -62,6 +63,17 @@ class TestLoadConfig:
         text = BASE_CFG + "\n[worm]\n"  # reopen section
         with pytest.raises(ConfigError):
             load_config(_write(tmp_path, text + "targeting = scan\n"))
+
+    def test_line_without_equals(self, tmp_path):
+        text = BASE_CFG.replace("rate = 8", "rate 8")
+        with pytest.raises(ConfigError, match=r"\.cfg:11: expected 'key = value', got 'rate 8'"):
+            load_config(_write(tmp_path, text))
+
+    def test_unreadable_config_path(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot open config"):
+            load_config(str(tmp_path / "missing.cfg"))
+        with pytest.raises(ConfigError, match="cannot open config"):
+            load_config(str(tmp_path))
 
     def test_key_outside_section(self, tmp_path):
         with pytest.raises(ConfigError, match="outside any"):
@@ -172,15 +184,44 @@ class TestRunExperiment:
         assert summary[-1].startswith("std,")
         assert len(result.replicate_paths) == 2
 
-    def test_resolved_config_reloads_identically(self, tmp_path):
-        cfg = load_config(_write(tmp_path, BASE_CFG))
+    @pytest.mark.parametrize("text, parsed, line", [
+        (BASE_CFG, {}, "alpha = 2.5"),
+        (BASE_CFG.replace("seed = 3", "seed = 3\ndirected = true"), {"directed": True},
+         "directed = true"),
+        (BASE_CFG.replace("family = powerlaw", "family = multimodal\npeaks = 2:0.25, 4:0.75")
+         .replace("alpha = 2.5\nk_min = 1\nk_max = 20\n", ""),
+         {"peaks": ((2, 0.25), (4, 0.75))}, "peaks = 2:0.25,4:0.75"),
+    ])
+    def test_resolved_config_reloads_identically(self, tmp_path, text, parsed, line):
+        cfg = load_config(_write(tmp_path, text))
+        for key, value in parsed.items():
+            assert cfg.resolved["network"][key] == value
+            assert type(cfg.resolved["network"][key]) is type(value)
         outdir = tmp_path / "out"
         harness.run_experiment(cfg, str(outdir))
+        assert line in (outdir / "resolved.cfg").read_text().splitlines()
         cfg2 = load_config(str(outdir / "resolved.cfg"))
         assert cfg2.network_spec == cfg.network_spec
         assert cfg2.worm == cfg.worm
         assert cfg2.replicates == cfg.replicates
         assert cfg2.seed == cfg.seed
+        assert cfg2.resolved == cfg.resolved
+
+    def test_network_from_edge_list_file(self, tmp_path):
+        graph = tmp_path / "net.edges"
+        write_edge_list(build_powerlaw(150, 2.5, 1, 15, seed=4), graph)
+        text = BASE_CFG.replace(
+            "family = powerlaw\nn = 200\nalpha = 2.5\nk_min = 1\nk_max = 20\nseed = 3\n",
+            f"file = {graph}\n")
+        cfg = load_config(_write(tmp_path, text))
+        assert cfg.network_spec is None and cfg.graph_path == str(graph)
+        outdir = tmp_path / "out"
+        harness.run_experiment(cfg, str(outdir))
+        direct = harness.run_replicate(
+            read_edge_list(graph), cfg.worm, None, None,
+            cfg.seed_infected, cfg.dt, cfg.t_max, cfg.seed, 0,
+        )
+        assert (outdir / "rep_000.csv").read_text() == direct.to_csv_text()
 
     def test_replicate_csv_matches_direct_run(self, tmp_path):
         cfg = load_config(_write(tmp_path, BASE_CFG))
@@ -223,6 +264,22 @@ class TestCompare:
         ro = harness.run_experiment(other, str(tmp_path / "other"))
         with pytest.raises(ValueError, match="different networks"):
             harness.compare(rb, ro)
+
+    def test_refuses_different_worm(self, tmp_path):
+        rb, _ = self._run_pair(tmp_path)
+        other_text = BASE_CFG.replace("rate = 8", "rate = 9")
+        other = load_config(_write(tmp_path, other_text, "other.cfg"))
+        ro = harness.run_experiment(other, str(tmp_path / "other"))
+        with pytest.raises(ValueError, match="different worm behavior"):
+            harness.compare(rb, ro)
+
+    def test_load_result_needs_replicate_csvs(self, tmp_path):
+        outdir = tmp_path / "empty"
+        outdir.mkdir()
+        cfg = load_config(_write(tmp_path, BASE_CFG))
+        harness.write_resolved_config(cfg, str(outdir / "resolved.cfg"))
+        with pytest.raises(ConfigError, match="no replicate CSVs found"):
+            harness.load_result(str(outdir))
 
     def test_load_result_roundtrip(self, tmp_path):
         rb, rt = self._run_pair(tmp_path)

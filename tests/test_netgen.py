@@ -60,6 +60,16 @@ class TestNetworkSpec:
         with pytest.raises(ValueError, match="sum to 1"):
             NetworkSpec("multimodal", 10, peaks=((2, 0.5), (3, 0.4)))
 
+    @pytest.mark.parametrize("peaks, match", [
+        (None, "requires peaks"),
+        ((), "requires peaks"),
+        (((2, 0.0), (3, 1.0)), "must be positive"),
+        (((2, -0.5), (3, 1.5)), "must be positive"),
+    ])
+    def test_multimodal_peaks_required_and_positive(self, peaks, match):
+        with pytest.raises(ValueError, match=match):
+            NetworkSpec("multimodal", 10, peaks=peaks)
+
     def test_multimodal_peak_degree_range(self):
         with pytest.raises(ValueError, match="lie in"):
             NetworkSpec("multimodal", 5, peaks=((5, 1.0),))
@@ -105,6 +115,10 @@ class TestConfigurationModel:
         with pytest.raises(ValueError, match="even"):
             build_configuration_model([1, 1, 1])
 
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            build_configuration_model([1, -1, 0])
+
     def test_degree_too_large_rejected(self):
         with pytest.raises(ValueError, match="max degree"):
             build_configuration_model([3, 1, 1, 1][:3])
@@ -135,6 +149,16 @@ class TestConfigurationModel:
     def test_directed_in_out_sum_mismatch(self):
         with pytest.raises(ValueError, match="sums"):
             build_configuration_model([2, 0, 0], directed=True, in_degrees=[1, 0, 0])
+
+    @pytest.mark.parametrize("in_deg, match", [
+        ([1, 1], "length must match"),
+        ([1, 1, 0, 0], "length must match"),
+        ([2, 1, -1], "out of range"),
+        ([3, 0, 0], "out of range"),
+    ])
+    def test_directed_explicit_in_degrees_checked(self, in_deg, match):
+        with pytest.raises(ValueError, match=match):
+            build_configuration_model([1, 1, 0], directed=True, in_degrees=in_deg)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(1, 5), min_size=16, max_size=40), st.integers(0, 2**31))
@@ -221,6 +245,16 @@ class TestPowerlaw:
         degs = sample_powerlaw_degrees(600, 2.2, 1, 30, rng)
         g = build_configuration_model(degs, seed=rng)
         assert sorted(g.degrees().tolist()) == sorted(degs.tolist())
+
+    @pytest.mark.parametrize("alpha, k_min, k_max, match", [
+        (1.0, 1, 10, "alpha must be > 1"),
+        (0.5, 1, 10, "alpha must be > 1"),
+        (2.5, 5, 3, "need 1 <= k_min <= k_max"),
+        (2.5, 0, 3, "need 1 <= k_min <= k_max"),
+    ])
+    def test_sample_parameter_validation(self, alpha, k_min, k_max, match):
+        with pytest.raises(ValueError, match=match):
+            sample_powerlaw_degrees(100, alpha, k_min, k_max)
 
     def test_single_degree_support_with_odd_sum_rejected(self):
         # 7 nodes of degree 3 cannot form a graph; bumping one degree to 4

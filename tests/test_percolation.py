@@ -197,6 +197,11 @@ class TestAnalyticalThreshold:
         dist = DegreeDistribution({1: 4, 4: 1}, 5)
         assert analytical_threshold(dist, TARGETED).f_c == pytest.approx(0.1)
 
+    def test_targeted_subcritical_distribution(self):
+        # <k^2> - 2<k> <= 0 before any removal: nothing needs vaccinating
+        dist = DegreeDistribution({1: 10}, 10)
+        assert analytical_threshold(dist, TARGETED).f_c == 0.0
+
     def test_targeted_below_random_on_heavy_tail(self):
         dist = DegreeDistribution({1: 700, 2: 200, 10: 80, 50: 20}, 1000)
         tgt = analytical_threshold(dist, TARGETED).f_c
