@@ -49,8 +49,8 @@ class WormBehavior:
     def __post_init__(self):
         if self.targeting not in (NEIGHBOR, SCAN):
             raise ValueError(f"unknown targeting {self.targeting!r}")
-        if self.attempt_rate <= 0:
-            raise ValueError("attempt_rate must be > 0")
+        if not 0 < self.attempt_rate < np.inf:
+            raise ValueError("attempt_rate must be > 0 and finite")
         if not 0.0 < self.infection_probability <= 1.0:
             raise ValueError("infection_probability must lie in (0, 1]")
 
@@ -127,8 +127,8 @@ class Simulation:
         dt: float = 0.1,
         seed=0,
     ):
-        if dt <= 0:
-            raise ValueError("dt must be > 0")
+        if not 0 < dt < np.inf:
+            raise ValueError("dt must be > 0 and finite")
         vaccinated = {int(v) for v in vaccinated}
         init_infected = {int(v) for v in init_infected}
         if init_infected & vaccinated:
@@ -358,7 +358,7 @@ def run(
     seed=0,
 ) -> TimeSeries:
     """Iterate the engine until t_max or until no further spread is possible."""
-    if t_max <= 0:
+    if not t_max > 0:
         raise ValueError("t_max must be > 0")
     sim = Simulation(
         g,

@@ -289,7 +289,7 @@ def write_edge_list(g: Graph, path) -> None:
     n = f" {g.n}" if g.n > int(g.edge_array.max(initial=-1)) + 1 else ""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(("directed" if g.directed else "undirected") + n + "\n")
-        fh.write("".join(f"{u} {v}\n" for u, v in g.edge_array.tolist()))
+        fh.write("%d %d\n" * g.num_edges % tuple(g.edge_array.ravel().tolist()))
 
 
 def read_degree_histogram(path) -> DegreeDistribution:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .graph import DegreeDistribution, Graph
@@ -77,12 +77,39 @@ def vaccinate(g: Graph, strategy: VaccinationStrategy, seed: int = 0) -> set[int
     return set(map(int, _degree_order(g)[:k]))
 
 
+# csgraph labels nodes with int32, so node and edge counts must fit in it.
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def _check_int32(g: Graph) -> None:
+    for name, count in (("node count", g.n), ("edge count", g.num_edges)):
+        if count > _INT32_MAX:
+            raise ValueError(f"{name} {count} exceeds {_INT32_MAX}, the most percolation can label")
+
+
+def _largest_fraction(indptr: np.ndarray, indices: np.ndarray, n: int) -> float:
+    """Largest connected component of the int32 CSR graph ``(indptr, indices)``,
+    each entry taken as an undirected edge, over ``n``."""
+    size = len(indptr) - 1
+    graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(size, size))
+    _, labels = connected_components(graph, directed=False)
+    return int(np.bincount(labels).max()) / n
+
+
+def _indptr(rows: np.ndarray, size: int) -> np.ndarray:
+    """int32 CSR row pointers of ``size`` rows whose entries have the row ids ``rows``."""
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+    return indptr
+
+
 def giant_component_fraction(g: Graph, removed) -> float:
     """Largest-component size of the residual graph over the original n.
 
     ``removed`` is an array or any iterable of node ids.  Directed graphs use
     weak connectivity.
     """
+    _check_int32(g)
     if g.n == 0:
         return 0.0
     if not isinstance(removed, np.ndarray):
@@ -97,14 +124,34 @@ def giant_component_fraction(g: Graph, removed) -> float:
     edges = edges[keep[edges[:, 0]] & keep[edges[:, 1]]]
     if len(edges) == 0:
         return 1.0 / g.n
-    # Components of the subgraph induced by the kept nodes, relabelled 0..n_kept-1.
+    # The kept nodes relabelled 0..n_kept-1 in id order, so the edges stay sorted by row.
     edges = (np.cumsum(keep) - 1)[edges]
-    adj = coo_matrix(
-        (np.ones(len(edges), dtype=np.int8), (edges[:, 0], edges[:, 1])),
-        shape=(n_kept, n_kept),
-    )
-    _, labels = connected_components(adj, directed=g.directed, connection="weak")
-    return int(np.bincount(labels).max()) / g.n
+    return _largest_fraction(_indptr(edges[:, 0], n_kept), edges[:, 1].astype(np.int32), g.n)
+
+
+def _rank_csr(g: Graph, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of ``g`` with each node renamed to its position in ``order``, as an
+    int32 CSR: row r holds, sorted, the higher ranks of the edges whose lower rank is r.
+
+    Removing ``order[:k]`` leaves exactly the rows from k on, shifted down by k."""
+    rank = np.empty(g.n, dtype=np.int64)
+    rank[order] = np.arange(g.n)
+    a, b = rank[g.edge_array[:, 0]], rank[g.edge_array[:, 1]]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    by_row = np.argsort(lo * g.n + hi)
+    return _indptr(lo, g.n), hi[by_row].astype(np.int32)
+
+
+def _level_fraction(csr: tuple[np.ndarray, np.ndarray], k: int, n: int) -> float:
+    """giant_component_fraction of the graph behind ``_rank_csr`` with its k lowest
+    ranks removed."""
+    if k == n:
+        return 0.0
+    indptr, indices = csr
+    start = indptr[k]
+    if start == len(indices):
+        return 1.0 / n
+    return _largest_fraction(indptr[k:] - start, indices[start:] - k, n)
 
 
 def empirical_threshold(
@@ -119,7 +166,8 @@ def empirical_threshold(
     Random trials share per-trial removal orders across f values (each trial
     removes a prefix of one fixed permutation), so the response is exactly
     monotone per trial and the bisection is well posed.  Targeted removal is
-    deterministic, so a single evaluation per f suffices.
+    deterministic, so a single evaluation per f suffices.  Each order is held as
+    its ``_rank_csr``, so a bisection step only slices the graph that is left.
 
     ``ci_halfwidth`` of the result is the bisection resolution
     ``max(1/n, 1e-3)``, not a confidence interval over trials.
@@ -132,21 +180,23 @@ def empirical_threshold(
         raise ValueError(f"unknown strategy kind {kind!r}")
     if g.n == 0:
         raise ValueError("graph has no nodes")
+    _check_int32(g)
 
     if kind == TARGETED:
-        orders = [_degree_order(g)]
+        csrs = [_rank_csr(g, _degree_order(g))]
         trials = 1
     else:
         ss = np.random.SeedSequence(seed)
-        orders = [np.random.default_rng(c).permutation(g.n) for c in ss.spawn(trials)]
+        csrs = [_rank_csr(g, np.random.default_rng(c).permutation(g.n)) for c in ss.spawn(trials)]
 
     def response(f: float) -> float:
         k = _target_count(f, g.n)
-        return float(np.mean([giant_component_fraction(g, order[:k]) for order in orders]))
+        return float(np.mean([_level_fraction(csr, k, g.n) for csr in csrs]))
 
     tol = max(1.0 / g.n, 1e-3)
     lo, hi = 0.0, 1.0
-    if response(0.0) < s_min:
+    # Removing nothing leaves the same graph in every trial: label it once.
+    if float(np.mean([_level_fraction(csrs[0], 0, g.n)] * trials)) < s_min:
         f_c = 0.0
     else:
         while hi - lo > tol:

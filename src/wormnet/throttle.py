@@ -34,7 +34,7 @@ class ThrottleConfig:
     queue_capacity: int | None = None
 
     def __post_init__(self):
-        if self.rate <= 0:
+        if not self.rate > 0:  # NaN fails; an infinite rate releases at once
             raise ValueError("rate must be > 0")
         if self.working_set_capacity < 0:
             raise ValueError("working_set_capacity must be >= 0")

@@ -118,6 +118,26 @@ class TestSimulate:
         assert len(err.strip().splitlines()) == 1
         assert message in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--rate", "nan"], "[worm] attempt_rate must be > 0 and finite"),
+        (["--rate", "inf"], "[worm] attempt_rate must be > 0 and finite"),
+        (["--rate", "5", "--throttle-rate", "nan"], "[controls] rate must be > 0"),
+        (["--rate", "5", "--dt", "nan"], "dt must be > 0 and finite"),
+        (["--rate", "5", "--dt", "inf"], "dt must be > 0 and finite"),
+        (["--rate", "5", "--tmax", "nan"], "t_max must be > 0"),
+    ])
+    def test_nan_or_inf_is_one_line_error(self, tmp_path, capsys, argv, message):
+        graph = _generate(tmp_path)
+        out = tmp_path / "o.csv"
+        rc = main(["simulate", "--graph", str(graph), "--targeting", "neighbor", *argv,
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("wormnet: error:")
+        assert len(err.strip().splitlines()) == 1
+        assert message in err
+        assert not out.exists()
+
     def test_missing_graph_file(self, tmp_path, capsys):
         rc = main([
             "simulate", "--graph", str(tmp_path / "nope.edges"),

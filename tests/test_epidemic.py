@@ -71,8 +71,9 @@ class TestWormBehavior:
     def test_validation(self):
         with pytest.raises(ValueError):
             WormBehavior("broadcast", 1.0)
-        with pytest.raises(ValueError):
-            WormBehavior("scan", 0.0)
+        for rate in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="attempt_rate must be > 0 and finite"):
+                WormBehavior("scan", rate)
         with pytest.raises(ValueError):
             WormBehavior("scan", 1.0, infection_probability=0.0)
         with pytest.raises(ValueError):
@@ -153,6 +154,9 @@ class TestRunInvariants:
         (dict(dt=-0.1), "dt must be > 0"),
         (dict(t_max=0.0), "t_max must be > 0"),
         (dict(t_max=-1.0), "t_max must be > 0"),
+        (dict(t_max=float("nan")), "t_max must be > 0"),
+        (dict(dt=float("nan")), "dt must be > 0 and finite"),
+        (dict(dt=float("inf")), "dt must be > 0 and finite"),
         (dict(init_infected={5}), "node id 5 out of range"),
         (dict(init_infected={0}, vaccinated={-1}), "node id -1 out of range"),
     ])

@@ -1,4 +1,4 @@
-from unittest import mock
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from wormnet.netgen import build_complete, build_configuration_model
 from wormnet.percolation import (
     RANDOM,
     TARGETED,
+    ThresholdResult,
     VaccinationStrategy,
     analytical_threshold,
     empirical_threshold,
@@ -81,6 +82,35 @@ def _giant_oracle(g, removed):
     return int(sizes.max()) / g.n
 
 
+def _reference_threshold(g, kind, s_min, trials, seed):
+    """empirical_threshold as a plain bisection that labels every level of every
+    trial with _giant_oracle."""
+    if kind == TARGETED:
+        orders = [np.lexsort((np.arange(g.n), -g.degrees("total")))]
+        trials = 1
+    else:
+        ss = np.random.SeedSequence(seed)
+        orders = [np.random.default_rng(c).permutation(g.n) for c in ss.spawn(trials)]
+
+    def response(f):
+        k = int(np.floor(f * g.n + 0.5))
+        return float(np.mean([_giant_oracle(g, order[:k]) for order in orders]))
+
+    tol = max(1.0 / g.n, 1e-3)
+    lo, hi = 0.0, 1.0
+    if response(0.0) < s_min:
+        f_c = 0.0
+    else:
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if response(mid) < s_min:
+                hi = mid
+            else:
+                lo = mid
+        f_c = hi
+    return ThresholdResult(f_c, "empirical", kind, s_min, trials, tol)
+
+
 @st.composite
 def _random_graphs(draw, max_n=30):
     n = draw(st.integers(1, max_n))
@@ -118,9 +148,31 @@ class TestGiantComponent:
     @given(_random_graphs(max_n=60), st.sampled_from([RANDOM, TARGETED]),
            st.sampled_from([0.02, 0.1, 0.3]), st.integers(0, 1000))
     def test_bisection_gives_the_oracle_bisections_threshold(self, g, kind, s_min, seed):
-        with mock.patch.object(percolation, "giant_component_fraction", _giant_oracle):
-            expected = empirical_threshold(g, kind, s_min=s_min, trials=3, seed=seed)
+        expected = _reference_threshold(g, kind, s_min, trials=3, seed=seed)
         assert empirical_threshold(g, kind, s_min=s_min, trials=3, seed=seed) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(_random_graphs(), st.data())
+    def test_rank_csr_levels_equal_the_oracle(self, g, data):
+        # n < 511 throughout, so a bisection midpoint can round to k = 0 as well.
+        order = np.array(data.draw(st.permutations(range(g.n))), dtype=np.int64)
+        indptr, indices = csr = percolation._rank_csr(g, order)
+        assert indptr.dtype == indices.dtype == np.int32
+        for r in range(g.n):
+            row = indices[indptr[r]:indptr[r + 1]]
+            assert (row > r).all() and (np.diff(row) >= 0).all()
+        for k in range(g.n + 1):
+            assert percolation._level_fraction(csr, k, g.n) == _giant_oracle(g, order[:k])
+
+    def test_counts_beyond_int32_are_named(self):
+        big = Graph(2**31, False, [])
+        with pytest.raises(ValueError, match="node count 2147483648 exceeds 2147483647"):
+            empirical_threshold(big, RANDOM)
+        with pytest.raises(ValueError, match="node count 2147483648 exceeds 2147483647"):
+            giant_component_fraction(big, [])
+        many = SimpleNamespace(n=3, num_edges=2**31, directed=False)
+        with pytest.raises(ValueError, match="edge count 2147483648 exceeds 2147483647"):
+            giant_component_fraction(many, [])
 
     def test_matches_bfs_reference_on_random_graphs(self):
         rng = np.random.default_rng(0)

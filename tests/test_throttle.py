@@ -16,8 +16,10 @@ from wormnet.throttle import (
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ThrottleConfig(rate=0.0)
+        for rate in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="rate must be > 0"):
+                ThrottleConfig(rate=rate)
+        assert ThrottleConfig(rate=math.inf).rate == math.inf
         with pytest.raises(ValueError):
             ThrottleConfig(working_set_capacity=-1)
         with pytest.raises(ValueError):
