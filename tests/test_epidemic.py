@@ -154,11 +154,11 @@ class TestRunInvariants:
         (dict(dt=-0.1), "dt must be > 0"),
         (dict(t_max=0.0), "t_max must be > 0"),
         (dict(t_max=-1.0), "t_max must be > 0"),
+        (dict(init_infected={5}), "node id 5 out of range"),
+        (dict(init_infected={0}, vaccinated={-1}), "node id -1 out of range"),
         (dict(t_max=float("nan")), "t_max must be > 0"),
         (dict(dt=float("nan")), "dt must be > 0 and finite"),
         (dict(dt=float("inf")), "dt must be > 0 and finite"),
-        (dict(init_infected={5}), "node id 5 out of range"),
-        (dict(init_infected={0}, vaccinated={-1}), "node id -1 out of range"),
     ])
     def test_bad_run_arguments_rejected(self, kw, match):
         g = build_complete(5)

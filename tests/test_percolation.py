@@ -154,7 +154,7 @@ class TestGiantComponent:
     @settings(max_examples=300, deadline=None)
     @given(_random_graphs(), st.data())
     def test_rank_csr_levels_equal_the_oracle(self, g, data):
-        # n < 511 throughout, so a bisection midpoint can round to k = 0 as well.
+        # Every level k in 0..n, k = 0 included: for n < 512 a bisection midpoint rounds to it.
         order = np.array(data.draw(st.permutations(range(g.n))), dtype=np.int64)
         indptr, indices = csr = percolation._rank_csr(g, order)
         assert indptr.dtype == indices.dtype == np.int32
