@@ -37,7 +37,7 @@ def _cmd_simulate(args) -> int:
     g = read_edge_list(args.graph)
     worm = harness.worm_behavior(_section(args, "worm"), args.command)
     vaccination, throttle = harness.controls(_section(args, "controls"), args.command)
-    run = _section(args, "run")
+    run = harness.run_settings(_section(args, "run"), args.command)
     ts = harness.run_replicate(
         g, worm, vaccination, throttle,
         run["seed_infected"], run["dt"], run["tmax"], run["seed"], 0,

@@ -15,8 +15,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
 
 from .graph import Graph
 from .throttle import Admitted, ThrottleConfig, ThrottleState
@@ -114,6 +112,10 @@ class Simulation:
     compartments, so the result does not depend on delivery order.  A
     throttled host with a non-empty queue has its next release time in
     ``_due`` (``inf`` for every other node).
+
+    ``_sus_out`` counts each node's susceptible out-neighbours (neighbour worm
+    only); the run is exhausted when no infected host has one left, or, for a
+    scan worm, when no host is infected or none is susceptible.
     """
 
     def __init__(
@@ -157,13 +159,14 @@ class Simulation:
         if worm.targeting == NEIGHBOR:
             self._indptr, self._adj = g.out_adjacency
             self._out_deg = np.diff(self._indptr)
+            rows = np.repeat(np.arange(g.n), self._out_deg)
+            sus = self.compartments[self._adj] == SUSCEPTIBLE
+            self._sus_out = np.bincount(rows[sus], minlength=g.n)
+            self._spreaders = self._infected[self._sus_out[self._infected] > 0]
         else:
             self.address_space = g.n if worm.address_space is None else int(worm.address_space)
             if self.address_space < g.n:
                 raise ValueError("address_space must be >= n")
-
-        self._reachable = self._reachable_susceptible(self._infected)
-        self.remaining_reachable = int(self._reachable.sum())
 
         self._throttles: dict[int, ThrottleState] = {}
         self._success_q: dict[int, deque] = {}
@@ -174,28 +177,6 @@ class Simulation:
                 self._new_throttle(u, 0.0)
 
     # -- setup helpers -----------------------------------------------------
-
-    def _reachable_susceptible(self, seeds: np.ndarray) -> np.ndarray:
-        """Susceptible nodes a future infection could ever reach.
-
-        A breadth-first search over out-edges from a virtual root that points
-        at every seed; edges into vaccinated nodes are dropped, so they block
-        the search.  The seeds themselves are not counted.
-        """
-        n = self.g.n
-        if self.worm.targeting == SCAN:
-            return self.compartments == SUSCEPTIBLE
-        indptr, adj = self._indptr, self._adj
-        kept = self.compartments[adj] != RECOVERED
-        kept_before = np.concatenate([[0], np.cumsum(kept)])
-        indptr = np.concatenate([kept_before[indptr], [kept_before[-1] + len(seeds)]])
-        indices = np.concatenate([adj[kept], seeds])
-        csr = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n + 1, n + 1))
-        order = breadth_first_order(csr, n, directed=True, return_predecessors=False)
-        reach = np.zeros(n + 1, dtype=bool)
-        reach[order] = True
-        reach[seeds] = False
-        return reach[:n]
 
     def _new_throttle(self, node: int, t: float) -> None:
         self._throttles[node] = ThrottleState(self.throttle_config, t0=t, initial_budget=0.0)
@@ -334,16 +315,30 @@ class Simulation:
         self.compartments[hits] = INFECTED
         self.n_susceptible -= len(hits)
         self.n_infected += len(hits)
-        self.remaining_reachable -= int(self._reachable[hits].sum())
-        self._reachable[hits] = False
+        if self.worm.targeting == NEIGHBOR:
+            # each in-neighbour of a (unique) hit loses one susceptible out-neighbour
+            in_ptr, in_src = self.g.in_adjacency
+            lens = in_ptr[hits + 1] - in_ptr[hits]
+            pos = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens - in_ptr[hits], lens)
+            np.subtract.at(self._sus_out, in_src[pos], 1)
+            hosts = np.concatenate([self._spreaders, hits])
+            self._spreaders = hosts[self._sus_out[hosts] > 0]
         if self.throttle_config is not None:
             for u in hits.tolist():
                 self._new_throttle(u, t)
         self._infected = np.concatenate([self._infected, hits])
 
     def exhausted(self) -> bool:
-        """True when no further compartment change is possible."""
-        return self.n_infected == 0 or self.remaining_reachable == 0
+        """True when no further compartment change is possible.
+
+        For a neighbour worm: no infected host has a susceptible out-neighbour.
+        Then no susceptible node is reachable either, since on any path from an
+        infected host to a susceptible one that avoids vaccinated nodes, the
+        first non-infected node is susceptible and has an infected predecessor.
+        """
+        if self.worm.targeting == SCAN:
+            return self.n_infected == 0 or self.n_susceptible == 0
+        return not len(self._spreaders)
 
 
 def run(

@@ -118,10 +118,15 @@ class Graph:
         """
         e = self._edges
         src, dst = (e if self.directed else np.concatenate([e, e[:, ::-1]])).T
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=self.n))])
-        targets = dst[np.lexsort((dst, src))]
-        indptr.flags.writeable = targets.flags.writeable = False
-        return indptr, targets
+        return _csr(self.n, src, dst)
+
+    @cached_property
+    def in_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only CSR-style (indptr, sources) adjacency over in-neighbors,
+        sorted; for an undirected graph it is ``out_adjacency`` itself."""
+        if not self.directed:
+            return self.out_adjacency
+        return _csr(self.n, self._edges[:, 1], self._edges[:, 0])
 
     def neighbors(self, u: int) -> np.ndarray:
         indptr, targets = self.out_adjacency
@@ -138,6 +143,14 @@ class Graph:
     def __repr__(self):
         kind = "directed" if self.directed else "undirected"
         return f"Graph(n={self.n}, {kind}, m={self.num_edges})"
+
+
+def _csr(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only CSR (indptr, cols) of the entries (rows[i], cols[i]), rows sorted."""
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    cols = cols[np.lexsort((cols, rows))]
+    indptr.flags.writeable = cols.flags.writeable = False
+    return indptr, cols
 
 
 @dataclass(frozen=True)

@@ -258,6 +258,19 @@ def controls(ctl: dict, where) -> tuple[VaccinationStrategy | None, ThrottleConf
     return vaccination, throttle
 
 
+def run_settings(run: dict, where) -> dict:
+    """A defaults-filled ``[run]`` section, checked: ``dt`` > 0 and finite,
+    ``tmax`` > 0, and ``replicates`` and ``seed_infected`` at least 1."""
+    if not 0 < run["dt"] < np.inf:
+        raise ConfigError(f"{where}: [run] dt must be > 0 and finite, got {run['dt']}")
+    if not run["tmax"] > 0:
+        raise ConfigError(f"{where}: [run] tmax must be > 0, got {run['tmax']}")
+    for key in ("replicates", "seed_infected"):
+        if run[key] < 1:
+            raise ConfigError(f"{where}: [run] {key} must be >= 1, got {run[key]}")
+    return run
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse and validate an experiment config, filling documented defaults."""
     raw = _parse_kv_file(path)
@@ -266,6 +279,7 @@ def load_config(path) -> ExperimentConfig:
         for key, (text, lineno) in entries.items():
             values[section][key] = convert_value(f"{path}:{lineno}", section, key, text)
     net, worm_sec, ctl, run_sec = (with_defaults(s, values[s]) for s in _SECTIONS)
+    run_settings(run_sec, path)
     spec = network_spec(net, path, run_sec["seed"])
     worm = worm_behavior(worm_sec, path)
     vaccination, throttle = controls(ctl, path)

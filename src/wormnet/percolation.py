@@ -96,13 +96,6 @@ def _largest_fraction(indptr: np.ndarray, indices: np.ndarray, n: int) -> float:
     return int(np.bincount(labels).max()) / n
 
 
-def _indptr(rows: np.ndarray, size: int) -> np.ndarray:
-    """int32 CSR row pointers of ``size`` rows whose entries have the row ids ``rows``."""
-    indptr = np.zeros(size + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
-    return indptr
-
-
 def giant_component_fraction(g: Graph, removed) -> float:
     """Largest-component size of the residual graph over the original n.
 
@@ -117,16 +110,9 @@ def giant_component_fraction(g: Graph, removed) -> float:
     keep = np.ones(g.n, dtype=bool)
     if len(removed):
         keep[removed] = False
-    n_kept = int(np.count_nonzero(keep))
-    if n_kept == 0:
-        return 0.0
-    edges = g.edge_array
-    edges = edges[keep[edges[:, 0]] & keep[edges[:, 1]]]
-    if len(edges) == 0:
-        return 1.0 / g.n
-    # The kept nodes relabelled 0..n_kept-1 in id order, so the edges stay sorted by row.
-    edges = (np.cumsum(keep) - 1)[edges]
-    return _largest_fraction(_indptr(edges[:, 0], n_kept), edges[:, 1].astype(np.int32), g.n)
+    # The removed nodes rank first, then the kept ones in id order.
+    order = np.concatenate([np.flatnonzero(~keep), np.flatnonzero(keep)])
+    return _level_fraction(_rank_csr(g, order), g.n - int(np.count_nonzero(keep)), g.n)
 
 
 def _rank_csr(g: Graph, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,8 +124,9 @@ def _rank_csr(g: Graph, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank[order] = np.arange(g.n)
     a, b = rank[g.edge_array[:, 0]], rank[g.edge_array[:, 1]]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    by_row = np.argsort(lo * g.n + hi)
-    return _indptr(lo, g.n), hi[by_row].astype(np.int32)
+    indptr = np.zeros(g.n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(lo, minlength=g.n), out=indptr[1:])
+    return indptr, hi[np.argsort(lo * g.n + hi)].astype(np.int32)
 
 
 def _level_fraction(csr: tuple[np.ndarray, np.ndarray], k: int, n: int) -> float:

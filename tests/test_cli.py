@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -124,7 +126,8 @@ class TestSimulate:
         (["--rate", "5", "--throttle-rate", "nan"], "[controls] rate must be > 0"),
         (["--rate", "5", "--dt", "nan"], "dt must be > 0 and finite"),
         (["--rate", "5", "--dt", "inf"], "dt must be > 0 and finite"),
-        (["--rate", "5", "--tmax", "nan"], "t_max must be > 0"),
+        (["--rate", "5", "--tmax", "nan"], "[run] tmax must be > 0"),
+        (["--rate", "5", "--seed-infected", "0"], "[run] seed_infected must be >= 1, got 0"),
     ])
     def test_nan_or_inf_is_one_line_error(self, tmp_path, capsys, argv, message):
         graph = _generate(tmp_path)
@@ -248,6 +251,20 @@ seed = 5
         assert lines[0] == "metric,baseline,treated,slowdown"
         printed = capsys.readouterr().out
         assert "growth_rate" in printed
+
+    @pytest.mark.parametrize("key, value", [
+        ("dt", "nan"), ("tmax", "nan"), ("replicates", "0"), ("seed_infected", "0"),
+    ])
+    def test_bad_run_setting_fails_before_writing(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(re.sub(rf"^{key} = .*\n", "", self.CFG, flags=re.M) + f"{key} = {value}\n")
+        out = tmp_path / "o"
+        rc = main(["experiment", "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"wormnet: error: {cfg}: [run] {key} must be ")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_bad_config_is_one_line_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from wormnet.epidemic import (
     CSV_HEADER,
+    INFECTED,
     MAX_ATTEMPTS_PER_TICK,
+    RECOVERED,
+    SUSCEPTIBLE,
     Simulation,
     TimeSeries,
     WormBehavior,
@@ -26,9 +29,9 @@ def _star(n):
 
 
 def _reachable_oracle(g, init_infected, vaccinated):
-    """Depth-first search from the seeds over out-edges, one node at a time:
-    the susceptible nodes that vaccinated nodes do not cut off from every
-    seed (the seeds themselves excluded)."""
+    """Depth-first search from the infected nodes over out-edges, one node at
+    a time: the susceptible nodes that vaccinated nodes do not cut off from
+    every infected one."""
     indptr, adj = g.out_adjacency
     reach = np.zeros(g.n, dtype=bool)
     seen = np.zeros(g.n, dtype=bool)
@@ -189,27 +192,43 @@ class TestRunInvariants:
 
 
 class TestReachability:
+    """``exhausted()`` is true exactly when no susceptible node can still be
+    reached from an infected one, and ``_sus_out`` counts each node's
+    susceptible out-neighbours."""
+
     @settings(max_examples=200, deadline=None)
-    @given(_graph_seeds_vaccinated())
-    def test_matches_search_oracle(self, case):
+    @given(_graph_seeds_vaccinated(), st.integers(0, 2**32 - 1))
+    def test_matches_search_oracle(self, case, seed):
         g, seeds, vaccinated = case
-        sim = Simulation(g, WormBehavior("neighbor", attempt_rate=1.0),
-                         init_infected=seeds, vaccinated=vaccinated)
-        expected = _reachable_oracle(g, seeds, vaccinated)
-        assert sim._reachable.tolist() == expected.tolist()
-        assert sim.remaining_reachable == int(expected.sum())
+        sim = Simulation(g, WormBehavior("neighbor", attempt_rate=10.0),
+                         init_infected=seeds, vaccinated=vaccinated, dt=0.1, seed=seed)
+        indptr, adj = g.out_adjacency
+        for _ in range(6):
+            infected = set(np.flatnonzero(sim.compartments == INFECTED).tolist())
+            reachable = _reachable_oracle(g, infected, vaccinated)
+            assert sim.exhausted() == (not infected or not reachable.any())
+            sus_out = [int((sim.compartments[adj[indptr[u]:indptr[u + 1]]] == SUSCEPTIBLE).sum())
+                       for u in range(g.n)]
+            assert sim._sus_out.tolist() == sus_out
+            sim.step()
 
     def test_vaccinated_node_blocks_the_path(self):
         g = Graph(4, True, [(0, 1), (1, 2), (2, 3)])
-        sim = Simulation(g, WormBehavior("neighbor", attempt_rate=1.0),
-                         init_infected={0}, vaccinated={2})
-        assert sim._reachable.tolist() == [False, True, False, False]
+        sim = Simulation(g, WormBehavior("neighbor", attempt_rate=100.0),
+                         init_infected={0}, vaccinated={2}, dt=1.0)
+        assert not sim.exhausted()  # node 1 is reachable
+        sim.step()
+        assert sim.compartments.tolist() == [INFECTED, INFECTED, RECOVERED, SUSCEPTIBLE]
+        assert sim.exhausted()  # node 3 is only reachable through vaccinated node 2
 
     def test_scan_reaches_every_susceptible_node(self):
         g = Graph(4, True, [])
-        sim = Simulation(g, WormBehavior("scan", attempt_rate=1.0),
-                         init_infected={0}, vaccinated={3})
-        assert sim._reachable.tolist() == [False, True, True, False]
+        worm = WormBehavior("scan", attempt_rate=100.0)
+        sim = Simulation(g, worm, init_infected={0}, vaccinated={3})
+        assert not sim.exhausted()  # no edge leads to nodes 1 and 2, but a scan finds them
+        ts = run(g, worm, init_infected={0}, vaccinated={3}, dt=1.0, t_max=100.0)
+        assert ts.rows[-1][2:5] == (0, 3, 1)
+        assert len(ts) < 101  # stopped once no node was susceptible
 
 
 class TestAgainstMarkovOracle:

@@ -267,6 +267,16 @@ class TestGraph:
                 arr[0] = 2
         assert g == Graph(3, False, [(0, 1), (1, 2)])
 
+    @settings(max_examples=200, deadline=None)
+    @given(_simple_graphs())
+    def test_in_adjacency_is_the_out_adjacency_of_the_reversal(self, g):
+        reversal = Graph(g.n, True, g.edge_array[:, ::-1]) if g.directed else g
+        for mine, theirs in zip(g.in_adjacency, reversal.out_adjacency):
+            assert mine is theirs or g.directed
+            assert mine.tolist() == theirs.tolist()
+            with pytest.raises(ValueError, match="read-only"):
+                mine[:1] = 0
+
 
 class TestDegreeDistribution:
     def test_counts_must_sum_to_n(self):

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,22 @@ class TestLoadConfig:
         text = "[network]\npreset = net-b\nn = 10\n\n[worm]\ntargeting = scan\nrate = 1\n"
         with pytest.raises(ConfigError, match=r"\[network\] peak degrees must lie in"):
             load_config(_write(tmp_path, text))
+
+    @pytest.mark.parametrize("line, message", [
+        ("dt = nan", "[run] dt must be > 0 and finite, got nan"),
+        ("dt = inf", "[run] dt must be > 0 and finite, got inf"),
+        ("dt = 0", "[run] dt must be > 0 and finite, got 0.0"),
+        ("tmax = nan", "[run] tmax must be > 0, got nan"),
+        ("tmax = -1", "[run] tmax must be > 0, got -1.0"),
+        ("replicates = 0", "[run] replicates must be >= 1, got 0"),
+        ("seed_infected = 0", "[run] seed_infected must be >= 1, got 0"),
+    ])
+    def test_bad_run_setting_is_config_error(self, tmp_path, line, message):
+        key = line.split(" = ")[0]
+        path = _write(tmp_path, re.sub(rf"^{key} = .*\n", "", BASE_CFG, flags=re.M) + line + "\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == f"{path}: {message}"
 
     def test_missing_worm_keys(self, tmp_path):
         text = BASE_CFG.replace("targeting = neighbor\n", "")
