@@ -4,6 +4,7 @@ experiment / compare."""
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import harness, presets
@@ -78,7 +79,9 @@ def _cmd_throttle_demo(args) -> int:
                 continue
             try:
                 t_str, dest_str = line.split(",")
-                events.append((float(t_str), int(dest_str)))
+                if not math.isfinite(t := float(t_str)):
+                    raise ValueError(t_str)
+                events.append((t, int(dest_str)))
             except ValueError:
                 raise ParseError(args.trace, lineno, f"bad trace row {line!r}") from None
     config = ThrottleConfig(

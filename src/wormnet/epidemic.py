@@ -11,12 +11,11 @@ Runs are fully deterministic given (graph, worm, controls, seeds).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, ParseError
 from .throttle import Admitted, ThrottleConfig, ThrottleState
 
 SUSCEPTIBLE, INFECTED, RECOVERED = 0, 1, 2
@@ -91,10 +90,13 @@ class TimeSeries:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
             if header != CSV_HEADER:
-                raise ValueError(f"unexpected CSV header {header!r}")
-            for line in fh:
-                tick, t, s, i, r, q, a = line.strip().split(",")
-                rows.append((int(tick), float(t), int(s), int(i), int(r), int(q), int(a)))
+                raise ParseError(path, 1, f"unexpected CSV header {header!r}")
+            for lineno, line in enumerate(fh, start=2):
+                try:
+                    tick, t, s, i, r, q, a = line.strip().split(",")
+                    rows.append((int(tick), float(t), int(s), int(i), int(r), int(q), int(a)))
+                except ValueError:
+                    raise ParseError(path, lineno, f"bad row {line.strip()!r}") from None
         return cls(rows)
 
 
@@ -109,9 +111,10 @@ class Simulation:
     A tick's deliveries (unthrottled attempts, working-set passes and queue
     releases) are gathered as ``(dest, ok)`` arrays and applied once, as a
     set, at the end of the tick; no request or release reads the
-    compartments, so the result does not depend on delivery order.  A
-    throttled host with a non-empty queue has its next release time in
-    ``_due`` (``inf`` for every other node).
+    compartments, so the result does not depend on delivery order.  A queued
+    attempt's ``ok`` rides in its source's ``ThrottleState`` queue as the
+    request's tag.  A throttled host with a non-empty queue has its next
+    release time in ``_due`` (``inf`` for every other node).
 
     ``_sus_out`` counts each node's susceptible out-neighbours (neighbour worm
     only); the run is exhausted when no infected host has one left, or, for a
@@ -169,7 +172,6 @@ class Simulation:
                 raise ValueError("address_space must be >= n")
 
         self._throttles: dict[int, ThrottleState] = {}
-        self._success_q: dict[int, deque] = {}
         self._due = np.full(g.n, np.inf)
         self.queued_total = 0
         if throttle is not None:
@@ -180,7 +182,6 @@ class Simulation:
 
     def _new_throttle(self, node: int, t: float) -> None:
         self._throttles[node] = ThrottleState(self.throttle_config, t0=t, initial_budget=0.0)
-        self._success_q[node] = deque()
 
     # -- stepping ----------------------------------------------------------
 
@@ -259,29 +260,20 @@ class Simulation:
     def _request(self, sources, targets, success, t):
         """Classify each attempt with its source's throttle; return the
         ``(dest, ok)`` arrays of the working-set passes."""
-        throttles, success_q = self._throttles, self._success_q
         passed_dest, passed_ok = [], []
         scheduled, scheduled_due = [], []
         queued = 0
         for s, d, ok in zip(sources.tolist(), targets.tolist(), success.tolist()):
-            st = throttles[s]
-            decision = st.request(d, t)
+            st = self._throttles[s]
+            decision = st.request(d, t, ok)
             if isinstance(decision, Admitted):
                 passed_dest.append(d)
                 passed_ok.append(ok)
-                continue
-            # sq holds the success flags of the requests queued before this one
-            sq = success_q[s]
-            position = decision.position
-            if position <= len(sq):  # the bounded queue evicted its head
-                sq.popleft()
-                st.drop_log.clear()
-                queued -= 1
-            elif position == 1:  # the queue was empty: schedule a release
-                scheduled.append(s)
-                scheduled_due.append(st.next_release_due())
-            sq.append(ok)
-            queued += 1
+            elif decision.dropped is None:  # an eviction leaves the length as it was
+                queued += 1
+                if len(st.delay_queue) == 1:  # the queue was empty: schedule a release
+                    scheduled.append(s)
+                    scheduled_due.append(st.next_release_due())
         self.queued_total += queued
         self._due[scheduled] = scheduled_due
         return np.array(passed_dest, dtype=np.int64), np.array(passed_ok, dtype=bool)
@@ -294,10 +286,9 @@ class Simulation:
         next_due = []
         for s in hosts:
             st = self._throttles[s]
-            sq = self._success_q[s]
-            for d, _delay in st.tick(t):
+            for d, _delay, ok in st.tick(t):
                 dests.append(d)
-                oks.append(sq.popleft())
+                oks.append(ok)
             due = st.next_release_due()
             # a host that has just released is never due again at this t
             next_due.append(np.inf if due is None else max(due, t + 2e-9))

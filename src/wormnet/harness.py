@@ -168,12 +168,14 @@ def with_defaults(section: str, given: dict) -> dict:
     return values
 
 
-def network_spec(net: dict, where, master: int) -> NetworkSpec | None:
+def network_spec(net: dict, where, master: int, open_files: bool = True) -> NetworkSpec | None:
     """The NetworkSpec of a ``[network]`` section, or None when it names a file.
 
     Exactly one of preset/family/file must be given.  A family's seed
     defaults to the run's ``master`` seed; ``configmodel`` takes its degrees
     and n from ``degrees_file``, and every other family requires ``n``.
+    Without ``open_files`` the named files are neither checked nor read, and
+    a ``configmodel`` section gives None too.
     """
     sources = [k for k in ("preset", "family", "file") if k in net]
     if len(sources) != 1:
@@ -181,7 +183,7 @@ def network_spec(net: dict, where, master: int) -> NetworkSpec | None:
             f"{where}: [network] requires exactly one of preset/family/file, got {sources}"
         )
     if "file" in net:
-        if not os.path.exists(net["file"]):
+        if open_files and not os.path.exists(net["file"]):
             raise ConfigError(f"{where}: graph file not found: {net['file']}")
         return None
     if "preset" in net:
@@ -198,6 +200,8 @@ def network_spec(net: dict, where, master: int) -> NetworkSpec | None:
     if family == "configmodel":
         if "degrees_file" not in net:
             raise ConfigError(f"{where}: [network] configmodel family requires degrees_file")
+        if not open_files:
+            return None
         if not os.path.exists(net["degrees_file"]):
             raise ConfigError(f"{where}: degrees file not found: {net['degrees_file']}")
         dist = read_degree_histogram(net["degrees_file"])
@@ -271,8 +275,9 @@ def run_settings(run: dict, where) -> dict:
     return run
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse and validate an experiment config, filling documented defaults."""
+def load_config(path, open_files: bool = True) -> ExperimentConfig:
+    """Parse and validate an experiment config, filling documented defaults;
+    ``open_files`` as in ``network_spec``."""
     raw = _parse_kv_file(path)
     values: dict[str, dict] = {s: {} for s in _SECTIONS}
     for section, entries in raw.items():
@@ -280,7 +285,7 @@ def load_config(path) -> ExperimentConfig:
             values[section][key] = convert_value(f"{path}:{lineno}", section, key, text)
     net, worm_sec, ctl, run_sec = (with_defaults(s, values[s]) for s in _SECTIONS)
     run_settings(run_sec, path)
-    spec = network_spec(net, path, run_sec["seed"])
+    spec = network_spec(net, path, run_sec["seed"], open_files)
     worm = worm_behavior(worm_sec, path)
     vaccination, throttle = controls(ctl, path)
 
@@ -455,8 +460,8 @@ def _na(v) -> str:
 
 
 def load_result(outdir: str) -> ExperimentResult:
-    """Reconstruct an ExperimentResult from a finished output directory."""
-    cfg = load_config(os.path.join(outdir, "resolved.cfg"))
+    """Reconstruct an ExperimentResult from a finished output directory; opens no network file."""
+    cfg = load_config(os.path.join(outdir, "resolved.cfg"), open_files=False)
     paths = sorted(
         os.path.join(outdir, f)
         for f in os.listdir(outdir)

@@ -49,9 +49,12 @@ class Admitted:
 
 @dataclass(frozen=True)
 class Enqueued:
-    """The request joined the delay queue at 1-based ``position``."""
+    """The request joined the delay queue; ``dropped`` is the evicted head, or None."""
 
-    position: int
+    dropped: tuple[int, float, object] | None
+
+
+_ENQUEUED = Enqueued(None)  # frozen: one instance serves every request that evicts nothing
 
 
 class ThrottleState:
@@ -60,6 +63,8 @@ class ThrottleState:
     ``request`` classifies an incoming connection attempt; ``tick`` accrues
     release budget up to the current time and drains the queue head(s).  At a
     finite rate the budget is capped at one token, so releases cannot burst.
+    The queue holds ``(dest, t_enq, tag)``: the caller's ``tag`` (the engine's
+    success flag) comes back with the attempt's release or eviction.
     """
 
     def __init__(self, config: ThrottleConfig, t0: float = 0.0, initial_budget: float = 1.0):
@@ -67,29 +72,25 @@ class ThrottleState:
             raise ValueError("initial_budget must lie in [0, 1]")
         self.config = config
         self.working_set: OrderedDict[int, None] = OrderedDict()
-        self.delay_queue: deque[tuple[int, float]] = deque()
+        self.delay_queue: deque[tuple[int, float, object]] = deque()
         self.budget = float(initial_budget)
         self.last_update = float(t0)
-        self.drops = 0
-        self.drop_log: list[tuple[float, int, float]] = []  # (t_drop, dest, t_enqueued)
 
-    def request(self, dest: int, t: float) -> Admitted | Enqueued:
+    def request(self, dest: int, t: float, tag=None) -> Admitted | Enqueued:
         """Classify one connection attempt at time t."""
         if t < self.last_update:
             raise ClockError(f"request at t={t} precedes state clock {self.last_update}")
         if dest in self.working_set:
             self.working_set.move_to_end(dest)
             return Admitted()
+        self.delay_queue.append((dest, t, tag))
         cap = self.config.queue_capacity
-        if cap is not None and len(self.delay_queue) >= cap:
-            old_dest, old_t = self.delay_queue.popleft()
-            self.drops += 1
-            self.drop_log.append((t, old_dest, old_t))
-        self.delay_queue.append((dest, t))
-        return Enqueued(len(self.delay_queue))
+        if cap is not None and len(self.delay_queue) > cap:
+            return Enqueued(self.delay_queue.popleft())
+        return _ENQUEUED
 
-    def tick(self, t: float) -> list[tuple[int, float]]:
-        """Advance the clock to t; return released (dest, queued_delay) pairs."""
+    def tick(self, t: float) -> list[tuple[int, float, object]]:
+        """Advance the clock to t; return the released (dest, delay, tag) triples."""
         if t < self.last_update:
             raise ClockError(f"tick at t={t} precedes state clock {self.last_update}")
         rate = self.config.rate
@@ -99,12 +100,12 @@ class ThrottleState:
             self.budget = min(1.0, self.budget + rate * (t - self.last_update))
         self.last_update = t
 
-        released: list[tuple[int, float]] = []
+        released: list[tuple[int, float, object]] = []
         while self.budget >= 1.0 - _TOKEN_EPS and self.delay_queue:
-            dest, t_enq = self.delay_queue.popleft()
+            dest, t_enq, tag = self.delay_queue.popleft()
             self.budget = max(0.0, self.budget - 1.0)
             self._admit_to_working_set(dest)
-            released.append((dest, t - t_enq))
+            released.append((dest, t - t_enq, tag))
         return released
 
     def next_release_due(self) -> float | None:
@@ -149,19 +150,18 @@ def process_trace(events, config: ThrottleConfig) -> list[tuple[float, int, str,
             due = state.next_release_due()
             if due is None or due > t_limit:
                 break
-            for dest, delay in state.tick(due):
+            for dest, delay, _ in state.tick(due):
                 rows.append((due, dest, "release", delay))
 
     for t, dest in events:
         drain_until(t)
-        n_drops = len(state.drop_log)
         decision = state.request(dest, t)
-        for t_drop, d_dest, t_enq in state.drop_log[n_drops:]:
-            rows.append((t_drop, d_dest, "drop", t_drop - t_enq))
         if isinstance(decision, Admitted):
             rows.append((t, dest, "admit", 0.0))
-        else:
-            drain_until(t)
+        elif decision.dropped is not None:
+            d_dest, t_enq, _ = decision.dropped
+            rows.append((t, d_dest, "drop", t - t_enq))
+        drain_until(t)  # a no-op after an admit: the queue is unchanged
 
     drain_until(math.inf)
     rows.sort(key=lambda r: r[0])

@@ -197,6 +197,8 @@ class TestThrottleDemo:
     @pytest.mark.parametrize("content, message", [
         ("time,destination\n0,1\n", "t,dest"),
         ("t,dest\n0,1\n\n0.5,x\n", "tr.csv:4: bad trace row '0.5,x'"),
+        ("t,dest\n0,1\nnan,2\n", "tr.csv:3: bad trace row 'nan,2'"),
+        ("t,dest\n0,1\ninf,3\n", "tr.csv:3: bad trace row 'inf,3'"),
     ])
     def test_bad_trace_header_or_row(self, tmp_path, capsys, content, message):
         trace = tmp_path / "tr.csv"
@@ -265,6 +267,51 @@ seed = 5
         assert err.startswith(f"wormnet: error: {cfg}: [run] {key} must be ")
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
+
+    def _experiments(self, tmp_path, network):
+        """Run a baseline and a throttled experiment on ``network`` from inside
+        tmp_path, so that a file it names is recorded relative to it."""
+        cfg = re.sub(r"\[network\]\n(.*\n)*?\n", f"[network]\n{network}\n\n", self.CFG)
+        (tmp_path / "base.cfg").write_text(cfg)
+        (tmp_path / "treated.cfg").write_text(cfg + "\n[controls]\nthrottle_rate = 1\n")
+        for arm in ("base", "treated"):
+            assert main(["experiment", "--config", f"{arm}.cfg", "--out", arm]) == 0
+
+    @pytest.mark.parametrize("network, named", [
+        ("file = net.edges", "net.edges"),
+        ("family = configmodel\ndegrees_file = net.hist", "net.hist"),
+    ])
+    def test_compare_opens_no_network_file(self, tmp_path, monkeypatch, network, named):
+        _generate(tmp_path)
+        (tmp_path / "net.hist").write_text("1 60\n2 60\n3 30\n")
+        monkeypatch.chdir(tmp_path)
+        self._experiments(tmp_path, network)
+        resolved = (tmp_path / "base" / "resolved.cfg").read_text()
+        (tmp_path / named).unlink()
+        # run from another directory too: the recorded path no longer resolves
+        monkeypatch.chdir(tmp_path / "base")
+        rc = main(["compare", "--baseline", "../base", "--treated", "../treated"])
+        assert rc == 0
+        assert (tmp_path / "base" / "resolved.cfg").read_text() == resolved
+
+    def test_experiment_on_missing_graph_fails_before_writing(self, tmp_path, capsys):
+        cfg = tmp_path / "missing.cfg"
+        cfg.write_text(re.sub(r"family = (.*\n)*?\n", "file = gone.edges\n\n", self.CFG))
+        rc = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "graph file not found: gone.edges" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_compare_names_bad_replicate_row(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        self._experiments(tmp_path, "preset = net-a\nn = 150")
+        rep = tmp_path / "base" / "rep_000.csv"
+        rep.write_text(rep.read_text() + "7,0.5\n")
+        rc = main(["compare", "--baseline", "base", "--treated", "treated"])
+        assert rc == 1
+        lineno = len(rep.read_text().splitlines())
+        err = capsys.readouterr().err
+        assert f"{rep.relative_to(tmp_path)}:{lineno}: bad row '7,0.5'" in err
 
     def test_bad_config_is_one_line_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

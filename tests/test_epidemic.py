@@ -19,7 +19,7 @@ from wormnet.epidemic import (
     slowdown_factor,
     time_to_fraction,
 )
-from wormnet.graph import Graph
+from wormnet.graph import Graph, ParseError
 from wormnet.netgen import build_complete
 from wormnet.throttle import ThrottleConfig
 
@@ -97,6 +97,21 @@ class TestTimeSeries:
         p.write_text("tick,t,s,i\n0,0,9,1\n")
         with pytest.raises(ValueError, match="header"):
             TimeSeries.from_csv(p)
+
+    def test_header_error_names_path(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("tick,t,s,i\n0,0,9,1\n")
+        with pytest.raises(ParseError) as err:
+            TimeSeries.from_csv(p)
+        assert str(err.value) == f"{p}:1: unexpected CSV header 'tick,t,s,i'"
+
+    @pytest.mark.parametrize("row", ["1,0.1,9", "1,0.1,9,1,0,0,x", "1,0.1,9,1,0,0,0,0"])
+    def test_bad_row_names_path_and_line(self, tmp_path, row):
+        p = tmp_path / "rep_000.csv"
+        p.write_text(f"{CSV_HEADER}\n0,0,9,1,0,0,0\n{row}\n")
+        with pytest.raises(ParseError) as err:
+            TimeSeries.from_csv(p)
+        assert str(err.value) == f"{p}:3: bad row {row!r}"
 
     def test_columns(self):
         ts = _series([1, 2], 10)

@@ -34,8 +34,11 @@ class TestStateMachine:
 
     def test_new_destination_enqueued_with_position(self):
         st_ = ThrottleState(ThrottleConfig())
-        assert st_.request(1, 0.0) == Enqueued(1)
-        assert st_.request(2, 0.0) == Enqueued(2)
+        # the queue's length after a request is the request's 1-based position
+        assert st_.request(1, 0.0) == Enqueued(None)
+        assert len(st_.delay_queue) == 1
+        assert st_.request(2, 0.0) == Enqueued(None)
+        assert len(st_.delay_queue) == 2
 
     def test_budget_cap_prevents_bursts(self):
         # long idle accrues at most one token
@@ -51,13 +54,13 @@ class TestStateMachine:
             st_.request(d, 0.0)
         out = []
         for t in (1.0, 2.0, 3.0):
-            out += [d for d, _ in st_.tick(t)]
+            out += [d for d, _, _ in st_.tick(t)]
         assert out == [9, 4, 6]
 
     def test_released_delay_is_queue_wait(self):
         st_ = ThrottleState(ThrottleConfig(rate=1.0), initial_budget=0.0)
         st_.request(3, 0.5)
-        [(dest, delay)] = st_.tick(1.5)
+        [(dest, delay, _)] = st_.tick(1.5)
         assert dest == 3
         assert delay == pytest.approx(1.0)
 
@@ -82,12 +85,46 @@ class TestStateMachine:
 
     def test_bounded_queue_drops_oldest(self):
         st_ = ThrottleState(ThrottleConfig(rate=1.0, queue_capacity=2), initial_budget=0.0)
-        st_.request(1, 0.0)
-        st_.request(2, 0.0)
-        st_.request(3, 0.0)
-        assert st_.drops == 1
-        assert [d for d, _ in st_.delay_queue] == [2, 3]
-        assert st_.drop_log == [(0.0, 1, 0.0)]
+        assert st_.request(1, 0.0) == Enqueued(None)
+        assert st_.request(2, 0.0) == Enqueued(None)
+        assert st_.request(3, 0.0) == Enqueued((1, 0.0, None))
+        assert [d for d, _, _ in st_.delay_queue] == [2, 3]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([
+            ThrottleConfig(rate=1.0),
+            ThrottleConfig(rate=2.0, queue_capacity=1),
+            ThrottleConfig(rate=0.5, working_set_capacity=1, queue_capacity=2),
+            ThrottleConfig(rate=1.0, queue_capacity=3),
+            ThrottleConfig(rate=1.0, working_set_capacity=0),
+            ThrottleConfig(rate=math.inf, working_set_capacity=2),
+        ]),
+        st.lists(
+            st.tuples(st.booleans(), st.floats(0, 2, allow_nan=False), st.integers(0, 5)),
+            max_size=60,
+        ),
+    )
+    def test_every_queued_tag_returns_once_in_fifo_order(self, cfg, ops):
+        # each op is a request (True) or a tick (False) after a time step
+        st_ = ThrottleState(cfg, initial_budget=0.0)
+        t = 0.0
+        queued, returned = [], []
+        for i, (is_request, step, dest) in enumerate(ops):
+            t += step
+            if is_request:
+                decision = st_.request(dest, t, tag=i)
+                if isinstance(decision, Enqueued):
+                    queued.append(i)
+                    if decision.dropped is not None:
+                        returned.append(decision.dropped[2])
+            else:
+                returned += [tag for _, _, tag in st_.tick(t)]
+        while st_.delay_queue:
+            returned += [tag for _, _, tag in st_.tick(st_.next_release_due())]
+        # releases and evictions both leave from the head, so the tags come
+        # back in the order they were queued
+        assert returned == queued
 
     def test_clock_regression_raises(self):
         st_ = ThrottleState(ThrottleConfig(), t0=5.0)
