@@ -94,7 +94,10 @@ class TimeSeries:
             for lineno, line in enumerate(fh, start=2):
                 try:
                     tick, t, s, i, r, q, a = line.strip().split(",")
-                    rows.append((int(tick), float(t), int(s), int(i), int(r), int(q), int(a)))
+                    row = (int(tick), float(t), int(s), int(i), int(r), int(q), int(a))
+                    if not np.isfinite(row[1]) or min(row) < 0:
+                        raise ValueError
+                    rows.append(row)
                 except ValueError:
                     raise ParseError(path, lineno, f"bad row {line.strip()!r}") from None
         return cls(rows)
@@ -214,23 +217,18 @@ class Simulation:
             sources = np.repeat(snapshot, counts)
             if worm.targeting == NEIGHBOR:
                 degs = self._out_deg[sources]
-                u = rng.random(total)
-                idx = (u * degs).astype(np.int64)
-                np.minimum(idx, np.maximum(degs - 1, 0), out=idx)
-                if len(self._adj):
-                    ptr = np.minimum(self._indptr[sources] + idx, len(self._adj) - 1)
-                    targets = self._adj[ptr]
-                else:
-                    targets = np.zeros(total, dtype=np.int64)
-                valid = degs > 0
+                idx = (rng.random(total) * degs).astype(np.int64)
+                valid = degs > 0  # a source without out-neighbours makes no attempt
+                sources, idx, degs = sources[valid], idx[valid], degs[valid]
+                # float rounding can give random() * deg == deg
+                targets = self._adj[self._indptr[sources] + np.minimum(idx, degs - 1)]
             else:
                 targets = rng.integers(0, self.address_space, size=total)
                 valid = slice(None)  # every scanned address is a valid attempt
             if worm.infection_probability < 1.0:
-                success = rng.random(total) < worm.infection_probability
+                success = (rng.random(total) < worm.infection_probability)[valid]
             else:
-                success = np.ones(total, dtype=bool)
-            sources, targets, success = sources[valid], targets[valid], success[valid]
+                success = np.ones(len(targets), dtype=bool)
             if self.throttle_config is not None:
                 targets, success = self._request(sources, targets, success, t)
             dests.append(targets)

@@ -62,19 +62,10 @@ class Graph:
         if arr.size and (arr.ndim != 2 or arr.shape[1] != 2):
             raise ValueError(f"edges must be pairs, got an array of shape {arr.shape}")
         arr = arr.reshape(-1, 2)
-        u, v = arr[:, 0], arr[:, 1]
-        if not self.directed:
-            u, v = np.minimum(u, v), np.maximum(u, v)
-        # One int64 key per edge, in (u, v) order.  Ids are clipped to [-1, n] so that
-        # an out-of-range edge never shares a key with an in-range one.
-        keys = (np.clip(u, -1, self.n) + 1) * (self.n + 2) + np.clip(v, -1, self.n) + 1
-        order = np.argsort(keys, kind="stable")
+        u, v, order, bad = _simple_split(self.n, self.directed, arr[:, 0], arr[:, 1])
         self._edges = np.column_stack((u[order], v[order]))
-        keys = keys[order]
-        repeats = np.zeros(len(arr), dtype=bool)
-        repeats[order[1:][keys[1:] == keys[:-1]]] = True
         out_of_range = ((arr < 0) | (arr >= self.n)).any(axis=1)
-        bad = out_of_range | (u == v) | repeats
+        bad |= out_of_range
         if bad.any():
             i = int(np.argmax(bad))
             a, b = arr[i].tolist()
@@ -143,6 +134,21 @@ class Graph:
     def __repr__(self):
         kind = "directed" if self.directed else "undirected"
         return f"Graph(n={self.n}, {kind}, m={self.num_edges})"
+
+
+def _simple_split(n: int, directed: bool, u: np.ndarray, v: np.ndarray):
+    """The simple-graph rule over the pairs (u[i], v[i]): return their canonical
+    columns (undirected pairs as (min, max)), the stable order that sorts them, and
+    the mask of the rows that are a self-loop or repeat an earlier row."""
+    if not directed:
+        u, v = np.minimum(u, v), np.maximum(u, v)
+    # One int64 key per pair, in (u, v) order.  Ids are clipped to [-1, n] so that
+    # an out-of-range pair never shares a key with an in-range one.
+    keys = (np.clip(u, -1, n) + 1) * (n + 2) + np.clip(v, -1, n) + 1
+    order = np.argsort(keys, kind="stable")
+    bad = u == v
+    bad[order[1:][np.diff(keys[order]) == 0]] = True
+    return u, v, order, bad
 
 
 def _csr(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -171,7 +171,8 @@ def with_defaults(section: str, given: dict) -> dict:
 def network_spec(net: dict, where, master: int, open_files: bool = True) -> NetworkSpec | None:
     """The NetworkSpec of a ``[network]`` section, or None when it names a file.
 
-    Exactly one of preset/family/file must be given.  A family's seed
+    Exactly one of preset/family/file must be given.  A preset may also set
+    ``n`` and ``seed``, and a file nothing else.  A family's seed
     defaults to the run's ``master`` seed; ``configmodel`` takes its degrees
     and n from ``degrees_file``, and every other family requires ``n``.
     Without ``open_files`` the named files are neither checked nor read, and
@@ -182,6 +183,10 @@ def network_spec(net: dict, where, master: int, open_files: bool = True) -> Netw
         raise ConfigError(
             f"{where}: [network] requires exactly one of preset/family/file, got {sources}"
         )
+    allowed = {"preset": {"preset", "n", "seed"}, "file": {"file"}}.get(sources[0])
+    if allowed and net.keys() - allowed:
+        raise ConfigError(f"{where}: [network] {sources[0]} does not take "
+                          f"{sorted(net.keys() - allowed)}")
     if "file" in net:
         if open_files and not os.path.exists(net["file"]):
             raise ConfigError(f"{where}: graph file not found: {net['file']}")

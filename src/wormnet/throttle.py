@@ -54,7 +54,7 @@ class Enqueued:
     dropped: tuple[int, float, object] | None
 
 
-_ENQUEUED = Enqueued(None)  # frozen: one instance serves every request that evicts nothing
+_ADMITTED, _ENQUEUED = Admitted(), Enqueued(None)  # frozen: shared by every request they answer
 
 
 class ThrottleState:
@@ -82,7 +82,7 @@ class ThrottleState:
             raise ClockError(f"request at t={t} precedes state clock {self.last_update}")
         if dest in self.working_set:
             self.working_set.move_to_end(dest)
-            return Admitted()
+            return _ADMITTED
         self.delay_queue.append((dest, t, tag))
         cap = self.config.queue_capacity
         if cap is not None and len(self.delay_queue) > cap:

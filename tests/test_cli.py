@@ -56,6 +56,8 @@ class TestGenerate:
          "exactly one of preset/family/file"),
         (["--family", "multimodal", "--n", "10", "--peaks", "2:0.5,6"],
          "bad value '2:0.5,6' for key 'peaks'"),
+        (["--preset", "net-d", "--alpha", "3.5", "--directed", "--n", "300"],
+         "[network] preset does not take ['alpha', 'directed']"),
     ])
     def test_bad_network_is_one_line_error(self, tmp_path, capsys, argv, message):
         rc = main(["generate", *argv, "--out", str(tmp_path / "x.edges")])

@@ -105,7 +105,8 @@ class TestTimeSeries:
             TimeSeries.from_csv(p)
         assert str(err.value) == f"{p}:1: unexpected CSV header 'tick,t,s,i'"
 
-    @pytest.mark.parametrize("row", ["1,0.1,9", "1,0.1,9,1,0,0,x", "1,0.1,9,1,0,0,0,0"])
+    @pytest.mark.parametrize("row", ["1,0.1,9", "1,0.1,9,1,0,0,x", "1,0.1,9,1,0,0,0,0",
+                                     "1,nan,-5,15,0,0,0", "1,inf,9,1,0,0,0", "1,0.1,9,1,0,-1,0"])
     def test_bad_row_names_path_and_line(self, tmp_path, row):
         p = tmp_path / "rep_000.csv"
         p.write_text(f"{CSV_HEADER}\n0,0,9,1,0,0,0\n{row}\n")

@@ -99,6 +99,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"\[network\] peak degrees must lie in"):
             load_config(_write(tmp_path, text))
 
+    @pytest.mark.parametrize("network, message", [
+        ("preset = net-d\nalpha = 3.5\ndirected = true\nn = 300",
+         "[network] preset does not take ['alpha', 'directed']"),
+        ("preset = net-b\nk_min = 2", "[network] preset does not take ['k_min']"),
+        ("file = net.edges\nseed = 3", "[network] file does not take ['seed']"),
+        ("file = net.edges\ndirected = false\nn = 5",
+         "[network] file does not take ['directed', 'n']"),
+    ])
+    def test_network_key_the_source_cannot_use_is_config_error(self, tmp_path, network, message):
+        path = _write(tmp_path, f"[network]\n{network}\n\n[worm]\ntargeting = scan\nrate = 1\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == f"{path}: {message}"
+
     @pytest.mark.parametrize("line, message", [
         ("dt = nan", "[run] dt must be > 0 and finite, got nan"),
         ("dt = inf", "[run] dt must be > 0 and finite, got inf"),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wormnet.graph import DegreeDistribution
+from wormnet.graph import DegreeDistribution, Graph, _simple_split
 from wormnet.netgen import (
     FAMILIES,
     GenerationError,
@@ -20,6 +20,7 @@ from wormnet.netgen import (
     sample_powerlaw_degrees,
     _check_digraphic,
     _check_graphical,
+    _wire,
 )
 
 
@@ -173,6 +174,86 @@ class TestConfigurationModel:
         edges = g.edge_array
         assert not np.any(edges[:, 0] == edges[:, 1])
         assert len(g.edge_set()) == g.num_edges
+
+
+def _split_oracle(directed, src, dst):
+    """The per-pair stub split that ``_wire`` replaced: the kept canonical pairs,
+    added to a set in input order, and the leftover pairs in input order."""
+    edge_set, leftovers = set(), []
+    for u, v in zip(src.tolist(), dst.tolist()):
+        e = (u, v) if directed or u < v else (v, u)
+        if u == v or e in edge_set:
+            leftovers.append((u, v))
+        else:
+            edge_set.add(e)
+    return edge_set, leftovers
+
+
+def _wire_oracle(n, directed, src, dst, rng):
+    """``_wire`` as it was before the split was vectorised: the split above, then
+    the same edge-swap repair over ``list(edge_set)``."""
+    edge_set, leftovers = _split_oracle(directed, src, dst)
+    budget = 100 * max(len(src), 1)
+    edge_list = list(edge_set)
+    for u, v in leftovers:
+        placed = False
+        while budget > 0 and not placed:
+            budget -= 1
+            if not edge_list:
+                break
+            j = int(rng.integers(len(edge_list)))
+            x, y = old = edge_list[j]
+            if not directed and not rng.integers(2):
+                x, y = y, x
+            e1, e2 = (u, y), (x, v)
+            if not directed:
+                e1, e2 = tuple(sorted(e1)), tuple(sorted(e2))
+            if u == y or x == v or e1 == e2 or e1 in edge_set or e2 in edge_set:
+                continue
+            edge_set.discard(old)
+            edge_set.add(e1)
+            edge_set.add(e2)
+            edge_list[j] = e1
+            edge_list.append(e2)
+            placed = True
+        if not placed:
+            raise GenerationError("edge-swap repair exhausted its retry budget")
+    return Graph(n, directed, edge_set)
+
+
+_stub_pairs = st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60)))
+
+
+class TestWiring:
+    """The array split of ``_wire`` must reproduce the per-pair one exactly: the
+    repair's draws index ``list(edge_set)`` and walk the leftovers in order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_stub_pairs, st.booleans())
+    def test_split_matches_per_pair_loop(self, stubs, directed):
+        n, pairs = stubs
+        src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        edge_set, leftovers = _split_oracle(directed, src, dst)
+        u, v, _, leftover = _simple_split(n, directed, src, dst)
+        assert list(zip(src[leftover].tolist(), dst[leftover].tolist())) == leftovers
+        kept = set(zip(u[~leftover].tolist(), v[~leftover].tolist()))
+        assert list(kept) == list(edge_set)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_stub_pairs, st.booleans(), st.integers(0, 2**31))
+    def test_wire_matches_per_pair_wiring(self, stubs, directed, seed):
+        n, pairs = stubs
+        src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            expected = _wire_oracle(n, directed, src, dst, oracle_rng)
+        except GenerationError:
+            with pytest.raises(GenerationError):
+                _wire(n, directed, src, dst, rng)
+        else:
+            assert _wire(n, directed, src, dst, rng) == expected
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestGraphicality:
