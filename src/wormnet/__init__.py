@@ -5,7 +5,7 @@ thresholds), ``epidemic`` (propagation engine), ``throttle`` (connection
 rate limiting), ``harness`` (experiment batches), ``cli`` (command line).
 """
 
-from .graph import DegreeDistribution, Graph, cumulative_distribution
+from .graph import Graph, cumulative_distribution
 from .netgen import (
     NetworkSpec,
     build_complete,
@@ -13,7 +13,6 @@ from .netgen import (
     build_multimodal,
     build_network,
     build_powerlaw,
-    degree_distribution,
     sample_powerlaw_degrees,
 )
 from .percolation import (
@@ -37,7 +36,6 @@ from .throttle import ThrottleConfig, ThrottleState, process_trace
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegreeDistribution",
     "Graph",
     "NetworkSpec",
     "ThresholdResult",
@@ -53,7 +51,6 @@ __all__ = [
     "build_network",
     "build_powerlaw",
     "cumulative_distribution",
-    "degree_distribution",
     "empirical_threshold",
     "giant_component_fraction",
     "growth_rate",

@@ -9,7 +9,7 @@ import sys
 
 from . import harness, presets
 from .graph import ParseError, read_edge_list, write_edge_list
-from .netgen import FAMILIES, GenerationError, build_network, degree_distribution
+from .netgen import FAMILIES, GenerationError, build_network
 from .percolation import analytical_threshold, empirical_threshold
 from .throttle import ThrottleConfig, process_trace
 
@@ -55,7 +55,7 @@ def _cmd_threshold(args) -> int:
             g, args.strategy, s_min=args.s_min, trials=args.trials, seed=args.seed
         )
     else:
-        result = analytical_threshold(degree_distribution(g), args.strategy)
+        result = analytical_threshold(g.degrees(), args.strategy)
     s_min = "" if result.s_min is None else f"{result.s_min:.10g}"
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("strategy,f_c,method,s_min,trials,ci_halfwidth\n")

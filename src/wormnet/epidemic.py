@@ -100,6 +100,8 @@ class TimeSeries:
                     rows.append(row)
                 except ValueError:
                     raise ParseError(path, lineno, f"bad row {line.strip()!r}") from None
+        if not rows:
+            raise ParseError(path, 2, "no rows after the header")
         return cls(rows)
 
 
@@ -137,13 +139,14 @@ class Simulation:
     ):
         if not 0 < dt < np.inf:
             raise ValueError("dt must be > 0 and finite")
-        vaccinated = {int(v) for v in vaccinated}
-        init_infected = {int(v) for v in init_infected}
-        if init_infected & vaccinated:
+        vaccinated = np.unique(np.fromiter(vaccinated, dtype=np.int64))
+        init_infected = np.unique(np.fromiter(init_infected, dtype=np.int64))
+        if np.isin(init_infected, vaccinated).any():
             raise ValueError("seed-infected nodes overlap the vaccinated set")
-        for v in init_infected | vaccinated:
-            if not 0 <= v < g.n:
-                raise ValueError(f"node id {v} out of range")
+        ids = np.union1d(init_infected, vaccinated)
+        bad = ids[(ids < 0) | (ids >= g.n)]
+        if len(bad):
+            raise ValueError(f"node id {bad[0]} out of range")
 
         self.g = g
         self.worm = worm
@@ -153,14 +156,12 @@ class Simulation:
         self.rng = np.random.default_rng(seed)
 
         self.compartments = np.zeros(g.n, dtype=np.int8)
-        if vaccinated:
-            self.compartments[sorted(vaccinated)] = RECOVERED
-        if init_infected:
-            self.compartments[sorted(init_infected)] = INFECTED
+        self.compartments[vaccinated] = RECOVERED
+        self.compartments[init_infected] = INFECTED
         self.n_susceptible = g.n - len(vaccinated) - len(init_infected)
         self.n_infected = len(init_infected)
         self.n_recovered = len(vaccinated)
-        self._infected = np.array(sorted(init_infected), dtype=np.int64)
+        self._infected = init_infected
 
         if worm.targeting == NEIGHBOR:
             self._indptr, self._adj = g.out_adjacency

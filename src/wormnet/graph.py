@@ -1,17 +1,17 @@
-"""Graph and degree-distribution primitives shared by the generators and simulators.
+"""Graph primitives and file formats shared by the generators and simulators.
 
 Nodes are dense integer ids ``0..n-1``.  Graphs are simple (no self-loops, no
 duplicate edges) and immutable after construction; undirected edges are stored
-once in canonical ``(min, max)`` order.
+once in canonical ``(min, max)`` order.  A degree distribution is held as its
+sorted int64 degree sequence; the ``k count`` histogram is only a file format.
 """
 
 from __future__ import annotations
 
 import warnings
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -159,55 +159,17 @@ def _csr(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.nda
     return indptr, cols
 
 
-@dataclass(frozen=True)
-class DegreeDistribution:
-    """Histogram of node degrees: ``counts[k]`` nodes have degree ``k``."""
+def cumulative_distribution(degrees) -> dict[int, float]:
+    """Fraction of the degree sequence ``degrees`` that is >= k, for
+    k = 0 .. max_degree + 1.
 
-    counts: Mapping[int, int]
-    n: int
-
-    def __post_init__(self):
-        total = sum(self.counts.values())
-        if total != self.n:
-            raise ValueError(f"counts sum to {total}, expected n={self.n}")
-        if any(k < 0 or c < 0 for k, c in self.counts.items()):
-            raise ValueError("degrees and counts must be non-negative")
-
-    @classmethod
-    def from_degrees(cls, degrees) -> "DegreeDistribution":
-        degrees = np.asarray(degrees, dtype=np.int64)
-        ks, cs = np.unique(degrees, return_counts=True)
-        return cls({int(k): int(c) for k, c in zip(ks, cs)}, int(len(degrees)))
-
-    def fractions(self) -> dict[int, float]:
-        """p_k, the fraction of nodes with each degree."""
-        return {k: c / self.n for k, c in self.counts.items() if c}
-
-    def to_sequence(self) -> np.ndarray:
-        """Expand the histogram into an explicit degree sequence (sorted)."""
-        ks = sorted(self.counts)
-        return np.repeat(np.array(ks, dtype=np.int64), [self.counts[k] for k in ks])
-
-    def mean(self) -> float:
-        return sum(k * c for k, c in self.counts.items()) / self.n
-
-    def second_moment(self) -> float:
-        return sum(k * k * c for k, c in self.counts.items()) / self.n
-
-
-def cumulative_distribution(dist: DegreeDistribution) -> dict[int, float]:
-    """Fraction of nodes with degree >= k, for k = 0 .. max_degree + 1.
-
-    Non-increasing in k, equals 1 at k = 0, and adjacent differences recover
-    the fractions p_k.
+    Non-increasing in k, equals 1 at k = 0 (for a non-empty sequence), and
+    adjacent differences recover the fractions p_k.
     """
-    max_k = max(dist.counts, default=0)
-    cum: dict[int, float] = {}
-    tail = 0
-    for k in range(max_k + 1, -1, -1):
-        tail += dist.counts.get(k, 0)
-        cum[k] = tail / dist.n if dist.n else 0.0
-    return dict(reversed(cum.items()))
+    degrees = np.asarray(degrees, dtype=np.int64)
+    tail = np.cumsum(np.bincount(degrees, minlength=1)[::-1])[::-1]
+    fractions = tail / len(degrees) if len(degrees) else np.zeros(1)
+    return dict(enumerate(fractions.tolist() + [0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -311,24 +273,29 @@ def write_edge_list(g: Graph, path) -> None:
         fh.write("%d %d\n" * g.num_edges % tuple(g.edge_array.ravel().tolist()))
 
 
-def read_degree_histogram(path) -> DegreeDistribution:
-    """Parse a ``k count`` histogram file into a DegreeDistribution."""
+def read_degree_histogram(path) -> np.ndarray:
+    """Parse a ``k count`` histogram file into the sorted degree sequence it
+    encodes.  Its counts may sum to at most MAX_NODES."""
 
     def build(pairs):
         negative = (pairs < 0).any(axis=1)
         repeats = np.ones(len(pairs), dtype=bool)
         repeats[np.unique(pairs[:, 0], return_index=True)[1]] = False
-        bad = negative | repeats
+        too_many = np.cumsum(np.clip(pairs[:, 1], 0, MAX_NODES + 1)) > MAX_NODES
+        bad = negative | repeats | too_many
         if bad.any():
             i = int(np.argmax(bad))
             raise EdgeError(i, "negative value" if negative[i] else
-                            f"duplicate degree key {pairs[i, 0]}")
-        counts = dict(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
-        return DegreeDistribution(counts, sum(counts.values()))
+                            f"duplicate degree key {pairs[i, 0]}" if repeats[i] else
+                            f"counts sum past {MAX_NODES}, the most a Graph can hold")
+        order = np.argsort(pairs[:, 0])
+        return np.repeat(pairs[order, 0], pairs[order, 1])
 
     return _int_pairs(path, 0, "k count", "value", build)
 
 
-def write_degree_histogram(dist: DegreeDistribution, path) -> None:
+def write_degree_histogram(degrees, path) -> None:
+    """Write the degree sequence ``degrees`` as sorted ``k count`` lines."""
+    ks, counts = np.unique(np.asarray(degrees, dtype=np.int64), return_counts=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(f"{k} {dist.counts[k]}\n" for k in sorted(dist.counts)))
+        fh.write("".join(f"{k} {c}\n" for k, c in zip(ks.tolist(), counts.tolist())))

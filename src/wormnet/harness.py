@@ -209,8 +209,8 @@ def network_spec(net: dict, where, master: int, open_files: bool = True) -> Netw
             return None
         if not os.path.exists(net["degrees_file"]):
             raise ConfigError(f"{where}: degrees file not found: {net['degrees_file']}")
-        dist = read_degree_histogram(net["degrees_file"])
-        kwargs = {"distribution": dist, "n": dist.n}
+        degrees = read_degree_histogram(net["degrees_file"])
+        kwargs = {"degrees": tuple(degrees.tolist()), "n": len(degrees)}
     else:
         kwargs = {"n": net.get("n")}
     try:
@@ -269,11 +269,13 @@ def controls(ctl: dict, where) -> tuple[VaccinationStrategy | None, ThrottleConf
 
 def run_settings(run: dict, where) -> dict:
     """A defaults-filled ``[run]`` section, checked: ``dt`` > 0 and finite,
-    ``tmax`` > 0, and ``replicates`` and ``seed_infected`` at least 1."""
+    ``tmax`` > 0, ``seed`` >= 0, and ``replicates`` and ``seed_infected`` at least 1."""
     if not 0 < run["dt"] < np.inf:
         raise ConfigError(f"{where}: [run] dt must be > 0 and finite, got {run['dt']}")
     if not run["tmax"] > 0:
         raise ConfigError(f"{where}: [run] tmax must be > 0, got {run['tmax']}")
+    if run["seed"] < 0:
+        raise ConfigError(f"{where}: [run] seed must be >= 0, got {run['seed']}")
     for key in ("replicates", "seed_infected"):
         if run[key] < 1:
             raise ConfigError(f"{where}: [run] {key} must be >= 1, got {run[key]}")
@@ -336,14 +338,14 @@ def run_replicate(
     """One deterministic replicate; all randomness derives from (master, i)."""
     ss = np.random.SeedSequence([master_seed, replicate])
     vacc_ss, init_ss, run_ss = ss.spawn(3)
-    vaccinated: set[int] = set()
+    vaccinated = np.empty(0, dtype=np.int64)
     if vaccination is not None:
         vaccinated = vaccinate(g, vaccination, seed=np.random.default_rng(vacc_ss))
-    candidates = np.setdiff1d(np.arange(g.n), np.array(sorted(vaccinated), dtype=np.int64))
+    candidates = np.setdiff1d(np.arange(g.n), vaccinated)
     if len(candidates) < seed_infected:
         raise ValueError("not enough unvaccinated nodes to seed the infection")
     init_rng = np.random.default_rng(init_ss)
-    init = set(map(int, init_rng.choice(candidates, size=seed_infected, replace=False)))
+    init = init_rng.choice(candidates, size=seed_infected, replace=False)
     return run(
         g,
         worm,

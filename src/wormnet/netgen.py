@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import DegreeDistribution, Graph, _simple_split
+from .graph import Graph, _simple_split
 
 
 class GenerationError(RuntimeError):
@@ -35,7 +35,7 @@ class NetworkSpec:
 
     * ``complete``: n
     * ``multimodal``: n, peaks (list of ``(degree, weight)``)
-    * ``configmodel``: degrees (explicit sequence) or distribution, directed
+    * ``configmodel``: degrees (a tuple of ints, so that specs compare and hash), directed
     * ``powerlaw``: n, alpha, k_min, k_max, directed
     """
 
@@ -44,7 +44,6 @@ class NetworkSpec:
     seed: int = 0
     peaks: tuple[tuple[int, float], ...] | None = None
     degrees: tuple[int, ...] | None = None
-    distribution: DegreeDistribution | None = None
     directed: bool = False
     alpha: float | None = None
     k_min: int | None = None
@@ -57,6 +56,8 @@ class NetworkSpec:
             raise ValueError(f"{self.family} family requires n")
         if self.n < 0:
             raise ValueError("n must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.family == "multimodal":
             if not self.peaks:
                 raise ValueError("multimodal family requires peaks")
@@ -67,9 +68,8 @@ class NetworkSpec:
                 raise ValueError("peak weights must sum to 1")
             if any(d < 0 or d >= self.n for d, _ in self.peaks):
                 raise ValueError("peak degrees must lie in [0, n)")
-        if self.family == "configmodel":
-            if (self.degrees is None) == (self.distribution is None):
-                raise ValueError("configmodel requires exactly one of degrees/distribution")
+        if self.family == "configmodel" and self.degrees is None:
+            raise ValueError("configmodel family requires degrees")
         if self.family == "powerlaw":
             if self.alpha is None or self.alpha <= 1:
                 raise ValueError("powerlaw requires alpha > 1")
@@ -313,11 +313,5 @@ def build_network(spec: NetworkSpec) -> Graph:
     if spec.family == "multimodal":
         return build_multimodal(spec.n, spec.peaks, spec.seed)
     if spec.family == "configmodel":
-        degrees = spec.distribution.to_sequence() if spec.degrees is None else spec.degrees
-        return build_configuration_model(degrees, directed=spec.directed, seed=spec.seed)
+        return build_configuration_model(spec.degrees, directed=spec.directed, seed=spec.seed)
     return build_powerlaw(spec.n, spec.alpha, spec.k_min, spec.k_max, spec.seed, spec.directed)
-
-
-def degree_distribution(g: Graph, kind: str = "total") -> DegreeDistribution:
-    """Histogram of node degrees of a graph (in/out/total for directed)."""
-    return DegreeDistribution.from_degrees(g.degrees(kind))

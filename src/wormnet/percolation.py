@@ -6,7 +6,7 @@ critical fraction f_c is the smallest vaccinated fraction that drives the
 largest component below a cutoff ``s_min`` of the original node count.
 
 Two routes are provided: an empirical Monte-Carlo bisection on an actual
-graph, and the analytical criterion on a degree distribution (configuration
+graph, and the analytical criterion on a degree sequence (configuration
 model assumption).
 """
 
@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .graph import DegreeDistribution, Graph
+from .graph import Graph
 
 RANDOM = "random"
 TARGETED = "targeted"
@@ -64,17 +64,16 @@ def _degree_order(g: Graph) -> np.ndarray:
     return np.lexsort((np.arange(g.n), -g.degrees("total")))
 
 
-def vaccinate(g: Graph, strategy: VaccinationStrategy, seed: int = 0) -> set[int]:
-    """Pick round(f * n) nodes to immunize.
+def vaccinate(g: Graph, strategy: VaccinationStrategy, seed: int = 0) -> np.ndarray:
+    """The sorted int64 ids of round(f * n) nodes to immunize.
 
     Random: uniform without replacement.  Targeted: the highest-degree nodes
     (total degree for directed graphs), ties broken by ascending node id.
     """
     k = _target_count(strategy.fraction, g.n)
     if strategy.kind == RANDOM:
-        rng = np.random.default_rng(seed)
-        return set(map(int, rng.choice(g.n, size=k, replace=False)))
-    return set(map(int, _degree_order(g)[:k]))
+        return np.sort(np.random.default_rng(seed).choice(g.n, size=k, replace=False))
+    return np.sort(_degree_order(g)[:k])
 
 
 # csgraph labels nodes with int32, so node and edge counts must fit in it.
@@ -204,8 +203,9 @@ def empirical_threshold(
     )
 
 
-def analytical_threshold(dist: DegreeDistribution, kind: str) -> ThresholdResult:
-    """Percolation threshold from degree moments (configuration model).
+def analytical_threshold(degrees, kind: str) -> ThresholdResult:
+    """Percolation threshold of the degree sequence ``degrees`` (configuration
+    model; any order).
 
     Random: f_c = 1 - <k> / (<k^2> - <k>), clamped to [0, 1].  Targeted:
     smallest removed top-degree mass whose residual distribution fails the
@@ -214,47 +214,38 @@ def analytical_threshold(dist: DegreeDistribution, kind: str) -> ThresholdResult
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown strategy kind {kind!r}")
-    if dist.mean() <= 0:
-        raise ValueError("distribution must have mean degree > 0")
+    degrees = np.asarray(degrees, dtype=np.int64)
+    if (degrees < 0).any() or not degrees.any():
+        raise ValueError("degree sequence must be non-negative with mean degree > 0")
+    # Degree classes k with counts c, as Python ints so that every sum is exact.
+    ks, cs = np.unique(degrees, return_counts=True)
+    ks, cs = ks.astype(object), cs.astype(object)
+    n, s1, s2 = len(degrees), ks @ cs, (ks * ks) @ cs
 
     if kind == RANDOM:
-        k1 = dist.mean()
-        k2 = dist.second_moment()
-        denom = k2 - k1
-        if denom <= 0:
-            f_c = 0.0
-        else:
-            f_c = 1.0 - k1 / denom
+        k1, k2 = s1 / n, s2 / n
+        f_c = 0.0 if k2 - k1 <= 0 else 1.0 - k1 / (k2 - k1)
         f_c = min(max(f_c, 0.0), 1.0)
     else:
-        f_c = _targeted_analytical(dist)
+        f_c = _targeted_analytical(ks[::-1], cs[::-1], s1, s2, n)
 
     return ThresholdResult(
         f_c=f_c, method="analytical", kind=kind, s_min=None, trials=0, ci_halfwidth=0.0
     )
 
 
-def _targeted_analytical(dist: DegreeDistribution) -> float:
-    # Scan cut-degree candidates from the top; within the boundary class the
-    # removed fraction x solves the (linear) criterion exactly.
-    items = sorted(((k, c) for k, c in dist.counts.items() if c), reverse=True)
-    s1 = sum(k * c for k, c in items)
-    s2 = sum(k * k * c for k, c in items)
-    n = dist.n
-    removed = 0.0
-    for k, c in items:
-        below1 = s1 - k * c
-        below2 = s2 - k * k * c
-        # residual with fraction x of this class removed:
-        #   (below2 - 2*below1) + (1 - x) * (k^2 - 2k) * c <= 0
-        base = below2 - 2.0 * below1
-        coef = (k * k - 2.0 * k) * c
-        if base + coef <= 0:  # x = 0 already subcritical
-            return min(removed / n, 1.0)
-        if coef > 0 and base <= 0:
-            # criterion first met for x in (0, 1]: solve base + (1-x)coef = 0
-            x = 1.0 + base / coef
-            return min((removed + x * c) / n, 1.0)
-        removed += c
-        s1, s2 = below1, below2
-    return 1.0
+def _targeted_analytical(ks, cs, s1: int, s2: int, n: int) -> float:
+    """Cut the degree classes ``(ks, cs)``, highest k first.  With the classes
+    above k removed and a fraction x of class k, the residual criterion reads
+    (below2 - 2 below1) + (1 - x)(k^2 - 2k)c <= 0, where below1 and below2 sum
+    k and k^2 over the classes below k.  f_c is set by the first class where it
+    holds at x = 0, or is first met for some x in (0, 1].  The last class
+    always qualifies: nothing is below it, so base = 0."""
+    below1 = s1 - np.cumsum(ks * cs)
+    below2 = s2 - np.cumsum(ks * ks * cs)
+    base = (below2 - 2.0 * below1).astype(float)
+    coef = ((ks * ks - 2.0 * ks) * cs).astype(float)
+    subcritical = base + coef <= 0
+    i = int(np.argmax(subcritical | ((coef > 0) & (base <= 0))))
+    x = 0.0 if subcritical[i] else 1.0 + base[i] / coef[i]
+    return min(float((cs[:i].sum() + x * cs[i]) / n), 1.0)

@@ -14,7 +14,6 @@ import pytest
 
 from wormnet import harness, presets
 from wormnet.epidemic import WormBehavior, growth_rate, run
-from wormnet.graph import DegreeDistribution
 from wormnet.netgen import build_configuration_model, build_network
 from wormnet.percolation import (
     RANDOM,
@@ -95,7 +94,7 @@ def test_criterion_3_targeted_much_cheaper_than_random():
     rnd = res.f_c
     degrees = g.degrees()
     homogeneous = 1.0 - 1.0 / float(degrees.mean())
-    analytic = analytical_threshold(DegreeDistribution.from_degrees(degrees), RANDOM).f_c
+    analytic = analytical_threshold(degrees, RANDOM).f_c
     separation = 0.9 / 0.15
     ok = (
         tgt <= 0.15
@@ -122,9 +121,7 @@ def test_criterion_4_analytical_empirical_agreement():
     ok = True
     for name, degrees, graph_seed in cases:
         g = build_configuration_model(degrees, seed=graph_seed)
-        analytic = analytical_threshold(
-            DegreeDistribution.from_degrees(degrees), RANDOM
-        ).f_c
+        analytic = analytical_threshold(degrees, RANDOM).f_c
         empirical = empirical_threshold(g, RANDOM, s_min=0.02, trials=20, seed=0).f_c
         gap = abs(empirical - analytic)
         ok = ok and gap <= 0.05

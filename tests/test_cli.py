@@ -58,8 +58,15 @@ class TestGenerate:
          "bad value '2:0.5,6' for key 'peaks'"),
         (["--preset", "net-d", "--alpha", "3.5", "--directed", "--n", "300"],
          "[network] preset does not take ['alpha', 'directed']"),
+        (["--family", "complete", "--n", "5", "--seed", "-1"],
+         "[network] seed must be >= 0, got -1"),
+        (["--preset", "net-a", "--seed", "-1"], "[network] seed must be >= 0, got -1"),
+        (["--family", "configmodel", "--degree-histogram", "{tmp}/h.hist"],
+         "h.hist:2: counts sum past 3037000497, the most a Graph can hold"),
     ])
     def test_bad_network_is_one_line_error(self, tmp_path, capsys, argv, message):
+        (tmp_path / "h.hist").write_text("1 4\n3 10000000000000\n")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
         rc = main(["generate", *argv, "--out", str(tmp_path / "x.edges")])
         assert rc == 1
         err = capsys.readouterr().err
@@ -130,6 +137,7 @@ class TestSimulate:
         (["--rate", "5", "--dt", "inf"], "dt must be > 0 and finite"),
         (["--rate", "5", "--tmax", "nan"], "[run] tmax must be > 0"),
         (["--rate", "5", "--seed-infected", "0"], "[run] seed_infected must be >= 1, got 0"),
+        (["--rate", "5", "--seed", "-3"], "[run] seed must be >= 0, got -3"),
     ])
     def test_nan_or_inf_is_one_line_error(self, tmp_path, capsys, argv, message):
         graph = _generate(tmp_path)
@@ -179,6 +187,20 @@ class TestThreshold:
         fields = out.read_text().splitlines()[1].split(",")
         assert fields[2] == "analytical"
         assert fields[3] == ""  # no s_min for the analytical route
+
+    @pytest.mark.parametrize("content", ["undirected\n", "directed 4\n"])
+    @pytest.mark.parametrize("strategy", ["random", "targeted"])
+    def test_analytical_on_graph_without_edges_is_one_line_error(
+            self, tmp_path, capsys, content, strategy):
+        graph = tmp_path / "empty.edges"
+        graph.write_text(content)
+        out = tmp_path / "thr.csv"
+        rc = main(["threshold", "--graph", str(graph), "--strategy", strategy,
+                   "--method", "analytical", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "wormnet: error: degree sequence must be non-negative with mean degree > 0\n"
+        assert not out.exists()
 
 
 class TestThrottleDemo:
@@ -258,6 +280,7 @@ seed = 5
 
     @pytest.mark.parametrize("key, value", [
         ("dt", "nan"), ("tmax", "nan"), ("replicates", "0"), ("seed_infected", "0"),
+        ("seed", "-2"),
     ])
     def test_bad_run_setting_fails_before_writing(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "bad.cfg"

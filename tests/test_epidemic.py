@@ -106,13 +106,16 @@ class TestTimeSeries:
         assert str(err.value) == f"{p}:1: unexpected CSV header 'tick,t,s,i'"
 
     @pytest.mark.parametrize("row", ["1,0.1,9", "1,0.1,9,1,0,0,x", "1,0.1,9,1,0,0,0,0",
-                                     "1,nan,-5,15,0,0,0", "1,inf,9,1,0,0,0", "1,0.1,9,1,0,-1,0"])
+                                     "1,nan,-5,15,0,0,0", "1,inf,9,1,0,0,0", "1,0.1,9,1,0,-1,0",
+                                     None])
     def test_bad_row_names_path_and_line(self, tmp_path, row):
+        # row None: a header and no rows at all
         p = tmp_path / "rep_000.csv"
-        p.write_text(f"{CSV_HEADER}\n0,0,9,1,0,0,0\n{row}\n")
+        p.write_text(f"{CSV_HEADER}\n" + ("" if row is None else f"0,0,9,1,0,0,0\n{row}\n"))
         with pytest.raises(ParseError) as err:
             TimeSeries.from_csv(p)
-        assert str(err.value) == f"{p}:3: bad row {row!r}"
+        message = "2: no rows after the header" if row is None else f"3: bad row {row!r}"
+        assert str(err.value) == f"{p}:{message}"
 
     def test_columns(self):
         ts = _series([1, 2], 10)
@@ -175,6 +178,9 @@ class TestRunInvariants:
         (dict(t_max=-1.0), "t_max must be > 0"),
         (dict(init_infected={5}), "node id 5 out of range"),
         (dict(init_infected={0}, vaccinated={-1}), "node id -1 out of range"),
+        # the smallest bad id, not the first that set iteration reaches (9 here)
+        (dict(init_infected={9, 6, 5}), "node id 5 out of range"),
+        (dict(init_infected=np.array([7, 0]), vaccinated=[-4, 6, -2]), "node id -4 out of range"),
         (dict(t_max=float("nan")), "t_max must be > 0"),
         (dict(dt=float("nan")), "dt must be > 0 and finite"),
         (dict(dt=float("inf")), "dt must be > 0 and finite"),

@@ -173,3 +173,44 @@ def test_threshold_csv(tmp_path, strategy):
                "--out", str(out)])
     assert rc == 0
     assert _sha(out.read_bytes()) == THRESHOLDS[strategy]
+
+
+ANALYTICAL_THRESHOLDS = {
+    "random": ("2c3059f7be5bb70c751df0d674133b8972d217790906cdda97edf8400363a519",
+               "random,0.8431165726,analytical,,0,0"),
+    "targeted": ("80804a2749eeffe35d6bbc608a47e8c74402a2ff10fe98b4511a4e171513051d",
+                 "targeted,0.0277875,analytical,,0,0"),
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(ANALYTICAL_THRESHOLDS))
+def test_analytical_threshold_csv(tmp_path, strategy):
+    graph = tmp_path / "net-d.edges"
+    write_edge_list(build_network(presets.preset("net-d")), graph)
+    out = tmp_path / "thr.csv"
+    rc = main(["threshold", "--graph", str(graph), "--strategy", strategy,
+               "--method", "analytical", "--out", str(out)])
+    assert rc == 0
+    digest, row = ANALYTICAL_THRESHOLDS[strategy]
+    assert out.read_text().splitlines()[1] == row
+    assert _sha(out.read_bytes()) == digest
+
+
+# A histogram with unsorted keys and a class of isolated nodes.
+HISTOGRAM = "1 401\n2 200\n3 120\n7 3\n12 2\n0 5\n"
+CONFIGMODEL_EDGE_LISTS = {
+    "undirected": "67b6292cb85681d3ab62abf9094b342b96e0a7f4237ddf60dbc0bedf3b0e3959",
+    "directed": "6539b98ccdfaf394a93b4e320dc22798c8de7fb524102ce3700fb84c83945fd9",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIGMODEL_EDGE_LISTS))
+def test_configmodel_from_histogram_edge_list(tmp_path, kind):
+    hist = tmp_path / "degrees.hist"
+    hist.write_text(HISTOGRAM)
+    out = tmp_path / "cm.edges"
+    directed = ["--directed"] if kind == "directed" else []
+    rc = main(["generate", "--family", "configmodel", "--degree-histogram", str(hist),
+               "--seed", "4", *directed, "--out", str(out)])
+    assert rc == 0
+    assert _sha(out.read_bytes()) == CONFIGMODEL_EDGE_LISTS[kind]

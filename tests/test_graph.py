@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wormnet.graph import (
-    DegreeDistribution,
     MAX_NODES,
     EdgeError,
     Graph,
@@ -78,6 +77,8 @@ def _read_degree_histogram_oracle(path):
             raise ParseError(path, lineno, "negative")
         if k in counts:
             raise ParseError(path, lineno, "duplicate degree")
+        if sum(counts.values()) + c > MAX_NODES:
+            raise ParseError(path, lineno, "counts sum past")
         counts[k] = c
     return counts
 
@@ -115,8 +116,11 @@ def _graph_view(g):
     return n, directed, [list(e) for e in edges]
 
 
-def _counts_view(d):
-    return list((d.counts if isinstance(d, DegreeDistribution) else d).items())
+def _sequence_view(d):
+    """A degree sequence, or the sorted sequence of a {k: count} dict."""
+    if isinstance(d, dict):
+        return [k for k in sorted(d) for _ in range(d[k])]
+    return d.tolist()
 
 
 # Inputs whose tokens, separators, line ends or layout numpy's bulk parse and
@@ -278,39 +282,24 @@ class TestGraph:
                 mine[:1] = 0
 
 
-class TestDegreeDistribution:
-    def test_counts_must_sum_to_n(self):
-        with pytest.raises(ValueError):
-            DegreeDistribution({1: 2}, 3)
-
-    def test_fractions_sum_to_one(self):
-        d = DegreeDistribution({1: 3, 5: 7}, 10)
-        assert abs(sum(d.fractions().values()) - 1.0) < 1e-12
-
-    def test_moments(self):
-        d = DegreeDistribution({2: 500, 6: 500}, 1000)
-        assert d.mean() == pytest.approx(4.0)
-        assert d.second_moment() == pytest.approx(20.0)
-
-    def test_to_sequence_roundtrip(self):
-        d = DegreeDistribution({0: 1, 3: 2}, 3)
-        assert d.to_sequence().tolist() == [0, 3, 3]
-
+class TestCumulativeDistribution:
     def test_cumulative_properties(self):
-        d = DegreeDistribution({0: 2, 2: 5, 7: 3}, 10)
-        cum = cumulative_distribution(d)
+        degrees = np.array([7, 2, 0, 2, 7, 2, 0, 2, 7, 2])
+        cum = cumulative_distribution(degrees)
         assert cum[0] == 1.0
         ks = sorted(cum)
+        assert ks == list(range(9))
         assert all(cum[a] >= cum[b] for a, b in zip(ks, ks[1:]))
-        p = d.fractions()
         for k in range(max(ks)):
-            assert cum[k] - cum[k + 1] == pytest.approx(p.get(k, 0.0), abs=1e-12)
+            assert cum[k] - cum[k + 1] == pytest.approx(np.mean(degrees == k), abs=1e-12)
 
     def test_cumulative_triangle(self):
-        d = DegreeDistribution({2: 3}, 3)
-        cum = cumulative_distribution(d)
+        cum = cumulative_distribution([2, 2, 2])
         assert cum[2] == 1.0
         assert cum[3] == 0.0
+
+    def test_cumulative_of_empty_sequence(self):
+        assert cumulative_distribution([]) == {0: 0.0, 1: 0.0}
 
 
 class TestEdgeListFiles:
@@ -454,10 +443,24 @@ class TestEdgeListFiles:
 
 class TestHistogramFiles:
     def test_roundtrip(self, tmp_path):
-        d = DegreeDistribution({1: 4, 3: 2, 9: 1}, 7)
+        degrees = np.array([9, 1, 3, 1, 1, 3, 1])
         p = tmp_path / "h.hist"
-        write_degree_histogram(d, p)
-        assert read_degree_histogram(p).counts == d.counts
+        write_degree_histogram(degrees, p)
+        assert p.read_text() == "1 4\n3 2\n9 1\n"
+        back = read_degree_histogram(p)
+        assert back.dtype == np.int64
+        assert back.tolist() == sorted(degrees.tolist())
+
+    @pytest.mark.parametrize("content, lineno", [
+        ("3 10000000000000\n", 1),
+        (f"1 5\n2 {MAX_NODES - 5}\n3 1\nfoo\n", 3),
+    ])
+    def test_counts_past_max_nodes_name_their_line(self, tmp_path, content, lineno):
+        p = tmp_path / "h.hist"
+        p.write_text(content)
+        with pytest.raises(ParseError, match=f"counts sum past {MAX_NODES}") as err:
+            read_degree_histogram(p)
+        assert err.value.lineno == lineno
 
     def test_duplicate_degree_key(self, tmp_path):
         p = tmp_path / "h.hist"
@@ -487,7 +490,7 @@ class TestHistogramFiles:
         p.write_text("\n".join(lines) + "\n")
         kind, expected = _oracle_outcome(_read_degree_histogram_oracle, p)
         if kind == "ok":
-            assert list(read_degree_histogram(p).counts.items()) == list(expected.items())
+            assert read_degree_histogram(p).tolist() == _sequence_view(expected)
             return
         lineno, word = expected
         with pytest.raises(ParseError, match=word) as err:
@@ -498,4 +501,4 @@ class TestHistogramFiles:
         c.format(h="# header") for c in _TOKEN_CASES] + ["1 5\n2 9223372036854775808\n"])
     def test_token_and_layout_cases_agree_with_per_line_oracle(self, tmp_path, content):
         _assert_agrees_with_oracle(tmp_path, content, _read_degree_histogram_oracle,
-                                   read_degree_histogram, _counts_view)
+                                   read_degree_histogram, _sequence_view)

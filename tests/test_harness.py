@@ -121,6 +121,7 @@ class TestLoadConfig:
         ("tmax = -1", "[run] tmax must be > 0, got -1.0"),
         ("replicates = 0", "[run] replicates must be >= 1, got 0"),
         ("seed_infected = 0", "[run] seed_infected must be >= 1, got 0"),
+        ("seed = -2", "[run] seed must be >= 0, got -2"),
     ])
     def test_bad_run_setting_is_config_error(self, tmp_path, line, message):
         key = line.split(" = ")[0]

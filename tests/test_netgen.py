@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wormnet.graph import DegreeDistribution, Graph, _simple_split
+from wormnet.graph import Graph, _simple_split, read_degree_histogram
 from wormnet.netgen import (
     FAMILIES,
     GenerationError,
@@ -16,7 +16,6 @@ from wormnet.netgen import (
     build_multimodal,
     build_network,
     build_powerlaw,
-    degree_distribution,
     sample_powerlaw_degrees,
     _check_digraphic,
     _check_graphical,
@@ -75,15 +74,18 @@ class TestNetworkSpec:
         with pytest.raises(ValueError, match="lie in"):
             NetworkSpec("multimodal", 5, peaks=((5, 1.0),))
 
-    def test_configmodel_needs_exactly_one_source(self):
-        with pytest.raises(ValueError, match="exactly one"):
+    def test_configmodel_requires_degrees(self):
+        with pytest.raises(ValueError, match="configmodel family requires degrees"):
             NetworkSpec("configmodel", 3)
-        with pytest.raises(ValueError, match="exactly one"):
-            NetworkSpec(
-                "configmodel", 3,
-                degrees=(1, 1, 0),
-                distribution=DegreeDistribution({1: 2, 0: 1}, 3),
-            )
+
+    @pytest.mark.parametrize("family, kwargs", [
+        ("complete", {}),
+        ("configmodel", {"degrees": (1, 1, 0)}),
+        ("powerlaw", {"alpha": 2.0, "k_min": 1, "k_max": 2}),
+    ])
+    def test_negative_seed_rejected(self, family, kwargs):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            NetworkSpec(family, 3, seed=-1, **kwargs)
 
     def test_powerlaw_parameter_validation(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -363,20 +365,17 @@ class TestBuildNetwork:
         }[family]
         assert build_network(spec) == build_network(spec)
 
-    def test_configmodel_from_distribution(self):
-        dist = DegreeDistribution({2: 10, 4: 5}, 15)
-        g = build_network(NetworkSpec("configmodel", 15, distribution=dist))
-        assert sorted(g.degrees().tolist()) == sorted(dist.to_sequence().tolist())
+    def test_configmodel_from_histogram(self, tmp_path):
+        p = tmp_path / "h.hist"
+        p.write_text("4 5\n2 10\n")
+        degrees = read_degree_histogram(p)
+        g = build_network(NetworkSpec("configmodel", len(degrees), degrees=tuple(degrees.tolist())))
+        assert sorted(g.degrees().tolist()) == [2] * 10 + [4] * 5
 
     @pytest.mark.parametrize("source", [
         {"degrees": (1, 1, 1, 0)},
-        {"distribution": DegreeDistribution({1: 3, 2: 1}, 4)},
     ])
     def test_configmodel_odd_explicit_sum_rejected_not_edited(self, source):
         spec = NetworkSpec("configmodel", 4, **source)
         with pytest.raises(ValueError, match="sum must be even, got [35]"):
             build_network(spec)
-
-    def test_degree_distribution_of_graph(self):
-        g = build_complete(6)
-        assert degree_distribution(g).counts == {5: 6}

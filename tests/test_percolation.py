@@ -8,7 +8,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from wormnet import percolation
-from wormnet.graph import DegreeDistribution, Graph
+from wormnet.graph import Graph
 from wormnet.netgen import build_complete, build_configuration_model
 from wormnet.percolation import (
     RANDOM,
@@ -210,7 +210,15 @@ class TestVaccinate:
         g = Graph(5, False, [(0, 1), (0, 2), (0, 3), (1, 2)])
         # degrees: 3, 2, 2, 1, 0 -> top-3 are 0, then 1 before 2 (tie by id)
         chosen = vaccinate(g, VaccinationStrategy(TARGETED, 0.6))
-        assert chosen == {0, 1, 2}
+        assert chosen.tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("kind", [RANDOM, TARGETED])
+    def test_ids_are_sorted_int64(self, kind):
+        g = Graph(6, False, [(4, 5), (3, 5), (3, 4), (2, 5), (1, 2)])
+        chosen = vaccinate(g, VaccinationStrategy(kind, 0.5), seed=3)
+        assert chosen.dtype == np.int64
+        assert chosen.tolist() == sorted(set(chosen.tolist()))
+        assert len(chosen) == 3
 
     def test_count_is_rounded(self):
         g = build_complete(10)
@@ -220,7 +228,7 @@ class TestVaccinate:
     def test_random_is_seeded(self):
         g = build_complete(30)
         s = VaccinationStrategy(RANDOM, 0.5)
-        assert vaccinate(g, s, seed=7) == vaccinate(g, s, seed=7)
+        assert np.array_equal(vaccinate(g, s, seed=7), vaccinate(g, s, seed=7))
 
     def test_strategy_validation(self):
         with pytest.raises(ValueError):
@@ -229,42 +237,97 @@ class TestVaccinate:
             VaccinationStrategy(RANDOM, 1.5)
 
 
+def _sequence(counts):
+    """The degree sequence with ``counts[k]`` entries equal to k."""
+    return np.repeat(list(counts), list(counts.values()))
+
+
+def _analytical_oracle(counts, kind):
+    """The analytical f_c of the histogram ``counts``, one degree class at a
+    time with Python ints, as the moments were computed before the degree
+    sequence became the only form of a distribution."""
+    n = sum(counts.values())
+    s1 = sum(k * c for k, c in counts.items())
+    s2 = sum(k * k * c for k, c in counts.items())
+    if kind == RANDOM:
+        k1, k2 = s1 / n, s2 / n
+        denom = k2 - k1
+        return min(max(0.0 if denom <= 0 else 1.0 - k1 / denom, 0.0), 1.0)
+    removed = 0.0
+    for k, c in sorted(((k, c) for k, c in counts.items() if c), reverse=True):
+        below1, below2 = s1 - k * c, s2 - k * k * c
+        base = below2 - 2.0 * below1
+        coef = (k * k - 2.0 * k) * c
+        if base + coef <= 0:
+            return min(removed / n, 1.0)
+        if coef > 0 and base <= 0:
+            return min((removed + (1.0 + base / coef) * c) / n, 1.0)
+        removed += c
+        s1, s2 = below1, below2
+    raise AssertionError("the smallest class always ends the scan")
+
+
 class TestAnalyticalThreshold:
     def test_random_three_regular(self):
-        dist = DegreeDistribution({3: 1000}, 1000)
-        assert analytical_threshold(dist, RANDOM).f_c == pytest.approx(0.5)
+        assert analytical_threshold([3] * 1000, RANDOM).f_c == pytest.approx(0.5)
 
     def test_random_two_point_mixture(self):
         # mean 4, second moment 20 -> f_c = 1 - 4/16 = 0.75
-        dist = DegreeDistribution({2: 500, 6: 500}, 1000)
-        assert analytical_threshold(dist, RANDOM).f_c == pytest.approx(0.75)
+        degrees = _sequence({2: 500, 6: 500})
+        assert analytical_threshold(degrees, RANDOM).f_c == pytest.approx(0.75)
 
     def test_random_subcritical_distribution(self):
         # <k^2> - <k> <= 0: no giant component even without vaccination
-        dist = DegreeDistribution({1: 10}, 10)
-        assert analytical_threshold(dist, RANDOM).f_c == 0.0
+        assert analytical_threshold([1] * 10, RANDOM).f_c == 0.0
 
     def test_targeted_star(self):
         # hub degree 4 with 4 leaves: removing half the hub class suffices
-        dist = DegreeDistribution({1: 4, 4: 1}, 5)
-        assert analytical_threshold(dist, TARGETED).f_c == pytest.approx(0.1)
+        degrees = _sequence({1: 4, 4: 1})
+        assert analytical_threshold(degrees, TARGETED).f_c == pytest.approx(0.1)
 
     def test_targeted_subcritical_distribution(self):
         # <k^2> - 2<k> <= 0 before any removal: nothing needs vaccinating
-        dist = DegreeDistribution({1: 10}, 10)
-        assert analytical_threshold(dist, TARGETED).f_c == 0.0
+        assert analytical_threshold([1] * 10, TARGETED).f_c == 0.0
+
+    def test_targeted_subcritical_with_a_hub(self):
+        # sum k^2 - 2 sum k = 19 - 26 <= 0 although the top class has k^2 > 2k
+        assert analytical_threshold(_sequence({3: 1, 1: 10}), TARGETED).f_c == 0.0
 
     def test_targeted_below_random_on_heavy_tail(self):
-        dist = DegreeDistribution({1: 700, 2: 200, 10: 80, 50: 20}, 1000)
-        tgt = analytical_threshold(dist, TARGETED).f_c
-        rnd = analytical_threshold(dist, RANDOM).f_c
+        degrees = _sequence({1: 700, 2: 200, 10: 80, 50: 20})
+        tgt = analytical_threshold(degrees, TARGETED).f_c
+        rnd = analytical_threshold(degrees, RANDOM).f_c
         assert tgt < rnd
 
     def test_result_fields(self):
-        dist = DegreeDistribution({3: 10}, 10)
-        res = analytical_threshold(dist, RANDOM)
+        res = analytical_threshold([3] * 10, RANDOM)
         assert res.method == "analytical"
         assert res.s_min is None
+
+    @pytest.mark.parametrize("degrees", [[], [0, 0, 0], [2, -1, 3]])
+    @pytest.mark.parametrize("kind", [RANDOM, TARGETED])
+    def test_empty_zero_or_negative_degrees_rejected(self, degrees, kind):
+        with pytest.raises(ValueError, match="mean degree > 0"):
+            analytical_threshold(degrees, kind)
+
+    @pytest.mark.parametrize("kind", [RANDOM, TARGETED])
+    def test_huge_degrees_sum_exactly(self, kind):
+        # k^2 c passes 2**63 here, so int64 moment sums would wrap
+        counts = {1: 3, 2**32: 2, 3 * 2**31: 1}
+        f_c = analytical_threshold(_sequence(counts), kind).f_c
+        assert repr(f_c) == repr(_analytical_oracle(counts, kind))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.integers(0, 60), st.integers(0, 40), min_size=1, max_size=8),
+           st.sampled_from([RANDOM, TARGETED]), st.randoms(use_true_random=False))
+    def test_agrees_with_per_class_oracle_to_the_bit(self, counts, kind, rnd):
+        degrees = _sequence(counts)
+        if degrees.sum() == 0:
+            return
+        rnd.shuffle(degrees)
+        f_c = analytical_threshold(degrees, kind).f_c
+        assert type(f_c) is float
+        assert repr(f_c) == repr(_analytical_oracle(counts, kind))
 
 
 class TestEmpiricalThreshold:
