@@ -28,7 +28,6 @@ from .epidemic import (
     WormBehavior,
     growth_rate,
     run,
-    slowdown_factor,
     time_to_fraction,
 )
 from .throttle import ThrottleConfig, ThrottleState, process_trace
@@ -57,7 +56,6 @@ __all__ = [
     "process_trace",
     "run",
     "sample_powerlaw_degrees",
-    "slowdown_factor",
     "time_to_fraction",
     "vaccinate",
 ]

@@ -8,7 +8,7 @@ import math
 import sys
 
 from . import harness, presets
-from .graph import ParseError, read_edge_list, write_edge_list
+from .graph import ParseError, read_edge_list, write_edge_list, write_text
 from .netgen import FAMILIES, GenerationError, build_network
 from .percolation import analytical_threshold, empirical_threshold
 from .throttle import ThrottleConfig, process_trace
@@ -57,12 +57,9 @@ def _cmd_threshold(args) -> int:
     else:
         result = analytical_threshold(g.degrees(), args.strategy)
     s_min = "" if result.s_min is None else f"{result.s_min:.10g}"
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("strategy,f_c,method,s_min,trials,ci_halfwidth\n")
-        fh.write(
-            f"{result.kind},{result.f_c:.10g},{result.method},{s_min},"
-            f"{result.trials},{result.ci_halfwidth:.10g}\n"
-        )
+    write_text(args.out, "strategy,f_c,method,s_min,trials,ci_halfwidth\n"
+               f"{result.kind},{result.f_c:.10g},{result.method},{s_min},"
+               f"{result.trials},{result.ci_halfwidth:.10g}\n")
     print(f"f_c({result.kind}, {result.method}) = {result.f_c:.4g}")
     return 0
 
@@ -90,10 +87,8 @@ def _cmd_throttle_demo(args) -> int:
         queue_capacity=args.queue_capacity,
     )
     rows = process_trace(events, config)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,dest,decision,delay\n")
-        for t, dest, decision, delay in rows:
-            fh.write(f"{t:.10g},{dest},{decision},{delay:.10g}\n")
+    write_text(args.out, "t,dest,decision,delay\n" + "".join(
+        f"{t:.10g},{dest},{decision},{delay:.10g}\n" for t, dest, decision, delay in rows))
     print(f"wrote {len(rows)} decisions to {args.out}")
     return 0
 
@@ -203,8 +198,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, GenerationError, OSError) as exc:
-        print(f"wormnet: error: {exc}", file=sys.stderr)
+    except (ValueError, GenerationError, OSError, MemoryError) as exc:
+        print(f"wormnet: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, ParseError
+from .graph import Graph, ParseError, int64_array, write_text
 from .throttle import Admitted, ThrottleConfig, ThrottleState
 
 SUSCEPTIBLE, INFECTED, RECOVERED = 0, 1, 2
@@ -81,8 +81,7 @@ class TimeSeries:
         return "\n".join(lines) + "\n"
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv_text())
+        write_text(path, self.to_csv_text())
 
     @classmethod
     def from_csv(cls, path) -> "TimeSeries":
@@ -139,8 +138,8 @@ class Simulation:
     ):
         if not 0 < dt < np.inf:
             raise ValueError("dt must be > 0 and finite")
-        vaccinated = np.unique(np.fromiter(vaccinated, dtype=np.int64))
-        init_infected = np.unique(np.fromiter(init_infected, dtype=np.int64))
+        vaccinated = np.unique(int64_array(vaccinated))
+        init_infected = np.unique(int64_array(init_infected))
         if np.isin(init_infected, vaccinated).any():
             raise ValueError("seed-infected nodes overlap the vaccinated set")
         ids = np.union1d(init_infected, vaccinated)
@@ -392,26 +391,3 @@ def time_to_fraction(ts: TimeSeries, q: float) -> float | None:
     if len(hits) == 0:
         return None
     return float(t[hits[0]])
-
-
-def slowdown_factor(
-    base: TimeSeries,
-    throttled: TimeSeries,
-    q: float = 0.95,
-    method: str = "time",
-) -> float | None:
-    """How much slower the throttled run is than the baseline.
-
-    ``method='time'`` compares times to reach fraction q (None propagates when
-    either run never reaches it); ``method='growth'`` compares early growth
-    rates.
-    """
-    if method == "time":
-        tb = time_to_fraction(base, q)
-        tt = time_to_fraction(throttled, q)
-        if tb is None or tt is None or tb == 0:
-            return None
-        return tt / tb
-    if method == "growth":
-        return growth_rate(base) / growth_rate(throttled)
-    raise ValueError(f"unknown method {method!r}")

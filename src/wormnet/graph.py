@@ -8,6 +8,8 @@ sorted int64 degree sequence; the ``k count`` histogram is only a file format.
 
 from __future__ import annotations
 
+import os
+import stat
 import warnings
 from array import array
 from functools import cached_property
@@ -58,7 +60,7 @@ class Graph:
         self.n = int(n)
         self.directed = bool(directed)
 
-        arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        arr = int64_array(edges)
         if arr.size and (arr.ndim != 2 or arr.shape[1] != 2):
             raise ValueError(f"edges must be pairs, got an array of shape {arr.shape}")
         arr = arr.reshape(-1, 2)
@@ -136,6 +138,12 @@ class Graph:
         return f"Graph(n={self.n}, {kind}, m={self.num_edges})"
 
 
+def int64_array(values) -> np.ndarray:
+    """``values`` as an int64 array: an array passes through (copied only to change
+    its dtype), and any other iterable, a set too, is listed first."""
+    return np.asarray(values if isinstance(values, np.ndarray) else list(values), dtype=np.int64)
+
+
 def _simple_split(n: int, directed: bool, u: np.ndarray, v: np.ndarray):
     """The simple-graph rule over the pairs (u[i], v[i]): return their canonical
     columns (undirected pairs as (min, max)), the stable order that sorts them, and
@@ -175,6 +183,37 @@ def cumulative_distribution(degrees) -> dict[int, float]:
 # ---------------------------------------------------------------------------
 # File formats
 # ---------------------------------------------------------------------------
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 with ``\\n`` line ends; the one writer of every output.
+
+    A new or regular file is replaced whole, through a temporary file beside it
+    (past any symlink): a new file gets the mode ``open`` gives under the umask, an
+    old one keeps its own, and a failed write leaves it unchanged.  A path that is
+    no regular file, such as a FIFO or ``/dev/stdout``, is written in place.
+    """
+    mode = os.stat(path).st_mode if os.path.exists(path) else None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        return
+    target = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(target), f".tmp-{os.urandom(8).hex()}")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        exc.filename = os.fspath(path)  # name the file asked for, not the temporary one
+        raise
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(mode))
+            fh.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
 
 def _content_lines(path):
     """Yield (lineno, stripped_text) for non-comment, non-blank lines."""
@@ -268,9 +307,8 @@ def write_edge_list(g: Graph, path) -> None:
     """Write a graph in canonical edge-list form (sorted, no comments); the
     header carries the node count only when it exceeds max id + 1."""
     n = f" {g.n}" if g.n > int(g.edge_array.max(initial=-1)) + 1 else ""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(("directed" if g.directed else "undirected") + n + "\n")
-        fh.write("%d %d\n" * g.num_edges % tuple(g.edge_array.ravel().tolist()))
+    header = ("directed" if g.directed else "undirected") + n + "\n"
+    write_text(path, header + "%d %d\n" * g.num_edges % tuple(g.edge_array.ravel().tolist()))
 
 
 def read_degree_histogram(path) -> np.ndarray:
@@ -297,5 +335,4 @@ def read_degree_histogram(path) -> np.ndarray:
 def write_degree_histogram(degrees, path) -> None:
     """Write the degree sequence ``degrees`` as sorted ``k count`` lines."""
     ks, counts = np.unique(np.asarray(degrees, dtype=np.int64), return_counts=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(f"{k} {c}\n" for k, c in zip(ks.tolist(), counts.tolist())))
+    write_text(path, "".join(f"{k} {c}\n" for k, c in zip(ks.tolist(), counts.tolist())))

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import presets
 from .epidemic import TimeSeries, WormBehavior, growth_rate, run, time_to_fraction
-from .graph import Graph, _content_lines, read_degree_histogram, read_edge_list
+from .graph import Graph, _content_lines, read_degree_histogram, read_edge_list, write_text
 from .netgen import NetworkSpec, build_network
 from .percolation import VaccinationStrategy, vaccinate
 from .throttle import ThrottleConfig
@@ -65,6 +64,17 @@ _SECTIONS = {
         "seed": int,
         "seed_infected": int,
     },
+}
+
+# The [network] keys that each source uses: a preset, a file, or a family.  Every
+# source but a file takes a seed.
+_NETWORK_KEYS = {
+    "preset": {"preset", "n", "seed"},
+    "file": {"file"},
+    "complete family": {"family", "n", "seed"},
+    "multimodal family": {"family", "n", "peaks", "seed"},
+    "configmodel family": {"family", "degrees_file", "directed", "seed"},
+    "powerlaw family": {"family", "n", "alpha", "k_min", "k_max", "directed", "seed"},
 }
 
 # Fraction of nodes whose first infection time an experiment summarises.
@@ -171,10 +181,10 @@ def with_defaults(section: str, given: dict) -> dict:
 def network_spec(net: dict, where, master: int, open_files: bool = True) -> NetworkSpec | None:
     """The NetworkSpec of a ``[network]`` section, or None when it names a file.
 
-    Exactly one of preset/family/file must be given.  A preset may also set
-    ``n`` and ``seed``, and a file nothing else.  A family's seed
-    defaults to the run's ``master`` seed; ``configmodel`` takes its degrees
-    and n from ``degrees_file``, and every other family requires ``n``.
+    Exactly one of preset/family/file must be given, with only the keys that
+    ``_NETWORK_KEYS`` lists for it.  A family's seed defaults to the run's
+    ``master`` seed; ``configmodel`` takes its degrees and n from
+    ``degrees_file``, and every other family requires ``n``.
     Without ``open_files`` the named files are neither checked nor read, and
     a ``configmodel`` section gives None too.
     """
@@ -183,10 +193,10 @@ def network_spec(net: dict, where, master: int, open_files: bool = True) -> Netw
         raise ConfigError(
             f"{where}: [network] requires exactly one of preset/family/file, got {sources}"
         )
-    allowed = {"preset": {"preset", "n", "seed"}, "file": {"file"}}.get(sources[0])
-    if allowed and net.keys() - allowed:
-        raise ConfigError(f"{where}: [network] {sources[0]} does not take "
-                          f"{sorted(net.keys() - allowed)}")
+    source = f"{net['family']} family" if "family" in net else sources[0]
+    unused = net.keys() - _NETWORK_KEYS.get(source, net.keys())  # an unknown family fails below
+    if unused:
+        raise ConfigError(f"{where}: [network] {source} does not take {sorted(unused)}")
     if "file" in net:
         if open_files and not os.path.exists(net["file"]):
             raise ConfigError(f"{where}: graph file not found: {net['file']}")
@@ -358,19 +368,6 @@ def run_replicate(
     )
 
 
-def _atomic_write(path: str, content: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _format_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -393,7 +390,7 @@ def write_resolved_config(cfg: ExperimentConfig, path: str) -> None:
             lines.append(f"{key} = {_format_value(value)}")
         lines.append("")
     lines.append("# replicate i uses numpy SeedSequence([seed, i])")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def run_experiment(cfg: ExperimentConfig, outdir: str) -> ExperimentResult:
@@ -417,7 +414,7 @@ def run_experiment(cfg: ExperimentConfig, outdir: str) -> ExperimentResult:
             i,
         )
         path = os.path.join(outdir, f"rep_{i:03d}.csv")
-        _atomic_write(path, ts.to_csv_text())
+        ts.to_csv(path)
         paths.append(path)
         series.append(ts)
     result = summarize(outdir, cfg, paths, series)
@@ -428,7 +425,7 @@ def run_experiment(cfg: ExperimentConfig, outdir: str) -> ExperimentResult:
         summary.append(f"{i},{_na(r)},{_na(t)}")
     summary.append(f"mean,{_na(agg['growth_rate_mean'])},{_na(agg['time_to_fraction_mean'])}")
     summary.append(f"std,{_na(agg['growth_rate_std'])},{_na(agg['time_to_fraction_std'])}")
-    _atomic_write(os.path.join(outdir, "summary.csv"), "\n".join(summary) + "\n")
+    write_text(os.path.join(outdir, "summary.csv"), "\n".join(summary) + "\n")
     return result
 
 
@@ -523,4 +520,4 @@ def write_compare_csv(rows: list[dict], path: str) -> None:
         lines.append(
             f"{row['metric']},{_na(row['baseline'])},{_na(row['treated'])},{_na(row['slowdown'])}"
         )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")

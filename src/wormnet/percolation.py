@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .graph import Graph
+from .graph import Graph, int64_array
 
 RANDOM = "random"
 TARGETED = "targeted"
@@ -104,11 +104,8 @@ def giant_component_fraction(g: Graph, removed) -> float:
     _check_int32(g)
     if g.n == 0:
         return 0.0
-    if not isinstance(removed, np.ndarray):
-        removed = np.fromiter(removed, dtype=np.int64)
     keep = np.ones(g.n, dtype=bool)
-    if len(removed):
-        keep[removed] = False
+    keep[int64_array(removed)] = False
     # The removed nodes rank first, then the kept ones in id order.
     order = np.concatenate([np.flatnonzero(~keep), np.flatnonzero(keep)])
     return _level_fraction(_rank_csr(g, order), g.n - int(np.count_nonzero(keep)), g.n)
@@ -162,6 +159,8 @@ def empirical_threshold(
         raise ValueError("s_min must lie in (0, 1)")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if kind not in _KINDS:
         raise ValueError(f"unknown strategy kind {kind!r}")
     if g.n == 0:

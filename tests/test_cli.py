@@ -1,4 +1,7 @@
+import os
 import re
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -73,6 +76,25 @@ class TestGenerate:
         assert err.startswith("wormnet: error:")
         assert len(err.strip().splitlines()) == 1
         assert message in err
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 2.98 GiB for an array"),
+         "wormnet: error: Unable to allocate 2.98 GiB for an array\n"),
+        (MemoryError(), "wormnet: error: MemoryError\n"),
+    ])
+    def test_out_of_memory_is_one_line_error(self, tmp_path, capsys, monkeypatch,
+                                             error, message):
+        def read_degree_histogram(path):
+            raise error
+
+        monkeypatch.setattr("wormnet.harness.read_degree_histogram", read_degree_histogram)
+        (tmp_path / "h.hist").write_text("3 4\n")
+        out = tmp_path / "x.edges"
+        rc = main(["generate", "--family", "configmodel",
+                   "--degree-histogram", str(tmp_path / "h.hist"), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -202,6 +224,15 @@ class TestThreshold:
         assert err == "wormnet: error: degree sequence must be non-negative with mean degree > 0\n"
         assert not out.exists()
 
+    def test_negative_seed_is_one_line_error(self, tmp_path, capsys):
+        graph = _generate(tmp_path)
+        out = tmp_path / "thr.csv"
+        rc = main(["threshold", "--graph", str(graph), "--strategy", "random",
+                   "--seed", "-1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "wormnet: error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
 
 class TestThrottleDemo:
     def test_golden_trace(self, tmp_path):
@@ -277,6 +308,48 @@ seed = 5
         assert lines[0] == "metric,baseline,treated,slowdown"
         printed = capsys.readouterr().out
         assert "growth_rate" in printed
+
+    def test_outputs_get_umask_mode_and_symlinks_are_kept(self, tmp_path, monkeypatch):
+        old_umask = os.umask(0o022)
+        try:
+            monkeypatch.chdir(tmp_path)
+            graph = _generate(tmp_path)
+            assert main(["simulate", "--graph", str(graph), "--targeting", "scan",
+                         "--rate", "1", "--tmax", "1", "--out", "run.csv"]) == 0
+            assert main(["threshold", "--graph", str(graph), "--strategy", "targeted",
+                         "--out", "thr.csv"]) == 0
+            self._experiments(tmp_path, "preset = net-a\nn = 30")
+            os.mkdir("keep")
+            with open("keep/cmp.csv", "w") as fh:
+                fh.write("old\n")
+            os.symlink("keep/cmp.csv", "cmp.csv")
+            assert main(["compare", "--baseline", "base", "--treated", "treated",
+                         "--out", "cmp.csv"]) == 0
+        finally:
+            os.umask(old_umask)
+        assert os.readlink("cmp.csv") == "keep/cmp.csv"
+        assert (tmp_path / "keep" / "cmp.csv").read_text().startswith("metric,")
+        assert os.listdir("keep") == ["cmp.csv"]
+        written = ["net.edges", "run.csv", "thr.csv", "keep/cmp.csv",
+                   *(f"{arm}/{name}" for arm in ("base", "treated")
+                     for name in os.listdir(arm))]
+        assert {stat.S_IMODE(os.stat(name).st_mode) for name in written} == {0o644}
+        assert not any(name.startswith(".tmp-") for d in (".", "base", "treated")
+                       for name in os.listdir(d))
+
+    def test_compare_writes_a_fifo_in_place(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        self._experiments(tmp_path, "preset = net-a\nn = 30")
+        os.mkfifo("pipe")
+        got = []
+        reader = threading.Thread(
+            target=lambda: got.append((tmp_path / "pipe").read_text()), daemon=True)
+        reader.start()
+        assert main(["compare", "--baseline", "base", "--treated", "treated",
+                     "--out", "pipe"]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got[0].startswith("metric,baseline,treated,slowdown\ngrowth_rate,")
 
     @pytest.mark.parametrize("key, value", [
         ("dt", "nan"), ("tmax", "nan"), ("replicates", "0"), ("seed_infected", "0"),

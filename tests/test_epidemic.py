@@ -16,7 +16,6 @@ from wormnet.epidemic import (
     WormBehavior,
     growth_rate,
     run,
-    slowdown_factor,
     time_to_fraction,
 )
 from wormnet.graph import Graph, ParseError
@@ -358,18 +357,3 @@ class TestMetrics:
         assert time_to_fraction(ts, 0.995) is None
         with pytest.raises(ValueError):
             time_to_fraction(ts, 0.0)
-
-    def test_slowdown_factor_time_method(self):
-        base = _series([1, 60, 99], 100, dt=1.0)
-        slow = _series([1, 2, 4, 8, 16, 32, 64, 99], 100, dt=1.0)
-        assert slowdown_factor(base, slow, q=0.5) == pytest.approx(6.0)
-
-    def test_slowdown_factor_growth_method(self):
-        base = _series([2, 8, 32], 1000)
-        slow = _series([2, 4, 8], 1000)
-        assert slowdown_factor(base, slow, method="growth") == pytest.approx(2.0)
-
-    def test_slowdown_factor_none_when_not_reached(self):
-        base = _series([1, 99], 100)
-        slow = _series([1, 2], 100)
-        assert slowdown_factor(base, slow, q=0.9) is None

@@ -1,3 +1,6 @@
+import os
+import stat
+import threading
 import warnings
 
 import numpy as np
@@ -12,10 +15,12 @@ from wormnet.graph import (
     ParseError,
     _content_lines,
     cumulative_distribution,
+    int64_array,
     read_degree_histogram,
     read_edge_list,
     write_degree_histogram,
     write_edge_list,
+    write_text,
 )
 from wormnet.netgen import build_configuration_model
 
@@ -282,6 +287,15 @@ class TestGraph:
                 mine[:1] = 0
 
 
+def test_int64_array_passes_an_array_through_and_lists_other_iterables():
+    ids = np.array([3, 1], dtype=np.int64)
+    assert int64_array(ids) is ids
+    for values, expected in (({3}, [3]), ([3, 1], [3, 1]), (range(2), [0, 1]),
+                             ((i for i in (4,)), [4]), ((), [])):
+        got = int64_array(values)
+        assert got.dtype == np.int64 and got.tolist() == expected
+
+
 class TestCumulativeDistribution:
     def test_cumulative_properties(self):
         degrees = np.array([7, 2, 0, 2, 7, 2, 0, 2, 7, 2])
@@ -502,3 +516,73 @@ class TestHistogramFiles:
     def test_token_and_layout_cases_agree_with_per_line_oracle(self, tmp_path, content):
         _assert_agrees_with_oracle(tmp_path, content, _read_degree_histogram_oracle,
                                    read_degree_histogram, _sequence_view)
+
+
+def _mode(path):
+    return stat.S_IMODE(os.lstat(path).st_mode)
+
+
+class TestWriteText:
+    @pytest.fixture(autouse=True)
+    def umask_022(self):
+        old = os.umask(0o022)
+        try:
+            yield
+        finally:
+            os.umask(old)
+
+    def test_new_file_gets_umask_mode_and_newline_ends(self, tmp_path):
+        p = tmp_path / "out.csv"
+        write_text(p, "a,b\n1,2\n")
+        assert p.read_bytes() == b"a,b\n1,2\n"
+        assert _mode(p) == 0o644
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_existing_file_is_replaced_and_keeps_its_mode(self, tmp_path):
+        p = tmp_path / "out.csv"
+        p.write_text("old, and longer than the new text\n")
+        p.chmod(0o600)
+        write_text(p, "new\n")
+        assert p.read_text() == "new\n"
+        assert _mode(p) == 0o600
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_symlink_is_followed_and_kept(self, tmp_path, exists):
+        (tmp_path / "data").mkdir()
+        target = tmp_path / "data" / "real.csv"
+        if exists:
+            target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        write_text(link, "new\n")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == "new\n"
+        assert _mode(target) == 0o644
+        assert sorted(os.listdir(tmp_path / "data")) == ["real.csv"]
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+        reader.start()
+        write_text(fifo, "through the pipe\n")
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == ["through the pipe\n"]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+    def test_error_names_the_path_not_the_temporary_file(self, tmp_path):
+        p = tmp_path / "missing" / "out.csv"
+        with pytest.raises(FileNotFoundError) as err:
+            write_text(p, "x\n")
+        assert err.value.filename == str(p)
+
+    def test_failed_write_leaves_old_file_and_no_temporary(self, tmp_path):
+        p = tmp_path / "out.csv"
+        p.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_text(p, "half\n\udc80\n")  # a lone surrogate has no UTF-8 form
+        assert p.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.csv"]

@@ -106,9 +106,31 @@ class TestLoadConfig:
         ("file = net.edges\nseed = 3", "[network] file does not take ['seed']"),
         ("file = net.edges\ndirected = false\nn = 5",
          "[network] file does not take ['directed', 'n']"),
+        ("family = multimodal\nn = 10\npeaks = 2:1\ndirected = true",
+         "[network] multimodal family does not take ['directed']"),
+        ("family = configmodel\ndegrees_file = h.hist\nn = 999",
+         "[network] configmodel family does not take ['n']"),
+        ("family = complete\nn = 5\nalpha = 3\nk_min = 2\npeaks = 1:1",
+         "[network] complete family does not take ['alpha', 'k_min', 'peaks']"),
+        ("family = powerlaw\nn = 50\nalpha = 2.5\nk_min = 1\nk_max = 9\ndegrees_file = h",
+         "[network] powerlaw family does not take ['degrees_file']"),
     ])
     def test_network_key_the_source_cannot_use_is_config_error(self, tmp_path, network, message):
         path = _write(tmp_path, f"[network]\n{network}\n\n[worm]\ntargeting = scan\nrate = 1\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("network, controls, message", [
+        ("preset = bogus", "", "[network] unknown preset 'bogus'; available: "
+         "net-a, net-b, net-c, net-d"),
+        ("family = configmodel", "", "[network] configmodel family requires degrees_file"),
+        ("preset = net-a", "vaccinate = bogus\nfraction = 0.1",
+         "[controls] unknown strategy kind 'bogus'"),
+    ])
+    def test_bad_source_or_control_is_config_error(self, tmp_path, network, controls, message):
+        path = _write(tmp_path, f"[network]\n{network}\n\n[worm]\ntargeting = scan\nrate = 1\n"
+                      f"\n[controls]\n{controls}\n")
         with pytest.raises(ConfigError) as err:
             load_config(path)
         assert str(err.value) == f"{path}: {message}"
@@ -325,6 +347,25 @@ class TestCompare:
             assert a["metric"] == b["metric"]
             for key in ("baseline", "treated", "slowdown"):
                 assert b[key] == pytest.approx(a[key])
+
+    def test_time_slowdown_is_the_mean_ratio_over_uncensored_pairs(self, tmp_path):
+        # replicate 0 reaches q in both arms (t = 2 and t = 6); in replicate 1 only
+        # the baseline does (t = 4): the slowdown is 6 / 2, not a ratio of means
+        times = {"base": [2, 4], "treated": [6, None]}
+        results = {}
+        for arm, controls in (("base", ""), ("treated", "\n[controls]\nthrottle_rate = 1\n")):
+            outdir = tmp_path / arm
+            outdir.mkdir()
+            cfg = load_config(_write(tmp_path, BASE_CFG + controls, f"{arm}.cfg"))
+            harness.write_resolved_config(cfg, str(outdir / "resolved.cfg"))
+            for i, t in enumerate(times[arm]):
+                last = (1, 8.0, 5, 5, 0, 0, 0) if t is None else (1, float(t), 0, 10, 0, 0, 0)
+                TimeSeries([(0, 0.0, 9, 1, 0, 0, 0), last]).to_csv(outdir / f"rep_{i:03d}.csv")
+            results[arm] = harness.load_result(str(outdir))
+        assert results["treated"].times_to_fraction == [6.0, None]
+        row = harness.compare(results["base"], results["treated"])[1]
+        assert row == {"metric": "time_to_fraction", "baseline": 3.0, "treated": 6.0,
+                       "slowdown": 3.0}
 
     def test_compare_csv(self, tmp_path):
         rb, rt = self._run_pair(tmp_path)

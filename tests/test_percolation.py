@@ -363,6 +363,8 @@ class TestEmpiricalThreshold:
             empirical_threshold(g, RANDOM, trials=0)
         with pytest.raises(ValueError):
             empirical_threshold(g, "betweenness")
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            empirical_threshold(g, RANDOM, seed=-1)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10_000))
