@@ -96,11 +96,20 @@ class TimeSeries:
                     row = (int(tick), float(t), int(s), int(i), int(r), int(q), int(a))
                     if not np.isfinite(row[1]) or min(row) < 0:
                         raise ValueError
-                    rows.append(row)
                 except ValueError:
                     raise ParseError(path, lineno, f"bad row {line.strip()!r}") from None
+                rows.append(row)
         if not rows:
             raise ParseError(path, 2, "no rows after the header")
+        n = sum(rows[0][2:5])
+        for lineno, (prev, row) in enumerate(zip(rows, rows[1:]), start=3):
+            if row[0] <= prev[0]:
+                raise ParseError(path, lineno, f"tick {row[0]} does not follow tick {prev[0]}")
+            if row[1] < prev[1]:
+                raise ParseError(path, lineno, f"t {row[1]:.10g} goes back from {prev[1]:.10g}")
+            if sum(row[2:5]) != n:
+                raise ParseError(path, lineno, f"susceptible + infected + recovered is "
+                                               f"{sum(row[2:5])}, not the first row's {n}")
         return cls(rows)
 
 
@@ -122,7 +131,10 @@ class Simulation:
 
     ``_sus_out`` counts each node's susceptible out-neighbours (neighbour worm
     only); the run is exhausted when no infected host has one left, or, for a
-    scan worm, when no host is infected or none is susceptible.
+    scan worm, when no host is infected or none is susceptible.  An
+    unthrottled neighbour worm gathers only the attempts of hosts with
+    ``_sus_out > 0``: an idle host's attempts are drawn and counted, but not
+    gathered, since each one targets an infected or vaccinated node.
     """
 
     def __init__(
@@ -191,18 +203,24 @@ class Simulation:
     def step(self) -> tuple[int, float, int, int, int, int, int]:
         """Advance one tick; return the resulting TimeSeries row.
 
-        Every infected node draws its attempts.  Without a throttle every
-        valid attempt is delivered.  With one, the source's throttle passes
-        a working-set destination and queues a new one; then every host whose
-        ``_due`` time has come releases its queue head(s).  All of the tick's
-        deliveries are applied together at the end, as a set.
+        Every infected node draws its attempts; those of a neighbour worm's
+        host without out-neighbours are not valid.  Without a throttle every
+        valid attempt is delivered and counted in ``admitted``, but a neighbour
+        worm gathers only a spreader's: an idle host's attempts are drawn and
+        counted, not gathered, as its targets are all infected or vaccinated.
+        With a throttle, the source's throttle passes a working-set destination
+        and queues a new one; then every host whose ``_due`` time has come
+        releases its queue head(s).  All of the tick's deliveries are applied
+        together at the end, as a set.
         """
         self.tick_index += 1
         t = self.tick_index * self.dt
         worm = self.worm
         rng = self.rng
-        dests = []
-        oks = []
+        throttled = self.throttle_config is not None
+        p = worm.infection_probability
+        delivered = 0
+        hits = []
 
         snapshot = self._infected
         total = 0
@@ -213,37 +231,42 @@ class Simulation:
                 counts = np.minimum(counts, MAX_ATTEMPTS_PER_TICK)
             total = int(counts.sum())
 
-        if total:
+        if total and worm.targeting == NEIGHBOR and not throttled:
+            picks = rng.random(total)
+            coins = rng.random(total) if p < 1.0 else None
+            active = np.flatnonzero(self._sus_out[snapshot] > 0)
+            lens = counts[active]
+            pos = _ranges(np.cumsum(counts)[active] - lens, lens)
+            targets = self._pick(np.repeat(snapshot[active], lens), picks[pos])
+            hits.append(targets if coins is None else targets[coins[pos] < p])
+            delivered = int(np.dot(counts, self._out_deg[snapshot] > 0))
+        elif total:
             sources = np.repeat(snapshot, counts)
             if worm.targeting == NEIGHBOR:
-                degs = self._out_deg[sources]
-                idx = (rng.random(total) * degs).astype(np.int64)
-                valid = degs > 0  # a source without out-neighbours makes no attempt
-                sources, idx, degs = sources[valid], idx[valid], degs[valid]
-                # float rounding can give random() * deg == deg
-                targets = self._adj[self._indptr[sources] + np.minimum(idx, degs - 1)]
+                picks = rng.random(total)
+                # a source without out-neighbours makes no attempt
+                valid = self._out_deg[sources] > 0
+                sources = sources[valid]
+                targets = self._pick(sources, picks[valid])
             else:
                 targets = rng.integers(0, self.address_space, size=total)
                 valid = slice(None)  # every scanned address is a valid attempt
-            if worm.infection_probability < 1.0:
-                success = (rng.random(total) < worm.infection_probability)[valid]
+            if p < 1.0:
+                success = (rng.random(total) < p)[valid]
             else:
                 success = np.ones(len(targets), dtype=bool)
-            if self.throttle_config is not None:
+            if throttled:
                 targets, success = self._request(sources, targets, success, t)
-            dests.append(targets)
-            oks.append(success)
+            delivered = len(targets)
+            hits.append(targets[success])
 
-        if self.throttle_config is not None:
+        if throttled:
             released, success = self._release(t)
-            dests.append(released)
-            oks.append(success)
+            delivered += len(released)
+            hits.append(released[success])
 
-        delivered = 0
-        if dests:
-            dest = np.concatenate(dests)
-            delivered = len(dest)
-            self._infect(dest[np.concatenate(oks)], t)
+        if hits:
+            self._infect(np.concatenate(hits), t)
 
         return (
             self.tick_index,
@@ -254,6 +277,13 @@ class Simulation:
             self.queued_total,
             delivered,
         )
+
+    def _pick(self, sources, picks):
+        """The out-neighbour of each source that its uniform draw in [0, 1) picks."""
+        degs = self._out_deg[sources]
+        # float rounding can give random() * deg == deg
+        idx = np.minimum((picks * degs).astype(np.int64), degs - 1)
+        return self._adj[self._indptr[sources] + idx]
 
     def _request(self, sources, targets, success, t):
         """Classify each attempt with its source's throttle; return the
@@ -307,8 +337,7 @@ class Simulation:
         if self.worm.targeting == NEIGHBOR:
             # each in-neighbour of a (unique) hit loses one susceptible out-neighbour
             in_ptr, in_src = self.g.in_adjacency
-            lens = in_ptr[hits + 1] - in_ptr[hits]
-            pos = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens - in_ptr[hits], lens)
+            pos = _ranges(in_ptr[hits], in_ptr[hits + 1] - in_ptr[hits])
             np.subtract.at(self._sus_out, in_src[pos], 1)
             hosts = np.concatenate([self._spreaders, hits])
             self._spreaders = hosts[self._sus_out[hosts] > 0]
@@ -328,6 +357,11 @@ class Simulation:
         if self.worm.targeting == SCAN:
             return self.n_infected == 0 or self.n_susceptible == 0
         return not len(self._spreaders)
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The index ranges ``[starts[i], starts[i] + lens[i])``, concatenated."""
+    return np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens - starts, lens)
 
 
 def run(

@@ -110,7 +110,9 @@ class Graph:
         sorted, so lookups are deterministic.
         """
         e = self._edges
-        src, dst = (e if self.directed else np.concatenate([e, e[:, ::-1]])).T
+        if self.directed:  # the edges are sorted by (source, target) already
+            return _csr(self.n, e[:, 0], e[:, 1], order=slice(None))
+        src, dst = np.concatenate([e, e[:, ::-1]]).T
         return _csr(self.n, src, dst)
 
     @cached_property
@@ -159,10 +161,11 @@ def _simple_split(n: int, directed: bool, u: np.ndarray, v: np.ndarray):
     return u, v, order, bad
 
 
-def _csr(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only CSR (indptr, cols) of the entries (rows[i], cols[i]), rows sorted."""
+def _csr(n: int, rows: np.ndarray, cols: np.ndarray, order=None) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only CSR (indptr, cols) of the entries (rows[i], cols[i]), sorted by
+    (row, col) with ``order``, or with a lexsort when it is not given."""
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-    cols = cols[np.lexsort((cols, rows))]
+    cols = cols[np.lexsort((cols, rows)) if order is None else order]
     indptr.flags.writeable = cols.flags.writeable = False
     return indptr, cols
 

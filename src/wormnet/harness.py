@@ -479,7 +479,8 @@ def load_result(outdir: str) -> ExperimentResult:
 def compare(baseline: ExperimentResult, treated: ExperimentResult) -> list[dict]:
     """Slowdown table of treated relative to baseline.
 
-    Refuses to compare runs whose network or worm settings differ; the
+    Refuses to compare runs whose network or worm settings differ, or whose
+    replicates are not paired: ``[run]`` ``tmax`` alone may differ.  The
     controls must differ (otherwise there is nothing to compare).
     """
     a, b = baseline.config.resolved, treated.config.resolved
@@ -487,6 +488,11 @@ def compare(baseline: ExperimentResult, treated: ExperimentResult) -> list[dict]
         raise ValueError("cannot compare: experiments use different networks")
     if a.get("worm", {}) != b.get("worm", {}):
         raise ValueError("cannot compare: experiments use different worm behavior")
+    run_a, run_b = a.get("run", {}), b.get("run", {})
+    for key in ("dt", "seed", "replicates", "seed_infected"):
+        if run_a.get(key) != run_b.get(key):
+            raise ValueError(f"cannot compare: experiments use different [run] {key} "
+                             f"({run_a.get(key)} and {run_b.get(key)})")
     if a.get("controls", {}) == b.get("controls", {}):
         raise ValueError("cannot compare: experiments apply identical controls")
 

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -115,6 +116,18 @@ class TestTimeSeries:
             TimeSeries.from_csv(p)
         message = "2: no rows after the header" if row is None else f"3: bad row {row!r}"
         assert str(err.value) == f"{p}:{message}"
+
+    @pytest.mark.parametrize("row, message", [
+        ("1,0.2,7,3,0,0,1", "tick 1 does not follow tick 1"),
+        ("2,0.05,7,3,0,0,1", "t 0.05 goes back from 0.1"),
+        ("2,0.2,7,4,0,0,1", "susceptible + infected + recovered is 11, not the first row's 10"),
+    ])
+    def test_series_defect_names_path_and_line(self, tmp_path, row, message):
+        p = tmp_path / "rep_000.csv"
+        p.write_text(f"{CSV_HEADER}\n0,0,9,1,0,0,0\n1,0.1,8,2,0,0,1\n{row}\n")
+        with pytest.raises(ParseError) as err:
+            TimeSeries.from_csv(p)
+        assert str(err.value) == f"{p}:4: {message}"
 
     def test_columns(self):
         ts = _series([1, 2], 10)
@@ -250,6 +263,47 @@ class TestReachability:
         ts = run(g, worm, init_infected={0}, vaccinated={3}, dt=1.0, t_max=100.0)
         assert ts.rows[-1][2:5] == (0, 3, 1)
         assert len(ts) < 101  # stopped once no node was susceptible
+
+
+def _full_gather_replay(sim):
+    """Replay the next unthrottled neighbour tick from a copy of ``sim.rng``,
+    gathering every attempt: return its ``admitted`` count and the infected
+    node set after it."""
+    rng = copy.deepcopy(sim.rng)
+    indptr, adj = sim.g.out_adjacency
+    infected = set(np.flatnonzero(sim.compartments == INFECTED).tolist())
+    counts = rng.poisson(sim.worm.attempt_rate * sim.dt, size=len(sim._infected))
+    counts = np.minimum(counts, MAX_ATTEMPTS_PER_TICK)
+    total = int(counts.sum())
+    if not total:
+        return 0, infected
+    sources = np.repeat(sim._infected, counts)
+    degs = np.diff(indptr)[sources]
+    idx = (rng.random(total) * degs).astype(np.int64)
+    valid = degs > 0
+    success = np.ones(total, dtype=bool)
+    if sim.worm.infection_probability < 1.0:
+        success = rng.random(total) < sim.worm.infection_probability
+    sources, idx, degs, success = sources[valid], idx[valid], degs[valid], success[valid]
+    targets = adj[indptr[sources] + np.minimum(idx, degs - 1)]
+    hits = {v for v in targets[success].tolist() if sim.compartments[v] == SUSCEPTIBLE}
+    return len(targets), infected | hits
+
+
+class TestUnthrottledStep:
+    """The unthrottled neighbour step gathers only the spreaders' attempts, yet
+    counts and infects exactly as a gather of every attempt would."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_graph_seeds_vaccinated(), st.sampled_from([1.0, 0.5]), st.integers(0, 2**32 - 1))
+    def test_matches_the_full_gather(self, case, p, seed):
+        g, seeds, vaccinated = case
+        worm = WormBehavior("neighbor", attempt_rate=10.0, infection_probability=p)
+        sim = Simulation(g, worm, init_infected=seeds, vaccinated=vaccinated, dt=0.1, seed=seed)
+        for _ in range(6):
+            admitted, infected = _full_gather_replay(sim)
+            assert sim.step()[-1] == admitted
+            assert set(np.flatnonzero(sim.compartments == INFECTED).tolist()) == infected
 
 
 class TestAgainstMarkovOracle:

@@ -283,8 +283,13 @@ class TestGraph:
         for mine, theirs in zip(g.in_adjacency, reversal.out_adjacency):
             assert mine is theirs or g.directed
             assert mine.tolist() == theirs.tolist()
-            with pytest.raises(ValueError, match="read-only"):
-                mine[:1] = 0
+            for array in (mine, theirs):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[:1] = 0
+        arcs = g.edge_set() | (set() if g.directed else {(v, u) for u, v in g.edge_set()})
+        indptr, targets = g.out_adjacency
+        assert [targets[indptr[u]:indptr[u + 1]].tolist() for u in range(g.n)] == [
+            sorted(v for w, v in arcs if w == u) for u in range(g.n)]
 
 
 def test_int64_array_passes_an_array_through_and_lists_other_iterables():

@@ -327,6 +327,29 @@ class TestCompare:
         with pytest.raises(ValueError, match="different worm behavior"):
             harness.compare(rb, ro)
 
+    def _configured_pair(self, tmp_path, run_edit):
+        """Results without replicates of BASE_CFG and of a throttled arm whose
+        text is edited by ``run_edit``: compare checks configs before any run."""
+        texts = {"base": BASE_CFG,
+                 "treated": BASE_CFG.replace(*run_edit) + "\n[controls]\nthrottle_rate = 1\n"}
+        return [harness.summarize(str(tmp_path / name),
+                                  load_config(_write(tmp_path, text, f"{name}.cfg")), [], [])
+                for name, text in texts.items()]
+
+    @pytest.mark.parametrize("key, run_edit", [
+        ("dt", ("dt = 0.05", "dt = 0.1")),
+        ("seed", ("seed = 11", "seed = 12")),
+        ("replicates", ("replicates = 2", "replicates = 3")),
+        ("seed_infected", ("seed = 11", "seed = 11\nseed_infected = 2")),
+    ])
+    def test_refuses_unpaired_runs(self, tmp_path, key, run_edit):
+        with pytest.raises(ValueError, match=rf"different \[run\] {key} \("):
+            harness.compare(*self._configured_pair(tmp_path, run_edit))
+
+    def test_accepts_another_tmax(self, tmp_path):
+        rows = harness.compare(*self._configured_pair(tmp_path, ("tmax = 10", "tmax = 20")))
+        assert [row["metric"] for row in rows] == ["growth_rate", "time_to_fraction"]
+
     def test_load_result_needs_replicate_csvs(self, tmp_path):
         outdir = tmp_path / "empty"
         outdir.mkdir()
