@@ -5,7 +5,7 @@ thresholds), ``epidemic`` (propagation engine), ``throttle`` (connection
 rate limiting), ``harness`` (experiment batches), ``cli`` (command line).
 """
 
-from .graph import Graph, cumulative_distribution
+from .graph import Graph
 from .netgen import (
     NetworkSpec,
     build_complete,
@@ -49,7 +49,6 @@ __all__ = [
     "build_multimodal",
     "build_network",
     "build_powerlaw",
-    "cumulative_distribution",
     "empirical_threshold",
     "giant_component_fraction",
     "growth_rate",

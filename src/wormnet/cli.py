@@ -16,17 +16,16 @@ from .throttle import ThrottleConfig, process_trace
 
 def _section(args, name: str) -> dict:
     """Config section ``name`` from the flags given: each flag is named after
-    its key, parsed like a config value, and defaulted like one."""
-    given = {
+    its key and parsed like a config value."""
+    return {
         key: harness.convert_value(args.command, name, key, value)
         for key, value in vars(args).items()
         if key in harness._SECTIONS[name] and value is not None
     }
-    return harness.with_defaults(name, given)
 
 
 def _cmd_generate(args) -> int:
-    master = harness.with_defaults("run", {})["seed"]
+    master = harness._DEFAULTS["run"]["seed"]
     spec = harness.network_spec(_section(args, "network"), args.command, master)
     g = build_network(spec)
     write_edge_list(g, args.out)
@@ -35,14 +34,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    g = read_edge_list(args.graph)
-    worm = harness.worm_behavior(_section(args, "worm"), args.command)
-    vaccination, throttle = harness.controls(_section(args, "controls"), args.command)
-    run = harness.run_settings(_section(args, "run"), args.command)
-    ts = harness.run_replicate(
-        g, worm, vaccination, throttle,
-        run["seed_infected"], run["dt"], run["tmax"], run["seed"], 0,
-    )
+    """Replicate 0 of the experiment whose ``[network]`` is ``file = --graph``."""
+    sections = {name: _section(args, name) for name in ("worm", "controls", "run")}
+    cfg = harness.experiment_config({"network": {"file": args.graph}, **sections}, args.command)
+    ts = harness.run_replicate(harness.build_graph(cfg), cfg, 0)
     ts.to_csv(args.out)
     print(f"wrote {len(ts)} rows to {args.out}")
     return 0

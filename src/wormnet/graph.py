@@ -86,9 +86,6 @@ class Graph:
     def num_edges(self) -> int:
         return len(self._edges)
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(int(u), int(v)) for u, v in self._edges}
-
     def degrees(self, kind: str = "total") -> np.ndarray:
         """Per-node degree array.  ``kind`` is 'total', 'in' or 'out'.
 
@@ -122,10 +119,6 @@ class Graph:
         if not self.directed:
             return self.out_adjacency
         return _csr(self.n, self._edges[:, 1], self._edges[:, 0])
-
-    def neighbors(self, u: int) -> np.ndarray:
-        indptr, targets = self.out_adjacency
-        return targets[indptr[u]:indptr[u + 1]]
 
     def __eq__(self, other):
         return (
@@ -168,19 +161,6 @@ def _csr(n: int, rows: np.ndarray, cols: np.ndarray, order=None) -> tuple[np.nda
     cols = cols[np.lexsort((cols, rows)) if order is None else order]
     indptr.flags.writeable = cols.flags.writeable = False
     return indptr, cols
-
-
-def cumulative_distribution(degrees) -> dict[int, float]:
-    """Fraction of the degree sequence ``degrees`` that is >= k, for
-    k = 0 .. max_degree + 1.
-
-    Non-increasing in k, equals 1 at k = 0 (for a non-empty sequence), and
-    adjacent differences recover the fractions p_k.
-    """
-    degrees = np.asarray(degrees, dtype=np.int64)
-    tail = np.cumsum(np.bincount(degrees, minlength=1)[::-1])[::-1]
-    fractions = tail / len(degrees) if len(degrees) else np.zeros(1)
-    return dict(enumerate(fractions.tolist() + [0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +313,3 @@ def read_degree_histogram(path) -> np.ndarray:
         return np.repeat(pairs[order, 0], pairs[order, 1])
 
     return _int_pairs(path, 0, "k count", "value", build)
-
-
-def write_degree_histogram(degrees, path) -> None:
-    """Write the degree sequence ``degrees`` as sorted ``k count`` lines."""
-    ks, counts = np.unique(np.asarray(degrees, dtype=np.int64), return_counts=True)
-    write_text(path, "".join(f"{k} {c}\n" for k, c in zip(ks.tolist(), counts.tolist())))

@@ -81,13 +81,9 @@ _NETWORK_KEYS = {
 TIME_TO_FRACTION_Q = 0.95
 
 _DEFAULTS = {
-    ("worm", "pinfect"): 1.0,
-    ("controls", "working_set"): 4,
-    ("run", "replicates"): 1,
-    ("run", "dt"): 0.1,
-    ("run", "tmax"): 60.0,
-    ("run", "seed"): 0,
-    ("run", "seed_infected"): 1,
+    "worm": {"pinfect": 1.0},
+    "controls": {"working_set": 4},
+    "run": {"replicates": 1, "dt": 0.1, "tmax": 60.0, "seed": 0, "seed_infected": 1},
 }
 
 
@@ -108,9 +104,7 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
-    outdir: str
     config: ExperimentConfig
-    replicate_paths: list[str]
     growth_rates: list[float | None]
     times_to_fraction: list[float | None]
     aggregates: dict
@@ -169,13 +163,6 @@ def convert_value(where, section, key, value):
         return value
     except (ValueError, TypeError):
         raise ConfigError(f"{where}: bad value {value!r} for key {key!r}") from None
-
-
-def with_defaults(section: str, given: dict) -> dict:
-    """``given`` with the documented defaults of ``section`` filled in."""
-    values = {key: default for (sec, key), default in _DEFAULTS.items() if sec == section}
-    values.update(given)
-    return values
 
 
 def network_spec(net: dict, where, master: int, open_files: bool = True) -> NetworkSpec | None:
@@ -293,18 +280,23 @@ def run_settings(run: dict, where) -> dict:
 
 
 def load_config(path, open_files: bool = True) -> ExperimentConfig:
-    """Parse and validate an experiment config, filling documented defaults;
-    ``open_files`` as in ``network_spec``."""
-    raw = _parse_kv_file(path)
+    """Parse and validate an experiment config file; see ``experiment_config``."""
     values: dict[str, dict] = {s: {} for s in _SECTIONS}
-    for section, entries in raw.items():
+    for section, entries in _parse_kv_file(path).items():
         for key, (text, lineno) in entries.items():
             values[section][key] = convert_value(f"{path}:{lineno}", section, key, text)
-    net, worm_sec, ctl, run_sec = (with_defaults(s, values[s]) for s in _SECTIONS)
-    run_settings(run_sec, path)
-    spec = network_spec(net, path, run_sec["seed"], open_files)
-    worm = worm_behavior(worm_sec, path)
-    vaccination, throttle = controls(ctl, path)
+    return experiment_config(values, path, open_files)
+
+
+def experiment_config(values: dict[str, dict], where, open_files: bool = True) -> ExperimentConfig:
+    """The ExperimentConfig of parsed config sections, one dict per section, with
+    the documented defaults filled in; ``where`` prefixes every error, and
+    ``open_files`` is as in ``network_spec``."""
+    net, worm_sec, ctl, run_sec = ({**_DEFAULTS.get(s, {}), **values[s]} for s in _SECTIONS)
+    run_settings(run_sec, where)
+    spec = network_spec(net, where, run_sec["seed"], open_files)
+    worm = worm_behavior(worm_sec, where)
+    vaccination, throttle = controls(ctl, where)
 
     resolved = {
         "network": dict(sorted(net.items())),
@@ -334,36 +326,27 @@ def build_graph(cfg: ExperimentConfig) -> Graph:
     return build_network(cfg.network_spec)
 
 
-def run_replicate(
-    g: Graph,
-    worm: WormBehavior,
-    vaccination: VaccinationStrategy | None,
-    throttle: ThrottleConfig | None,
-    seed_infected: int,
-    dt: float,
-    t_max: float,
-    master_seed: int,
-    replicate: int,
-) -> TimeSeries:
-    """One deterministic replicate; all randomness derives from (master, i)."""
-    ss = np.random.SeedSequence([master_seed, replicate])
+def run_replicate(g: Graph, cfg: ExperimentConfig, replicate: int) -> TimeSeries:
+    """Replicate ``replicate`` of ``cfg`` on ``g``; all its randomness derives
+    from (``cfg.seed``, ``replicate``)."""
+    ss = np.random.SeedSequence([cfg.seed, replicate])
     vacc_ss, init_ss, run_ss = ss.spawn(3)
     vaccinated = np.empty(0, dtype=np.int64)
-    if vaccination is not None:
-        vaccinated = vaccinate(g, vaccination, seed=np.random.default_rng(vacc_ss))
+    if cfg.vaccination is not None:
+        vaccinated = vaccinate(g, cfg.vaccination, seed=np.random.default_rng(vacc_ss))
     candidates = np.setdiff1d(np.arange(g.n), vaccinated)
-    if len(candidates) < seed_infected:
+    if len(candidates) < cfg.seed_infected:
         raise ValueError("not enough unvaccinated nodes to seed the infection")
     init_rng = np.random.default_rng(init_ss)
-    init = init_rng.choice(candidates, size=seed_infected, replace=False)
+    init = init_rng.choice(candidates, size=cfg.seed_infected, replace=False)
     return run(
         g,
-        worm,
+        cfg.worm,
         init_infected=init,
         vaccinated=vaccinated,
-        throttle=throttle,
-        dt=dt,
-        t_max=t_max,
+        throttle=cfg.throttle,
+        dt=cfg.dt,
+        t_max=cfg.t_max,
         seed=np.random.default_rng(run_ss),
     )
 
@@ -376,6 +359,11 @@ def _format_value(v) -> str:
     if isinstance(v, tuple):  # peaks
         return ",".join(f"{d}:{w:.10g}" for d, w in v)
     return str(v)
+
+
+def _replicate_csv(outdir: str, i: int) -> str:
+    """The path of replicate ``i``'s time series in an experiment directory."""
+    return os.path.join(outdir, f"rep_{i:03d}.csv")
 
 
 def write_resolved_config(cfg: ExperimentConfig, path: str) -> None:
@@ -399,25 +387,11 @@ def run_experiment(cfg: ExperimentConfig, outdir: str) -> ExperimentResult:
     g = build_graph(cfg)
     write_resolved_config(cfg, os.path.join(outdir, "resolved.cfg"))
 
-    paths: list[str] = []
     series: list[TimeSeries] = []
     for i in range(cfg.replicates):
-        ts = run_replicate(
-            g,
-            cfg.worm,
-            cfg.vaccination,
-            cfg.throttle,
-            cfg.seed_infected,
-            cfg.dt,
-            cfg.t_max,
-            cfg.seed,
-            i,
-        )
-        path = os.path.join(outdir, f"rep_{i:03d}.csv")
-        ts.to_csv(path)
-        paths.append(path)
-        series.append(ts)
-    result = summarize(outdir, cfg, paths, series)
+        series.append(run_replicate(g, cfg, i))
+        series[-1].to_csv(_replicate_csv(outdir, i))
+    result = summarize(cfg, series)
 
     agg = result.aggregates
     summary = ["replicate,growth_rate,time_to_fraction"]
@@ -429,7 +403,7 @@ def run_experiment(cfg: ExperimentConfig, outdir: str) -> ExperimentResult:
     return result
 
 
-def summarize(outdir, cfg, paths, series) -> ExperimentResult:
+def summarize(cfg: ExperimentConfig, series: list[TimeSeries]) -> ExperimentResult:
     """Growth rate and time to TIME_TO_FRACTION_Q of each replicate, with
     their mean and standard deviation over the replicates that have one."""
     rates: list[float | None] = []
@@ -446,7 +420,7 @@ def summarize(outdir, cfg, paths, series) -> ExperimentResult:
         "time_to_fraction_mean": _mean(times),
         "time_to_fraction_std": _std(times),
     }
-    return ExperimentResult(outdir, cfg, paths, rates, times, aggregates)
+    return ExperimentResult(cfg, rates, times, aggregates)
 
 
 def _mean(values):
@@ -464,16 +438,12 @@ def _na(v) -> str:
 
 
 def load_result(outdir: str) -> ExperimentResult:
-    """Reconstruct an ExperimentResult from a finished output directory; opens no network file."""
+    """Reconstruct an ExperimentResult from a finished output directory: its
+    ``resolved.cfg`` and the ``[run] replicates`` CSVs that ``run_experiment``
+    wrote, and no other file; opens no network file."""
     cfg = load_config(os.path.join(outdir, "resolved.cfg"), open_files=False)
-    paths = sorted(
-        os.path.join(outdir, f)
-        for f in os.listdir(outdir)
-        if f.startswith("rep_") and f.endswith(".csv")
-    )
-    if not paths:
-        raise ConfigError(f"{outdir}: no replicate CSVs found")
-    return summarize(outdir, cfg, paths, [TimeSeries.from_csv(p) for p in paths])
+    return summarize(cfg, [TimeSeries.from_csv(_replicate_csv(outdir, i))
+                           for i in range(cfg.replicates)])
 
 
 def compare(baseline: ExperimentResult, treated: ExperimentResult) -> list[dict]:

@@ -173,6 +173,26 @@ class TestSimulate:
         assert message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, controls", [
+        ([], ""),
+        (["--throttle-rate", "1", "--working-set", "3", "--vaccinate", "targeted",
+          "--fraction", "0.05"],
+         "[controls]\nthrottle_rate = 1\nworking_set = 3\nvaccinate = targeted\n"
+         "fraction = 0.05\n"),
+    ])
+    def test_is_replicate_0_of_an_experiment(self, tmp_path, flags, controls):
+        graph = _generate(tmp_path)
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--graph", str(graph), "--targeting", "neighbor",
+                     "--rate", "8", *flags, "--seed-infected", "2", "--dt", "0.05",
+                     "--tmax", "6", "--seed", "9", "--out", str(out)]) == 0
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"[network]\nfile = {graph}\n\n[worm]\ntargeting = neighbor\n"
+                       f"rate = 8\n\n{controls}\n[run]\nreplicates = 2\nseed_infected = 2\n"
+                       "dt = 0.05\ntmax = 6\nseed = 9\n")
+        assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "exp")]) == 0
+        assert out.read_bytes() == (tmp_path / "exp" / "rep_000.csv").read_bytes()
+
     def test_missing_graph_file(self, tmp_path, capsys):
         rc = main([
             "simulate", "--graph", str(tmp_path / "nope.edges"),
@@ -410,6 +430,17 @@ seed = 5
         lineno = len(rep.read_text().splitlines())
         err = capsys.readouterr().err
         assert f"{rep.relative_to(tmp_path)}:{lineno}: bad row '7,0.5'" in err
+
+    def test_compare_names_a_missing_replicate_csv(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        self._experiments(tmp_path, "preset = net-a\nn = 30")
+        os.unlink(os.path.join("treated", "rep_000.csv"))
+        rc = main(["compare", "--baseline", "base", "--treated", "treated"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("wormnet: error:")
+        assert len(err.strip().splitlines()) == 1
+        assert os.path.join("treated", "rep_000.csv") in err
 
     def test_bad_config_is_one_line_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

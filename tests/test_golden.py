@@ -77,12 +77,11 @@ def small_net_b():
 
 
 @pytest.mark.parametrize("key", sorted(REPLICATES), ids="-".join)
-def test_replicate_csv(small_net_b, key):
+def test_replicate_csv(small_net_b, replicate_config, key):
     worm, throttle, vaccination = key
-    ts = harness.run_replicate(
-        small_net_b, WORMS[worm], VACCINATIONS[vaccination], THROTTLES[throttle],
-        2, 0.1, 4.0, 3, 0,
-    )
+    cfg = replicate_config(WORMS[worm], VACCINATIONS[vaccination], THROTTLES[throttle],
+                           seed_infected=2, dt=0.1, t_max=4.0, seed=3)
+    ts = harness.run_replicate(small_net_b, cfg, 0)
     assert _sha(ts.to_csv_text().encode()) == REPLICATES[key]
 
 
@@ -149,12 +148,12 @@ def small_net_c():
 
 
 @pytest.mark.parametrize("key", sorted(DIRECTED_REPLICATES), ids="-".join)
-def test_directed_replicate_csv(small_net_c, key):
+def test_directed_replicate_csv(small_net_c, replicate_config, key):
     worm, throttle, vaccination = key
-    ts = harness.run_replicate(
-        small_net_c, DIRECTED_WORMS[worm], DIRECTED_VACCINATIONS[vaccination],
-        DIRECTED_THROTTLES[throttle], 2, 0.1, 10.0, 5, 0,
-    )
+    cfg = replicate_config(DIRECTED_WORMS[worm], DIRECTED_VACCINATIONS[vaccination],
+                           DIRECTED_THROTTLES[throttle], seed_infected=2, dt=0.1, t_max=10.0,
+                           seed=5)
+    ts = harness.run_replicate(small_net_c, cfg, 0)
     assert _sha(ts.to_csv_text().encode()) == DIRECTED_REPLICATES[key]
 
 

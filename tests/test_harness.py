@@ -199,30 +199,29 @@ class TestLoadConfig:
 
 
 class TestRunReplicate:
-    def test_vaccinated_nodes_not_seeded(self):
+    def test_vaccinated_nodes_not_seeded(self, replicate_config):
         g = build_complete(30)
-        worm = WormBehavior("neighbor", attempt_rate=5.0)
-        strat = VaccinationStrategy("random", 0.5)
+        cfg = replicate_config(WormBehavior("neighbor", attempt_rate=5.0),
+                               VaccinationStrategy("random", 0.5))
         for rep in range(5):
-            ts = harness.run_replicate(g, worm, strat, None, 1, 0.1, 5.0, 0, rep)
+            ts = harness.run_replicate(g, cfg, rep)
             assert ts.rows[0][4] == 15  # recovered = vaccinated count
             assert ts.rows[0][3] == 1
 
-    def test_replicates_differ_but_are_reproducible(self):
+    def test_replicates_differ_but_are_reproducible(self, replicate_config):
         g = build_complete(40)
-        worm = WormBehavior("neighbor", attempt_rate=5.0)
-        a0 = harness.run_replicate(g, worm, None, None, 1, 0.1, 5.0, 7, 0)
-        a1 = harness.run_replicate(g, worm, None, None, 1, 0.1, 5.0, 7, 1)
-        b0 = harness.run_replicate(g, worm, None, None, 1, 0.1, 5.0, 7, 0)
+        cfg = replicate_config(WormBehavior("neighbor", attempt_rate=5.0), seed=7)
+        a0 = harness.run_replicate(g, cfg, 0)
+        a1 = harness.run_replicate(g, cfg, 1)
+        b0 = harness.run_replicate(g, cfg, 0)
         assert a0.to_csv_text() == b0.to_csv_text()
         assert a0.to_csv_text() != a1.to_csv_text()
 
-    def test_too_few_unvaccinated(self):
-        g = build_complete(4)
-        worm = WormBehavior("neighbor", attempt_rate=1.0)
-        strat = VaccinationStrategy("random", 1.0)
+    def test_too_few_unvaccinated(self, replicate_config):
+        cfg = replicate_config(WormBehavior("neighbor", attempt_rate=1.0),
+                               VaccinationStrategy("random", 1.0), t_max=1.0)
         with pytest.raises(ValueError, match="not enough"):
-            harness.run_replicate(g, worm, strat, None, 1, 0.1, 1.0, 0, 0)
+            harness.run_replicate(build_complete(4), cfg, 0)
 
 
 class TestRunExperiment:
@@ -236,7 +235,7 @@ class TestRunExperiment:
         assert summary[0] == "replicate,growth_rate,time_to_fraction"
         assert summary[-2].startswith("mean,")
         assert summary[-1].startswith("std,")
-        assert len(result.replicate_paths) == 2
+        assert len(result.growth_rates) == 2
 
     @pytest.mark.parametrize("text, parsed, line", [
         (BASE_CFG, {}, "alpha = 2.5"),
@@ -271,20 +270,14 @@ class TestRunExperiment:
         assert cfg.network_spec is None and cfg.graph_path == str(graph)
         outdir = tmp_path / "out"
         harness.run_experiment(cfg, str(outdir))
-        direct = harness.run_replicate(
-            read_edge_list(graph), cfg.worm, None, None,
-            cfg.seed_infected, cfg.dt, cfg.t_max, cfg.seed, 0,
-        )
+        direct = harness.run_replicate(read_edge_list(graph), cfg, 0)
         assert (outdir / "rep_000.csv").read_text() == direct.to_csv_text()
 
     def test_replicate_csv_matches_direct_run(self, tmp_path):
         cfg = load_config(_write(tmp_path, BASE_CFG))
         outdir = tmp_path / "out"
         harness.run_experiment(cfg, str(outdir))
-        g = harness.build_graph(cfg)
-        direct = harness.run_replicate(
-            g, cfg.worm, None, None, cfg.seed_infected, cfg.dt, cfg.t_max, cfg.seed, 1
-        )
+        direct = harness.run_replicate(harness.build_graph(cfg), cfg, 1)
         assert (outdir / "rep_001.csv").read_text() == direct.to_csv_text()
 
 
@@ -332,8 +325,7 @@ class TestCompare:
         text is edited by ``run_edit``: compare checks configs before any run."""
         texts = {"base": BASE_CFG,
                  "treated": BASE_CFG.replace(*run_edit) + "\n[controls]\nthrottle_rate = 1\n"}
-        return [harness.summarize(str(tmp_path / name),
-                                  load_config(_write(tmp_path, text, f"{name}.cfg")), [], [])
+        return [harness.summarize(load_config(_write(tmp_path, text, f"{name}.cfg")), [])
                 for name, text in texts.items()]
 
     @pytest.mark.parametrize("key, run_edit", [
@@ -355,17 +347,29 @@ class TestCompare:
         outdir.mkdir()
         cfg = load_config(_write(tmp_path, BASE_CFG))
         harness.write_resolved_config(cfg, str(outdir / "resolved.cfg"))
-        with pytest.raises(ConfigError, match="no replicate CSVs found"):
+        with pytest.raises(FileNotFoundError, match="rep_000.csv"):
             harness.load_result(str(outdir))
+
+    def test_load_result_reads_only_the_configured_replicates(self, tmp_path):
+        # a 3-replicate run, then a 2-replicate run into the same directory: the
+        # stale rep_002.csv stays on disk but is not part of the result
+        text = BASE_CFG.replace("replicates = 2", "replicates = 3")
+        harness.run_experiment(load_config(_write(tmp_path, text)), str(tmp_path / "out"))
+        result = harness.run_experiment(load_config(_write(tmp_path, BASE_CFG)),
+                                        str(tmp_path / "out"))
+        assert (tmp_path / "out" / "rep_002.csv").exists()
+        loaded = harness.load_result(str(tmp_path / "out"))
+        assert len(loaded.growth_rates) == 2
+        assert loaded.aggregates == pytest.approx(result.aggregates)
 
     def test_load_result_roundtrip(self, tmp_path):
         rb, rt = self._run_pair(tmp_path)
-        loaded = harness.load_result(rb.outdir)
+        loaded = harness.load_result(str(tmp_path / "base"))
         # CSVs keep 10 significant digits, so allow round-trip rounding
         for key in rb.aggregates:
             assert loaded.aggregates[key] == pytest.approx(rb.aggregates[key])
         rows_a = harness.compare(rb, rt)
-        rows_b = harness.compare(loaded, harness.load_result(rt.outdir))
+        rows_b = harness.compare(loaded, harness.load_result(str(tmp_path / "treated")))
         for a, b in zip(rows_a, rows_b):
             assert a["metric"] == b["metric"]
             for key in ("baseline", "treated", "slowdown"):

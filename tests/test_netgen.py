@@ -105,7 +105,7 @@ class TestComplete:
     def test_trivial_sizes(self):
         assert build_complete(0).num_edges == 0
         assert build_complete(1).num_edges == 0
-        assert build_complete(2).edge_set() == {(0, 1)}
+        assert build_complete(2).edge_array.tolist() == [[0, 1]]
 
 
 class TestConfigurationModel:
@@ -175,7 +175,7 @@ class TestConfigurationModel:
         assert g.degrees().tolist() == deg
         edges = g.edge_array
         assert not np.any(edges[:, 0] == edges[:, 1])
-        assert len(g.edge_set()) == g.num_edges
+        assert len(np.unique(edges, axis=0)) == g.num_edges
 
 
 def _split_oracle(directed, src, dst):
