@@ -61,7 +61,7 @@ def _target_count(fraction: float, n: int) -> int:
 
 def _degree_order(g: Graph) -> np.ndarray:
     """Nodes by descending total degree, ties broken by ascending node id."""
-    return np.lexsort((np.arange(g.n), -g.degrees("total")))
+    return np.argsort(-g.degrees("total"), kind="stable")
 
 
 def vaccinate(g: Graph, strategy: VaccinationStrategy, seed: int = 0) -> np.ndarray:
@@ -122,7 +122,8 @@ def _rank_csr(g: Graph, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     indptr = np.zeros(g.n + 1, dtype=np.int32)
     np.cumsum(np.bincount(lo, minlength=g.n), out=indptr[1:])
-    return indptr, hi[np.argsort(lo * g.n + hi)].astype(np.int32)
+    # Sorting the packed keys themselves is cheaper than arg-sorting them; hi = key mod n.
+    return indptr, (np.sort(lo * g.n + hi) % g.n).astype(np.int32)
 
 
 def _level_fraction(csr: tuple[np.ndarray, np.ndarray], k: int, n: int) -> float:
@@ -152,6 +153,18 @@ def empirical_threshold(
     deterministic, so a single evaluation per f suffices.  Each order is held as
     its ``_rank_csr``, so a bisection step only slices the graph that is left.
 
+    A level, k = round(f * n) removed nodes, is decided without labelling every
+    trial.  Each trial keeps the fractions of the levels it has labelled, and is
+    bounded at k from below by its fraction at the nearest labelled count >= k
+    (else 0), and from above by the lesser of its fraction at the nearest
+    labelled count <= k and (edges left + 1) / n.  Trials are labelled in order,
+    each bound pair collapsing to its fraction, until the mean of the lower
+    bounds reaches s_min or the mean of the upper bounds falls below it.  The
+    result is that of labelling every trial at every level: a trial's fraction
+    never rises with k, a c-node component needs c - 1 of the edges left, and
+    ``np.mean`` over a list of fixed length and order rounds monotonically in
+    each entry.
+
     ``ci_halfwidth`` of the result is the bisection resolution
     ``max(1/n, 1e-3)``, not a confidence interval over trials.
     """
@@ -174,19 +187,35 @@ def empirical_threshold(
         ss = np.random.SeedSequence(seed)
         csrs = [_rank_csr(g, np.random.default_rng(c).permutation(g.n)) for c in ss.spawn(trials)]
 
-    def response(f: float) -> float:
+    def below(f: float) -> bool:
+        """Whether the mean giant-component fraction at f is below s_min."""
         k = _target_count(f, g.n)
-        return float(np.mean([_level_fraction(csr, k, g.n) for csr in csrs]))
+        lower, upper = [], []
+        for levels, (indptr, indices) in zip(labelled, csrs):
+            after = [j for j in levels if j >= k]
+            lower.append(levels[min(after)] if after else 0.0)
+            edges_left = len(indices) - int(indptr[k])
+            upper.append(min(levels[max(j for j in levels if j <= k)], (edges_left + 1) / g.n))
+        for i, levels in enumerate(labelled):
+            if float(np.mean(lower)) >= s_min:
+                return False
+            if float(np.mean(upper)) < s_min:
+                return True
+            if k not in levels:
+                levels[k] = lower[i] = upper[i] = _level_fraction(csrs[i], k, g.n)
+        return float(np.mean(lower)) < s_min
 
     tol = max(1.0 / g.n, 1e-3)
     lo, hi = 0.0, 1.0
     # Removing nothing leaves the same graph in every trial: label it once.
-    if float(np.mean([_level_fraction(csrs[0], 0, g.n)] * trials)) < s_min:
+    full = _level_fraction(csrs[0], 0, g.n)
+    labelled = [{0: full} for _ in csrs]  # per trial, {removed count: fraction}
+    if float(np.mean([full] * trials)) < s_min:
         f_c = 0.0
     else:
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
-            if response(mid) < s_min:
+            if below(mid):
                 hi = mid
             else:
                 lo = mid

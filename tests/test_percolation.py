@@ -9,7 +9,7 @@ from scipy.sparse.csgraph import connected_components
 
 from wormnet import percolation
 from wormnet.graph import Graph
-from wormnet.netgen import build_complete, build_configuration_model
+from wormnet.netgen import build_complete, build_configuration_model, build_powerlaw
 from wormnet.percolation import (
     RANDOM,
     TARGETED,
@@ -144,12 +144,14 @@ class TestGiantComponent:
         g, removed = case
         assert giant_component_fraction(g, removed) == _giant_oracle(g, removed)
 
+    # With 10 trials np.mean sums in its 8-way unrolled loop, with 1 and 3 in a plain one.
+    @pytest.mark.parametrize("trials", [1, 3, 10])
     @settings(max_examples=60, deadline=None)
     @given(_random_graphs(max_n=60), st.sampled_from([RANDOM, TARGETED]),
            st.sampled_from([0.02, 0.1, 0.3]), st.integers(0, 1000))
-    def test_bisection_gives_the_oracle_bisections_threshold(self, g, kind, s_min, seed):
-        expected = _reference_threshold(g, kind, s_min, trials=3, seed=seed)
-        assert empirical_threshold(g, kind, s_min=s_min, trials=3, seed=seed) == expected
+    def test_bisection_gives_the_oracle_bisections_threshold(self, trials, g, kind, s_min, seed):
+        expected = _reference_threshold(g, kind, s_min, trials=trials, seed=seed)
+        assert empirical_threshold(g, kind, s_min=s_min, trials=trials, seed=seed) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(_random_graphs(), st.data())
@@ -342,6 +344,21 @@ class TestEmpiricalThreshold:
         g = build_configuration_model(deg, seed=3)
         res = empirical_threshold(g, RANDOM, s_min=0.02, trials=5, seed=0)
         assert abs(res.f_c - 0.5) < 0.08
+
+    def test_bounds_decide_levels_without_labelling_every_trial(self, monkeypatch):
+        g = build_powerlaw(2000, 2.5, 1, 100, 0)
+        calls = []
+        level_fraction = percolation._level_fraction
+
+        def counted(csr, k, n):
+            calls.append(k)
+            return level_fraction(csr, k, n)
+
+        monkeypatch.setattr(percolation, "_level_fraction", counted)
+        res = empirical_threshold(g, RANDOM, trials=10)
+        # Labelling every trial takes one call for k = 0, then 10 per level over 10 levels.
+        assert len(calls) < 1 + 10 * 10
+        assert res.f_c == _reference_threshold(g, RANDOM, 0.01, trials=10, seed=0).f_c
 
     def test_subcritical_graph_gives_zero(self):
         g = Graph(200, False, [(2 * i, 2 * i + 1) for i in range(100)])
