@@ -131,10 +131,11 @@ class Simulation:
 
     ``_sus_out`` counts each node's susceptible out-neighbours (neighbour worm
     only); the run is exhausted when no infected host has one left, or, for a
-    scan worm, when no host is infected or none is susceptible.  An
-    unthrottled neighbour worm gathers only the attempts of hosts with
-    ``_sus_out > 0``: an idle host's attempts are drawn and counted, but not
-    gathered, since each one targets an infected or vaccinated node.
+    scan worm, when no host is infected or none is susceptible.  Every worm
+    and throttle arm draws, gathers and filters its attempts through the same
+    lines of ``step``; they differ only in which hosts' attempts the gather
+    keeps, and a throttled run alone passes them through ``_request`` and
+    ``_release``.
     """
 
     def __init__(
@@ -203,71 +204,59 @@ class Simulation:
     def step(self) -> tuple[int, float, int, int, int, int, int]:
         """Advance one tick; return the resulting TimeSeries row.
 
-        Every infected node draws its attempts; those of a neighbour worm's
-        host without out-neighbours are not valid.  Without a throttle every
-        valid attempt is delivered and counted in ``admitted``, but a neighbour
-        worm gathers only a spreader's: an idle host's attempts are drawn and
-        counted, not gathered, as its targets are all infected or vaccinated.
-        With a throttle, the source's throttle passes a working-set destination
-        and queues a new one; then every host whose ``_due`` time has come
-        releases its queue head(s).  All of the tick's deliveries are applied
-        together at the end, as a set.
+        Every arm takes one path.  Each infected host draws its attempts; a
+        scan worm's are all valid, and a neighbour worm's host without
+        out-neighbours makes none.  One ranged gather keeps every valid
+        attempt when throttled, since each must reach its source's throttle,
+        and otherwise a neighbour worm's spreaders' only, since an idle host's
+        targets are all infected or vaccinated.  The gathered attempts draw
+        their targets and success flags.  Without a throttle they are
+        delivered, and ``admitted`` counts every valid attempt, gathered or
+        not.  With one, each source's throttle passes a working-set
+        destination and queues a new one; then every host whose ``_due`` time
+        has come releases its queue head(s), and ``admitted`` counts the
+        passes and releases.  The tick's deliveries are applied together at
+        the end, as a set.
         """
         self.tick_index += 1
         t = self.tick_index * self.dt
         worm = self.worm
         rng = self.rng
         throttled = self.throttle_config is not None
-        p = worm.infection_probability
-        delivered = 0
-        hits = []
-
+        neighbor = worm.targeting == NEIGHBOR
         snapshot = self._infected
-        total = 0
-        if len(snapshot):
-            lam = worm.attempt_rate * self.dt
-            counts = rng.poisson(lam, size=len(snapshot))
-            if counts.max(initial=0) > MAX_ATTEMPTS_PER_TICK:
-                counts = np.minimum(counts, MAX_ATTEMPTS_PER_TICK)
-            total = int(counts.sum())
 
-        if total and worm.targeting == NEIGHBOR and not throttled:
-            picks = rng.random(total)
-            coins = rng.random(total) if p < 1.0 else None
-            active = np.flatnonzero(self._sus_out[snapshot] > 0)
-            lens = counts[active]
-            pos = _ranges(np.cumsum(counts)[active] - lens, lens)
-            targets = self._pick(np.repeat(snapshot[active], lens), picks[pos])
-            hits.append(targets if coins is None else targets[coins[pos] < p])
-            delivered = int(np.dot(counts, self._out_deg[snapshot] > 0))
-        elif total:
-            sources = np.repeat(snapshot, counts)
-            if worm.targeting == NEIGHBOR:
-                picks = rng.random(total)
-                # a source without out-neighbours makes no attempt
-                valid = self._out_deg[sources] > 0
-                sources = sources[valid]
-                targets = self._pick(sources, picks[valid])
-            else:
-                targets = rng.integers(0, self.address_space, size=total)
-                valid = slice(None)  # every scanned address is a valid attempt
-            if p < 1.0:
-                success = (rng.random(total) < p)[valid]
-            else:
-                success = np.ones(len(targets), dtype=bool)
-            if throttled:
-                targets, success = self._request(sources, targets, success, t)
-            delivered = len(targets)
-            hits.append(targets[success])
+        # a draw of size 0 leaves the generator as it was
+        counts = rng.poisson(worm.attempt_rate * self.dt, size=len(snapshot))
+        if counts.max(initial=0) > MAX_ATTEMPTS_PER_TICK:
+            counts = np.minimum(counts, MAX_ATTEMPTS_PER_TICK)
+        total = int(counts.sum())
+
+        valid = self._out_deg[snapshot] > 0 if neighbor else np.ones(len(snapshot), dtype=bool)
+        gather = self._sus_out[snapshot] > 0 if neighbor and not throttled else valid
+        active = np.flatnonzero(gather)
+        lens = counts[active]
+        pos = _ranges(np.cumsum(counts)[active] - lens, lens)
+        sources = np.repeat(snapshot[active], lens)
+        if neighbor:
+            targets = self._pick(sources, rng.random(total)[pos])
+        else:
+            targets = rng.integers(0, self.address_space, size=total)[pos]
+        if worm.infection_probability < 1.0:
+            ok = rng.random(total)[pos] < worm.infection_probability
+        else:
+            ok = np.ones(len(pos), dtype=bool)
 
         if throttled:
-            released, success = self._release(t)
-            delivered += len(released)
-            hits.append(released[success])
+            targets, ok = self._request(sources, targets, ok, t)
+            released, released_ok = self._release(t)
+            targets = np.concatenate([targets, released])
+            ok = np.concatenate([ok, released_ok])
+            delivered = len(targets)
+        else:
+            delivered = int(np.dot(counts, valid))
 
-        if hits:
-            self._infect(np.concatenate(hits), t)
-
+        self._infect(targets[ok], t)
         return (
             self.tick_index,
             t,

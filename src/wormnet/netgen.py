@@ -102,15 +102,14 @@ def build_configuration_model(
     degrees: Sequence[int],
     directed: bool = False,
     seed: int | np.random.Generator = 0,
-    in_degrees: Sequence[int] | None = None,
 ) -> Graph:
     """Wire a degree sequence into a simple graph by stub matching.
 
     Self-loops and duplicate edges left over from the matching are repaired
     with double-edge swaps, which preserves the degree sequence exactly.  For
-    directed graphs ``degrees`` are out-degrees; if ``in_degrees`` is omitted
-    the in-degrees are a random permutation of the same multiset.  Degrees
-    that no simple graph has raise ``GenerationError`` before any matching.
+    directed graphs ``degrees`` are out-degrees, and the in-degrees are a
+    random permutation of the same multiset.  Degrees that no simple graph
+    has raise ``GenerationError`` before any matching.
     """
     rng = np.random.default_rng(seed)
     deg = np.asarray(degrees, dtype=np.int64)
@@ -120,16 +119,7 @@ def build_configuration_model(
     if n and deg.max() >= n:
         raise ValueError("max degree must be < n")
     if directed:
-        if in_degrees is None:
-            in_deg = rng.permutation(deg)
-        else:
-            in_deg = np.asarray(in_degrees, dtype=np.int64)
-            if len(in_deg) != n:
-                raise ValueError("in_degrees length must match degrees length")
-            if np.any(in_deg < 0) or (n and in_deg.max() >= n):
-                raise ValueError("in_degrees out of range")
-            if in_deg.sum() != deg.sum():
-                raise ValueError("in/out degree sums must be equal")
+        in_deg = rng.permutation(deg)
         _check_digraphic(deg, in_deg)
         src = np.repeat(np.arange(n, dtype=np.int64), deg)
         dst = np.repeat(np.arange(n, dtype=np.int64), in_deg)

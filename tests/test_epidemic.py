@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 
 import numpy as np
@@ -212,6 +213,27 @@ class TestRunInvariants:
         assert MAX_ATTEMPTS_PER_TICK == 1_000_000
         assert ts.column("admitted").tolist() == [0, MAX_ATTEMPTS_PER_TICK]
 
+    def test_neighbour_attempts_per_tick_are_capped(self):
+        # the cap guards the draw that every arm shares: each attempt of a
+        # host with out-neighbours is valid, so the tick delivers the cap too
+        g = build_complete(10)
+        worm = WormBehavior("neighbor", attempt_rate=1e9)
+        ts = run(g, worm, init_infected={0}, dt=1.0, t_max=1.0, seed=0)
+        assert ts.column("admitted").tolist() == [0, MAX_ATTEMPTS_PER_TICK]
+
+    @pytest.mark.parametrize("targeting", ["neighbor", "scan"])
+    def test_a_tick_without_attempts_draws_only_the_counts(self, targeting):
+        # every draw has one entry per host or per attempt, and one of size 0
+        # leaves the generator as it was
+        g = build_complete(10)
+        worm = WormBehavior(targeting, attempt_rate=1e-9, infection_probability=0.5)
+        for seeds, throttle in itertools.product((set(), {0, 1}), (None, ThrottleConfig())):
+            sim = Simulation(g, worm, init_infected=seeds, throttle=throttle, seed=3)
+            rng = copy.deepcopy(sim.rng)
+            assert sim.step()[-1] == 0
+            assert not rng.poisson(worm.attempt_rate * sim.dt, size=len(seeds)).any()
+            assert sim.rng.bit_generator.state == rng.bit_generator.state
+
     def test_scan_address_space_must_cover_nodes(self):
         g = build_complete(100)
         worm = WormBehavior("scan", attempt_rate=1.0, address_space=50)
@@ -266,28 +288,27 @@ class TestReachability:
 
 
 def _full_gather_replay(sim):
-    """Replay the next unthrottled neighbour tick from a copy of ``sim.rng``,
-    gathering every attempt: return its ``admitted`` count and the infected
-    node set after it."""
+    """Replay the next tick's draws from a copy of ``sim.rng``, gathering
+    every attempt: return the valid attempts' sources, targets and success
+    flags, in snapshot order, then draw order."""
     rng = copy.deepcopy(sim.rng)
-    indptr, adj = sim.g.out_adjacency
-    infected = set(np.flatnonzero(sim.compartments == INFECTED).tolist())
     counts = rng.poisson(sim.worm.attempt_rate * sim.dt, size=len(sim._infected))
     counts = np.minimum(counts, MAX_ATTEMPTS_PER_TICK)
     total = int(counts.sum())
-    if not total:
-        return 0, infected
     sources = np.repeat(sim._infected, counts)
-    degs = np.diff(indptr)[sources]
-    idx = (rng.random(total) * degs).astype(np.int64)
-    valid = degs > 0
+    if sim.worm.targeting == "scan":
+        targets = rng.integers(0, sim.address_space, size=total)
+        valid = np.ones(total, dtype=bool)
+    else:
+        indptr, adj = sim.g.out_adjacency
+        degs = np.diff(indptr)[sources]
+        idx = (rng.random(total) * degs).astype(np.int64)
+        valid = degs > 0
+        targets = adj[indptr[sources[valid]] + np.minimum(idx[valid], degs[valid] - 1)]
     success = np.ones(total, dtype=bool)
     if sim.worm.infection_probability < 1.0:
         success = rng.random(total) < sim.worm.infection_probability
-    sources, idx, degs, success = sources[valid], idx[valid], degs[valid], success[valid]
-    targets = adj[indptr[sources] + np.minimum(idx, degs - 1)]
-    hits = {v for v in targets[success].tolist() if sim.compartments[v] == SUSCEPTIBLE}
-    return len(targets), infected | hits
+    return sources[valid], targets, success[valid]
 
 
 class TestUnthrottledStep:
@@ -301,8 +322,10 @@ class TestUnthrottledStep:
         worm = WormBehavior("neighbor", attempt_rate=10.0, infection_probability=p)
         sim = Simulation(g, worm, init_infected=seeds, vaccinated=vaccinated, dt=0.1, seed=seed)
         for _ in range(6):
-            admitted, infected = _full_gather_replay(sim)
-            assert sim.step()[-1] == admitted
+            _, targets, success = _full_gather_replay(sim)
+            infected = set(np.flatnonzero(sim.compartments == INFECTED).tolist())
+            infected |= {v for v in targets[success].tolist() if sim.compartments[v] == SUSCEPTIBLE}
+            assert sim.step()[-1] == len(targets)
             assert set(np.flatnonzero(sim.compartments == INFECTED).tolist()) == infected
 
 
@@ -352,13 +375,49 @@ class TestAgainstMarkovOracle:
 
 
 class TestThrottledRuns:
-    def test_infinite_rate_throttle_equals_no_throttle(self):
-        g = build_complete(80)
-        worm = WormBehavior("neighbor", attempt_rate=10.0)
-        kw = dict(init_infected={0}, dt=0.1, t_max=8.0, seed=6)
+    @pytest.mark.parametrize("targeting", ["neighbor", "scan"])
+    @settings(max_examples=200, deadline=None)
+    @given(_graph_seeds_vaccinated(), st.sampled_from([1.0, 0.5]), st.integers(0, 4),
+           st.integers(0, 2**32 - 1))
+    def test_infinite_rate_throttle_equals_no_throttle(self, targeting, case, p, capacity, seed):
+        # the throttle gathers every valid attempt and the plain run only the
+        # spreaders'; a throttle that releases its whole queue at once must
+        # still give the same rows, ``admitted`` included
+        g, seeds, vaccinated = case
+        worm = WormBehavior(targeting, attempt_rate=10.0, infection_probability=p,
+                            address_space=2 * g.n if targeting == "scan" else None)
+        kw = dict(init_infected=seeds, vaccinated=vaccinated, dt=0.1, t_max=3.0, seed=seed)
         plain = run(g, worm, **kw)
-        free = run(g, worm, throttle=ThrottleConfig(rate=math.inf), **kw)
-        assert [r[:6] for r in plain.rows] == [r[:6] for r in free.rows]
+        free = run(g, worm, throttle=ThrottleConfig(rate=math.inf, working_set_capacity=capacity),
+                   **kw)
+        assert free.rows == plain.rows
+
+    @pytest.mark.parametrize("targeting", ["neighbor", "scan"])
+    @settings(max_examples=200, deadline=None)
+    @given(_graph_seeds_vaccinated(), st.sampled_from([1.0, 0.5]), st.integers(0, 2**32 - 1))
+    def test_every_valid_attempt_reaches_the_throttle_in_order(self, targeting, case, p, seed):
+        # the throttle sees each valid attempt once, in snapshot order, then
+        # draw order, with the target and success flag a full gather draws
+        g, seeds, vaccinated = case
+        worm = WormBehavior(targeting, attempt_rate=10.0, infection_probability=p,
+                            address_space=2 * g.n if targeting == "scan" else None)
+        sim = Simulation(g, worm, init_infected=seeds, vaccinated=vaccinated,
+                         throttle=ThrottleConfig(rate=2.0, working_set_capacity=2),
+                         dt=0.1, seed=seed)
+        seen, expected = [[], [], []], [[], [], []]
+        request = sim._request
+
+        def spy(sources, targets, ok, t):
+            for log, a in zip(seen, (sources, targets, ok)):
+                log.extend(a.tolist())
+            return request(sources, targets, ok, t)
+
+        sim._request = spy
+        for _ in range(6):
+            for log, a in zip(expected, _full_gather_replay(sim)):
+                log.extend(a.tolist())
+            sim.step()
+        assert seen == expected
 
     def test_throttle_slows_spread(self):
         g = build_complete(200)
