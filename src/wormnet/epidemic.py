@@ -50,6 +50,8 @@ class WormBehavior:
             raise ValueError("attempt_rate must be > 0 and finite")
         if not 0.0 < self.infection_probability <= 1.0:
             raise ValueError("infection_probability must lie in (0, 1]")
+        if self.address_space is not None and self.targeting != SCAN:
+            raise ValueError("address_space applies to scan targeting only")
 
 
 class TimeSeries:
@@ -353,32 +355,15 @@ def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens - starts, lens)
 
 
-def run(
-    g: Graph,
-    worm: WormBehavior,
-    *,
-    init_infected,
-    vaccinated=(),
-    throttle: ThrottleConfig | None = None,
-    dt: float = 0.1,
-    t_max: float = 60.0,
-    seed=0,
-) -> TimeSeries:
-    """Iterate the engine until t_max or until no further spread is possible."""
+def run(g: Graph, worm: WormBehavior, *, t_max: float = 60.0, **settings) -> TimeSeries:
+    """Iterate ``Simulation(g, worm, **settings)`` until t_max or until no further
+    spread is possible; ``Simulation`` owns the keywords of ``settings``."""
     if not t_max > 0:
         raise ValueError("t_max must be > 0")
-    sim = Simulation(
-        g,
-        worm,
-        init_infected=init_infected,
-        vaccinated=vaccinated,
-        throttle=throttle,
-        dt=dt,
-        seed=seed,
-    )
+    sim = Simulation(g, worm, **settings)
     ts = TimeSeries()
     ts.append((0, 0.0, sim.n_susceptible, sim.n_infected, sim.n_recovered, 0, 0))
-    while (sim.tick_index + 1) * dt <= t_max + 1e-9:
+    while (sim.tick_index + 1) * sim.dt <= t_max + 1e-9:
         if sim.exhausted():
             break
         ts.append(sim.step())

@@ -382,15 +382,14 @@ def write_resolved_config(cfg: ExperimentConfig, path: str) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig, outdir: str) -> ExperimentResult:
-    """Execute all replicates, writing CSVs and a summary to ``outdir``."""
-    os.makedirs(outdir, exist_ok=True)
+    """Execute all replicates, then write CSVs and a summary to ``outdir``; a
+    replicate that fails leaves ``outdir`` untouched."""
     g = build_graph(cfg)
+    series = [run_replicate(g, cfg, i) for i in range(cfg.replicates)]
+    os.makedirs(outdir, exist_ok=True)
     write_resolved_config(cfg, os.path.join(outdir, "resolved.cfg"))
-
-    series: list[TimeSeries] = []
-    for i in range(cfg.replicates):
-        series.append(run_replicate(g, cfg, i))
-        series[-1].to_csv(_replicate_csv(outdir, i))
+    for i, ts in enumerate(series):
+        ts.to_csv(_replicate_csv(outdir, i))
     result = summarize(cfg, series)
 
     agg = result.aggregates

@@ -62,16 +62,16 @@ class NetworkSpec:
             if not self.peaks:
                 raise ValueError("multimodal family requires peaks")
             weights = [w for _, w in self.peaks]
-            if any(w <= 0 for w in weights):
+            if not all(w > 0 for w in weights):  # NaN fails too
                 raise ValueError("peak weights must be positive")
-            if abs(sum(weights) - 1.0) > 1e-9:
+            if not abs(sum(weights) - 1.0) <= 1e-9:
                 raise ValueError("peak weights must sum to 1")
             if any(d < 0 or d >= self.n for d, _ in self.peaks):
                 raise ValueError("peak degrees must lie in [0, n)")
         if self.family == "configmodel" and self.degrees is None:
             raise ValueError("configmodel family requires degrees")
         if self.family == "powerlaw":
-            if self.alpha is None or self.alpha <= 1:
+            if self.alpha is None or not self.alpha > 1:
                 raise ValueError("powerlaw requires alpha > 1")
             if self.k_min is None or self.k_max is None:
                 raise ValueError("powerlaw requires k_min and k_max")
@@ -261,7 +261,7 @@ def sample_powerlaw_degrees(
     uniformly chosen entries.  A single-degree support (k_min == k_max) with
     an odd n * k_min has no even-sum sample inside it and is rejected.
     """
-    if alpha <= 1:
+    if not alpha > 1:  # NaN fails too
         raise ValueError("alpha must be > 1")
     if not (1 <= k_min <= k_max):
         raise ValueError("need 1 <= k_min <= k_max")

@@ -59,6 +59,10 @@ class TestGenerate:
          "exactly one of preset/family/file"),
         (["--family", "multimodal", "--n", "10", "--peaks", "2:0.5,6"],
          "bad value '2:0.5,6' for key 'peaks'"),
+        (["--family", "powerlaw", "--n", "100", "--alpha", "nan", "--k-min", "1", "--k-max", "10"],
+         "[network] powerlaw requires alpha > 1"),
+        (["--family", "multimodal", "--n", "10", "--peaks", "2:nan,4:1"],
+         "[network] peak weights must be positive"),
         (["--preset", "net-d", "--alpha", "3.5", "--directed", "--n", "300"],
          "[network] preset does not take ['alpha', 'directed']"),
         (["--family", "complete", "--n", "5", "--seed", "-1"],
@@ -160,6 +164,8 @@ class TestSimulate:
         (["--rate", "5", "--tmax", "nan"], "[run] tmax must be > 0"),
         (["--rate", "5", "--seed-infected", "0"], "[run] seed_infected must be >= 1, got 0"),
         (["--rate", "5", "--seed", "-3"], "[run] seed must be >= 0, got -3"),
+        (["--rate", "5", "--address-space", "7"],
+         "[worm] address_space applies to scan targeting only"),
     ])
     def test_nan_or_inf_is_one_line_error(self, tmp_path, capsys, argv, message):
         graph = _generate(tmp_path)
@@ -384,6 +390,23 @@ seed = 5
         err = capsys.readouterr().err
         assert err.startswith(f"wormnet: error: {cfg}: [run] {key} must be ")
         assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (("targeting = neighbor", "targeting = scan\naddress_space = 100"),
+         "address_space must be >= n"),
+        (("seed = 5", "seed = 5\nseed_infected = 151"),
+         "not enough unvaccinated nodes to seed the infection"),
+    ])
+    def test_setting_that_fails_in_a_replicate_writes_nothing(self, tmp_path, capsys, edit,
+                                                             message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(self.CFG.replace(*edit))
+        out = tmp_path / "o"
+        rc = main(["experiment", "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"wormnet: error: {message}\n"
         assert not out.exists()
 
     def _experiments(self, tmp_path, network):

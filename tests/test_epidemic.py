@@ -83,6 +83,10 @@ class TestWormBehavior:
         with pytest.raises(ValueError):
             WormBehavior("scan", 1.0, infection_probability=1.5)
 
+    def test_address_space_is_for_scan_only(self):
+        with pytest.raises(ValueError, match="address_space applies to scan targeting only"):
+            WormBehavior("neighbor", 1.0, address_space=7)
+
 
 class TestTimeSeries:
     def test_csv_roundtrip(self, tmp_path):
@@ -372,6 +376,33 @@ class TestAgainstMarkovOracle:
         mean = np.mean(samples)
         sem = np.std(samples) / math.sqrt(len(samples))
         assert abs(mean - expected) < 4 * sem + 1e-12
+
+
+class TestMeanFieldLaw:
+    @pytest.mark.parametrize("dt", [0.002, 0.0005])
+    def test_growth_rate_follows_the_tick_recursion(self, dt):
+        # a tick's hits apply at its end, so on a complete graph the mean
+        # infected count follows I' = I + S(1 - exp(-beta dt I / (n - 1)))
+        # and the growth rate depends on dt; fit the recursion the way
+        # growth_rate fits a run, and compare over replicates by the CLT
+        n, beta, t_max = 1000, 400.0, 1.0
+        infected, susceptible = [1.0], n - 1.0
+        for _ in range(round(t_max / dt)):
+            new = susceptible * -math.expm1(-beta * dt * infected[-1] / (n - 1))
+            infected.append(infected[-1] + new)
+            susceptible -= new
+        infected = np.array(infected)
+        t = np.arange(len(infected)) * dt
+        window = (infected >= 2) & (infected <= 0.5 * n)
+        expected = np.polyfit(t[window], np.log(infected[window]), 1)[0]
+
+        g = build_complete(n)
+        worm = WormBehavior("neighbor", attempt_rate=beta)
+        rates = [growth_rate(run(g, worm, init_infected={0}, dt=dt, t_max=t_max,
+                                 seed=np.random.default_rng(np.random.SeedSequence([8, rep]))))
+                 for rep in range(40)]
+        sem = np.std(rates, ddof=1) / math.sqrt(len(rates))
+        assert abs(np.mean(rates) - expected) < 4 * sem
 
 
 class TestThrottledRuns:

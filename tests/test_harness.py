@@ -125,6 +125,10 @@ class TestLoadConfig:
         ("preset = bogus", "", "[network] unknown preset 'bogus'; available: "
          "net-a, net-b, net-c, net-d"),
         ("family = configmodel", "", "[network] configmodel family requires degrees_file"),
+        ("family = powerlaw\nn = 50\nalpha = nan\nk_min = 1\nk_max = 9", "",
+         "[network] powerlaw requires alpha > 1"),
+        ("family = multimodal\nn = 10\npeaks = 2:nan,4:1", "",
+         "[network] peak weights must be positive"),
         ("preset = net-a", "vaccinate = bogus\nfraction = 0.1",
          "[controls] unknown strategy kind 'bogus'"),
     ])

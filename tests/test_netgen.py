@@ -312,6 +312,7 @@ class TestPowerlaw:
     @pytest.mark.parametrize("alpha, k_min, k_max, match", [
         (1.0, 1, 10, "alpha must be > 1"),
         (0.5, 1, 10, "alpha must be > 1"),
+        (float("nan"), 1, 10, "alpha must be > 1"),
         (2.5, 5, 3, "need 1 <= k_min <= k_max"),
         (2.5, 0, 3, "need 1 <= k_min <= k_max"),
     ])
