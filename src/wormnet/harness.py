@@ -86,6 +86,15 @@ _DEFAULTS = {
     "run": {"replicates": 1, "dt": 0.1, "tmax": 60.0, "seed": 0, "seed_infected": 1},
 }
 
+# The [controls] key that each [controls] key needs beside it: a setting of a
+# control that is not applied would be ignored.
+_CONTROL_NEEDS = {
+    "vaccinate": "fraction",
+    "fraction": "vaccinate",
+    "working_set": "throttle_rate",
+    "queue_capacity": "throttle_rate",
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -110,8 +119,10 @@ class ExperimentResult:
     aggregates: dict
 
 
-def _parse_kv_file(path) -> dict[str, dict[str, tuple[str, int]]]:
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
+def _parse_kv_file(path) -> dict[str, dict]:
+    """The typed values of a config file, one dict per section of ``_SECTIONS``;
+    each value is converted on its line, so an error names the first bad line."""
+    sections: dict[str, dict] = {s: {} for s in _SECTIONS}
     current = None
     try:
         lines = list(_content_lines(path))
@@ -122,7 +133,6 @@ def _parse_kv_file(path) -> dict[str, dict[str, tuple[str, int]]]:
             current = text[1:-1].strip()
             if current not in _SECTIONS:
                 raise ConfigError(f"{path}:{lineno}: unknown section [{current}]")
-            sections.setdefault(current, {})
             continue
         if "=" not in text:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
@@ -133,7 +143,7 @@ def _parse_kv_file(path) -> dict[str, dict[str, tuple[str, int]]]:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in section [{current}]")
         if key in sections[current]:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        sections[current][key] = (value, lineno)
+        sections[current][key] = convert_value(f"{path}:{lineno}", current, key, value)
     return sections
 
 
@@ -165,6 +175,15 @@ def convert_value(where, section, key, value):
         raise ConfigError(f"{where}: bad value {value!r} for key {key!r}") from None
 
 
+def _checked(where, section, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with the ValueError it raises reported as a
+    ConfigError in ``[section]`` at ``where``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: [{section}] {exc}") from None
+
+
 def network_spec(net: dict, where, master: int, open_files: bool = True) -> NetworkSpec | None:
     """The NetworkSpec of a ``[network]`` section, or None when it names a file.
 
@@ -189,14 +208,10 @@ def network_spec(net: dict, where, master: int, open_files: bool = True) -> Netw
             raise ConfigError(f"{where}: graph file not found: {net['file']}")
         return None
     if "preset" in net:
-        try:
-            spec = presets.preset(net["preset"])
-            if "n" in net:
-                spec = dataclasses.replace(spec, n=net["n"])
-            if "seed" in net:
-                spec = dataclasses.replace(spec, seed=net["seed"])
-        except ValueError as exc:
-            raise ConfigError(f"{where}: [network] {exc}") from None
+        spec = _checked(where, "network", presets.preset, net["preset"])
+        for key in ("n", "seed"):
+            if key in net:
+                spec = _checked(where, "network", dataclasses.replace, spec, **{key: net[key]})
         return spec
     family = net["family"]
     if family == "configmodel":
@@ -210,82 +225,15 @@ def network_spec(net: dict, where, master: int, open_files: bool = True) -> Netw
         kwargs = {"degrees": tuple(degrees.tolist()), "n": len(degrees)}
     else:
         kwargs = {"n": net.get("n")}
-    try:
-        return NetworkSpec(
-            family,
-            seed=net.get("seed", master),
-            directed=net.get("directed", False),
-            alpha=net.get("alpha"),
-            k_min=net.get("k_min"),
-            k_max=net.get("k_max"),
-            peaks=net.get("peaks"),
-            **kwargs,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: [network] {exc}") from None
-
-
-def worm_behavior(worm: dict, where) -> WormBehavior:
-    """The WormBehavior of a defaults-filled ``[worm]`` section."""
-    for required in ("targeting", "rate"):
-        if required not in worm:
-            raise ConfigError(f"{where}: [worm] missing required key {required!r}")
-    try:
-        return WormBehavior(
-            targeting=worm["targeting"],
-            attempt_rate=worm["rate"],
-            infection_probability=worm["pinfect"],
-            address_space=worm.get("address_space"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: [worm] {exc}") from None
-
-
-def controls(ctl: dict, where) -> tuple[VaccinationStrategy | None, ThrottleConfig | None]:
-    """The vaccination and throttle of a defaults-filled ``[controls]`` section."""
-    vaccination = None
-    if "vaccinate" in ctl:
-        if "fraction" not in ctl:
-            raise ConfigError(f"{where}: [controls] vaccinate requires 'fraction'")
-        try:
-            vaccination = VaccinationStrategy(ctl["vaccinate"], ctl["fraction"])
-        except ValueError as exc:
-            raise ConfigError(f"{where}: [controls] {exc}") from None
-    throttle = None
-    if "throttle_rate" in ctl:
-        try:
-            throttle = ThrottleConfig(
-                rate=ctl["throttle_rate"],
-                working_set_capacity=ctl["working_set"],
-                queue_capacity=ctl.get("queue_capacity"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{where}: [controls] {exc}") from None
-    return vaccination, throttle
-
-
-def run_settings(run: dict, where) -> dict:
-    """A defaults-filled ``[run]`` section, checked: ``dt`` > 0 and finite,
-    ``tmax`` > 0, ``seed`` >= 0, and ``replicates`` and ``seed_infected`` at least 1."""
-    if not 0 < run["dt"] < np.inf:
-        raise ConfigError(f"{where}: [run] dt must be > 0 and finite, got {run['dt']}")
-    if not run["tmax"] > 0:
-        raise ConfigError(f"{where}: [run] tmax must be > 0, got {run['tmax']}")
-    if run["seed"] < 0:
-        raise ConfigError(f"{where}: [run] seed must be >= 0, got {run['seed']}")
-    for key in ("replicates", "seed_infected"):
-        if run[key] < 1:
-            raise ConfigError(f"{where}: [run] {key} must be >= 1, got {run[key]}")
-    return run
+    return _checked(where, "network", NetworkSpec, family, seed=net.get("seed", master),
+                    directed=net.get("directed", False), alpha=net.get("alpha"),
+                    k_min=net.get("k_min"), k_max=net.get("k_max"), peaks=net.get("peaks"),
+                    **kwargs)
 
 
 def load_config(path, open_files: bool = True) -> ExperimentConfig:
     """Parse and validate an experiment config file; see ``experiment_config``."""
-    values: dict[str, dict] = {s: {} for s in _SECTIONS}
-    for section, entries in _parse_kv_file(path).items():
-        for key, (text, lineno) in entries.items():
-            values[section][key] = convert_value(f"{path}:{lineno}", section, key, text)
-    return experiment_config(values, path, open_files)
+    return experiment_config(_parse_kv_file(path), path, open_files)
 
 
 def experiment_config(values: dict[str, dict], where, open_files: bool = True) -> ExperimentConfig:
@@ -293,15 +241,40 @@ def experiment_config(values: dict[str, dict], where, open_files: bool = True) -
     the documented defaults filled in; ``where`` prefixes every error, and
     ``open_files`` is as in ``network_spec``."""
     net, worm_sec, ctl, run_sec = ({**_DEFAULTS.get(s, {}), **values[s]} for s in _SECTIONS)
-    run_settings(run_sec, where)
+    if not 0 < run_sec["dt"] < np.inf:
+        raise ConfigError(f"{where}: [run] dt must be > 0 and finite, got {run_sec['dt']}")
+    if not run_sec["tmax"] > 0:
+        raise ConfigError(f"{where}: [run] tmax must be > 0, got {run_sec['tmax']}")
+    if run_sec["seed"] < 0:
+        raise ConfigError(f"{where}: [run] seed must be >= 0, got {run_sec['seed']}")
+    for key in ("replicates", "seed_infected"):
+        if run_sec[key] < 1:
+            raise ConfigError(f"{where}: [run] {key} must be >= 1, got {run_sec[key]}")
     spec = network_spec(net, where, run_sec["seed"], open_files)
-    worm = worm_behavior(worm_sec, where)
-    vaccination, throttle = controls(ctl, where)
+    for required in ("targeting", "rate"):
+        if required not in worm_sec:
+            raise ConfigError(f"{where}: [worm] missing required key {required!r}")
+    worm = _checked(where, "worm", WormBehavior, targeting=worm_sec["targeting"],
+                    attempt_rate=worm_sec["rate"], infection_probability=worm_sec["pinfect"],
+                    address_space=worm_sec.get("address_space"))
+    # the keys given, not the defaults: working_set has one
+    for key, needed in _CONTROL_NEEDS.items():
+        if key in values["controls"] and needed not in values["controls"]:
+            raise ConfigError(f"{where}: [controls] {key} requires {needed!r}")
+    vaccination = throttle = None
+    if "vaccinate" in ctl:
+        vaccination = _checked(where, "controls", VaccinationStrategy,
+                               ctl["vaccinate"], ctl["fraction"])
+    if "throttle_rate" in ctl:
+        throttle = _checked(where, "controls", ThrottleConfig, rate=ctl["throttle_rate"],
+                            working_set_capacity=ctl["working_set"],
+                            queue_capacity=ctl.get("queue_capacity"))
 
     resolved = {
         "network": dict(sorted(net.items())),
         "worm": dict(sorted(worm_sec.items())),
-        "controls": dict(sorted(ctl.items())) if (vaccination or throttle) else {},
+        # working_set's default is recorded only with the throttle it configures
+        "controls": dict(sorted((ctl if throttle else values["controls"]).items())),
         "run": dict(sorted(run_sec.items())),
     }
 
@@ -351,13 +324,19 @@ def run_replicate(g: Graph, cfg: ExperimentConfig, replicate: int) -> TimeSeries
     )
 
 
+def _format_float(v: float) -> str:
+    """``v`` to 10 significant digits when that reads back as ``v``, else exactly."""
+    text = f"{v:.10g}"
+    return text if float(text) == v else repr(v)
+
+
 def _format_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return f"{v:.10g}"
+        return _format_float(v)
     if isinstance(v, tuple):  # peaks
-        return ",".join(f"{d}:{w:.10g}" for d, w in v)
+        return ",".join(f"{d}:{_format_float(w)}" for d, w in v)
     return str(v)
 
 

@@ -67,6 +67,7 @@ class TestGenerate:
          "[network] preset does not take ['alpha', 'directed']"),
         (["--family", "complete", "--n", "5", "--seed", "-1"],
          "[network] seed must be >= 0, got -1"),
+        (["--family", "complete", "--n", "-1"], "generate: [network] n must be >= 0"),
         (["--preset", "net-a", "--seed", "-1"], "[network] seed must be >= 0, got -1"),
         (["--family", "configmodel", "--degree-histogram", "{tmp}/h.hist"],
          "h.hist:2: counts sum past 3037000497, the most a Graph can hold"),
@@ -166,6 +167,11 @@ class TestSimulate:
         (["--rate", "5", "--seed", "-3"], "[run] seed must be >= 0, got -3"),
         (["--rate", "5", "--address-space", "7"],
          "[worm] address_space applies to scan targeting only"),
+        (["--rate", "5", "--fraction", "0.5"], "[controls] fraction requires 'vaccinate'"),
+        (["--rate", "5", "--working-set", "2"],
+         "[controls] working_set requires 'throttle_rate'"),
+        (["--rate", "5", "--queue-capacity", "3"],
+         "[controls] queue_capacity requires 'throttle_rate'"),
     ])
     def test_nan_or_inf_is_one_line_error(self, tmp_path, capsys, argv, message):
         graph = _generate(tmp_path)
@@ -248,6 +254,18 @@ class TestThreshold:
         assert rc == 1
         err = capsys.readouterr().err
         assert err == "wormnet: error: degree sequence must be non-negative with mean degree > 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("strategy", ["random", "targeted"])
+    def test_empirical_on_graph_without_nodes_is_one_line_error(self, tmp_path, capsys,
+                                                                strategy):
+        graph = tmp_path / "empty.edges"
+        graph.write_text("undirected\n")
+        out = tmp_path / "thr.csv"
+        rc = main(["threshold", "--graph", str(graph), "--strategy", strategy,
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "wormnet: error: graph has no nodes\n"
         assert not out.exists()
 
     def test_negative_seed_is_one_line_error(self, tmp_path, capsys):
@@ -334,6 +352,22 @@ seed = 5
         assert lines[0] == "metric,baseline,treated,slowdown"
         printed = capsys.readouterr().out
         assert "growth_rate" in printed
+
+    def test_resolved_config_reruns_to_the_same_bytes(self, tmp_path):
+        # 0.12349999999 of 1000 nodes vaccinates 123; recorded to 10 digits, as
+        # 0.1235, the fraction would vaccinate 124
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[network]\nfamily = complete\nn = 1000\n\n[worm]\ntargeting = scan\n"
+                       "rate = 1\n\n[controls]\nvaccinate = random\nfraction = 0.12349999999\n"
+                       "\n[run]\ntmax = 1\nseed = 1\n")
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["experiment", "--config", str(cfg), "--out", str(first)]) == 0
+        assert main(["experiment", "--config", str(first / "resolved.cfg"),
+                     "--out", str(again)]) == 0
+        assert (first / "rep_000.csv").read_text().splitlines()[1] == "0,0,876,1,123,0,0"
+        assert sorted(os.listdir(again)) == sorted(os.listdir(first))
+        for name in os.listdir(first):
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
     def test_outputs_get_umask_mode_and_symlinks_are_kept(self, tmp_path, monkeypatch):
         old_umask = os.umask(0o022)

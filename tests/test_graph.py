@@ -210,6 +210,10 @@ class TestGraph:
         assert g.num_edges == 0
         assert g.degrees().tolist() == []
 
+    def test_negative_node_count(self):
+        with pytest.raises(ValueError, match="node count must be >= 0"):
+            Graph(-1, False, [])
+
 
     def test_first_bad_edge_in_input_order_is_named_with_its_index(self):
         with pytest.raises(EdgeError, match="edge 2 3: duplicate") as err:

@@ -84,6 +84,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="bad value 'fast'"):
             load_config(_write(tmp_path, BASE_CFG.replace("rate = 8", "rate = fast")))
 
+    @pytest.mark.parametrize("text, message", [
+        ("[network]\npreset = net-a\n\n[worm]\ntargeting = scan\n# two bad lines follow\n"
+         "rate = fast\npinfect = 1\n\nstealth = yes\n", ":7: bad value 'fast' for key 'rate'"),
+        ("[network]\nfamily = powerlaw\ndirected = maybe\n",
+         ":3: bad value 'maybe' for key 'directed'"),
+    ], ids=["bad-value-before-unknown-key", "bad-bool"])
+    def test_first_bad_line_is_named(self, tmp_path, text, message):
+        path = _write(tmp_path, text)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == f"{path}{message}"
+
     def test_exactly_one_network_source(self, tmp_path):
         text = BASE_CFG.replace("family = powerlaw", "family = powerlaw\npreset = net-a")
         with pytest.raises(ConfigError, match="exactly one"):
@@ -131,6 +143,12 @@ class TestLoadConfig:
          "[network] peak weights must be positive"),
         ("preset = net-a", "vaccinate = bogus\nfraction = 0.1",
          "[controls] unknown strategy kind 'bogus'"),
+        ("family = configmodel\ndegrees_file = nope.hist", "",
+         "degrees file not found: nope.hist"),
+        ("preset = net-a", "fraction = 0.5", "[controls] fraction requires 'vaccinate'"),
+        ("preset = net-a", "working_set = 2", "[controls] working_set requires 'throttle_rate'"),
+        ("preset = net-a", "queue_capacity = 3",
+         "[controls] queue_capacity requires 'throttle_rate'"),
     ])
     def test_bad_source_or_control_is_config_error(self, tmp_path, network, controls, message):
         path = _write(tmp_path, f"[network]\n{network}\n\n[worm]\ntargeting = scan\nrate = 1\n"
@@ -248,6 +266,8 @@ class TestRunExperiment:
         (BASE_CFG.replace("family = powerlaw", "family = multimodal\npeaks = 2:0.25, 4:0.75")
          .replace("alpha = 2.5\nk_min = 1\nk_max = 20\n", ""),
          {"peaks": ((2, 0.25), (4, 0.75))}, "peaks = 2:0.25,4:0.75"),
+        (BASE_CFG.replace("alpha = 2.5", "alpha = 2.12345678901"), {"alpha": 2.12345678901},
+         "alpha = 2.12345678901"),
     ])
     def test_resolved_config_reloads_identically(self, tmp_path, text, parsed, line):
         cfg = load_config(_write(tmp_path, text))

@@ -202,6 +202,9 @@ class TestGiantComponent:
         g = build_complete(4)
         assert giant_component_fraction(g, range(4)) == 0.0
 
+    def test_graph_without_nodes(self):
+        assert giant_component_fraction(Graph(0, False, []), []) == 0.0
+
     def test_isolated_survivors(self):
         g = _star(5)
         assert giant_component_fraction(g, [0]) == pytest.approx(1 / 5)
@@ -305,6 +308,10 @@ class TestAnalyticalThreshold:
         res = analytical_threshold([3] * 10, RANDOM)
         assert res.method == "analytical"
         assert res.s_min is None
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown strategy kind 'bogus'"):
+            analytical_threshold([1, 2], "bogus")
 
     @pytest.mark.parametrize("degrees", [[], [0, 0, 0], [2, -1, 3]])
     @pytest.mark.parametrize("kind", [RANDOM, TARGETED])

@@ -25,6 +25,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             ThrottleConfig(queue_capacity=0)
 
+    def test_initial_budget_must_lie_in_unit_interval(self):
+        with pytest.raises(ValueError, match=r"initial_budget must lie in \[0, 1\]"):
+            ThrottleState(ThrottleConfig(), initial_budget=1.5)
+
 
 class TestStateMachine:
     def test_working_set_hit_admitted(self):
