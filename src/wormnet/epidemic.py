@@ -12,11 +12,13 @@ Runs are fully deterministic given (graph, worm, controls, seeds).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import is_
 
 import numpy as np
 
 from .graph import Graph, ParseError, int64_array, write_text
-from .throttle import Admitted, ThrottleConfig, ThrottleState
+from .throttle import ADMITTED, ENQUEUED, ThrottleConfig, ThrottleState
 
 SUSCEPTIBLE, INFECTED, RECOVERED = 0, 1, 2
 
@@ -27,6 +29,9 @@ CSV_HEADER = "tick,t,susceptible,infected,recovered,queued,admitted"
 
 # Per-node cap on one tick's attempts, against pathological rate * dt products.
 MAX_ATTEMPTS_PER_TICK = 1_000_000
+
+# ThrottleState.tick's (dest, delay, tag) triples; the engine's tag is the success flag
+_RELEASED = [("dest", np.int64), ("delay", float), ("ok", bool)]
 
 
 @dataclass(frozen=True)
@@ -129,7 +134,9 @@ class Simulation:
     compartments, so the result does not depend on delivery order.  A queued
     attempt's ``ok`` rides in its source's ``ThrottleState`` queue as the
     request's tag.  A throttled host with a non-empty queue has its next
-    release time in ``_due`` (``inf`` for every other node).
+    release time in ``_due`` (``inf`` for every other node).  Per attempt,
+    ``_request`` makes one ``request`` call and nothing else, and ``_release``
+    ticks each due host once; the passes, queue count and due times are per tick.
 
     ``_sus_out`` counts each node's susceptible out-neighbours (neighbour worm
     only); the run is exhausted when no infected host has one left, or, for a
@@ -192,16 +199,7 @@ class Simulation:
         self._throttles: dict[int, ThrottleState] = {}
         self._due = np.full(g.n, np.inf)
         self.queued_total = 0
-        if throttle is not None:
-            for u in self._infected.tolist():
-                self._new_throttle(u, 0.0)
-
-    # -- setup helpers -----------------------------------------------------
-
-    def _new_throttle(self, node: int, t: float) -> None:
-        self._throttles[node] = ThrottleState(self.throttle_config, t0=t, initial_budget=0.0)
-
-    # -- stepping ----------------------------------------------------------
+        self._start_throttles(self._infected, 0.0)
 
     def step(self) -> tuple[int, float, int, int, int, int, int]:
         """Advance one tick; return the resulting TimeSeries row.
@@ -277,43 +275,37 @@ class Simulation:
         return self._adj[self._indptr[sources] + idx]
 
     def _request(self, sources, targets, success, t):
-        """Classify each attempt with its source's throttle; return the
-        ``(dest, ok)`` arrays of the working-set passes."""
-        passed_dest, passed_ok = [], []
-        scheduled, scheduled_due = [], []
-        queued = 0
-        for s, d, ok in zip(sources.tolist(), targets.tolist(), success.tolist()):
-            st = self._throttles[s]
-            decision = st.request(d, t, ok)
-            if isinstance(decision, Admitted):
-                passed_dest.append(d)
-                passed_ok.append(ok)
-            elif decision.dropped is None:  # an eviction leaves the length as it was
-                queued += 1
-                if len(st.delay_queue) == 1:  # the queue was empty: schedule a release
-                    scheduled.append(s)
-                    scheduled_due.append(st.next_release_due())
-        self.queued_total += queued
-        self._due[scheduled] = scheduled_due
-        return np.array(passed_dest, dtype=np.int64), np.array(passed_ok, dtype=bool)
+        """Pass each attempt, in order, to its source's throttle; return the
+        ``(dest, ok)`` arrays of the working-set passes.
+
+        Scheduling is per tick: a request moves no clock or budget and a new
+        queue's head is stamped t, so the hosts whose queue was empty when the
+        tick began (``_due`` is inf) get their release times after the requests."""
+        throttles = self._throttles
+        decisions = [throttles[s].request(d, t, ok)
+                     for s, d, ok in zip(sources.tolist(), targets.tolist(), success.tolist())]
+        passed = np.fromiter(map(is_, decisions, repeat(ADMITTED)), bool, len(decisions))
+        self.queued_total += sum(map(is_, decisions, repeat(ENQUEUED)))  # evictions keep the length
+        hosts = np.unique(sources[~passed & np.isinf(self._due[sources])])
+        self._due[hosts] = [throttles[s].next_release_due() for s in hosts.tolist()]
+        return targets[passed], success[passed]
 
     def _release(self, t):
-        """Release the queue head(s) of every host that is due by t; return
-        the released ``(dest, ok)`` arrays."""
-        dests, oks = [], []
-        hosts = np.nonzero(self._due <= t + 1e-9)[0].tolist()
-        next_due = []
-        for s in hosts:
-            st = self._throttles[s]
-            for d, _delay, ok in st.tick(t):
-                dests.append(d)
-                oks.append(ok)
-            due = st.next_release_due()
-            # a host that has just released is never due again at this t
-            next_due.append(np.inf if due is None else max(due, t + 2e-9))
-        self.queued_total -= len(dests)
-        self._due[hosts] = next_due
-        return np.array(dests, dtype=np.int64), np.array(oks, dtype=bool)
+        """Tick each host due by t once; return the released ``(dest, ok)`` arrays."""
+        hosts = np.flatnonzero(self._due <= t + 1e-9)
+        states = [self._throttles[s] for s in hosts.tolist()]
+        released = np.array([r for state in states for r in state.tick(t)], dtype=_RELEASED)
+        due = np.array([state.next_release_due() for state in states], dtype=float)  # None: nan
+        # an emptied queue is never due; a host that has just released is never due again at this t
+        self._due[hosts] = np.where(np.isnan(due), np.inf, np.maximum(due, t + 2e-9))
+        self.queued_total -= len(released)
+        return released["dest"], released["ok"]
+
+    def _start_throttles(self, hosts: np.ndarray, t: float) -> None:
+        """Give each host infected at t, if throttled, a throttle with an empty budget."""
+        if self.throttle_config is not None:
+            for u in hosts.tolist():
+                self._throttles[u] = ThrottleState(self.throttle_config, t0=t, initial_budget=0.0)
 
     def _infect(self, hits: np.ndarray, t: float) -> None:
         """Infect the still-susceptible nodes among the successful targets."""
@@ -332,9 +324,7 @@ class Simulation:
             np.subtract.at(self._sus_out, in_src[pos], 1)
             hosts = np.concatenate([self._spreaders, hits])
             self._spreaders = hosts[self._sus_out[hosts] > 0]
-        if self.throttle_config is not None:
-            for u in hits.tolist():
-                self._new_throttle(u, t)
+        self._start_throttles(hits, t)
         self._infected = np.concatenate([self._infected, hits])
 
     def exhausted(self) -> bool:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import presets
 from .epidemic import TimeSeries, WormBehavior, growth_rate, run, time_to_fraction
-from .graph import Graph, _content_lines, read_degree_histogram, read_edge_list, write_text
+from .graph import Graph, read_degree_histogram, read_edge_list, write_text
 from .netgen import NetworkSpec, build_network
 from .percolation import VaccinationStrategy, vaccinate
 from .throttle import ThrottleConfig
@@ -121,14 +121,20 @@ class ExperimentResult:
 
 def _parse_kv_file(path) -> dict[str, dict]:
     """The typed values of a config file, one dict per section of ``_SECTIONS``;
-    each value is converted on its line, so an error names the first bad line."""
+    each value is converted on its line, so an error names the first bad line.
+    A comment is a whole line whose first non-blank character is ``#``, so a
+    value may hold one."""
     sections: dict[str, dict] = {s: {} for s in _SECTIONS}
     current = None
     try:
-        lines = list(_content_lines(path))
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = list(enumerate(fh, start=1))
     except OSError as exc:
         raise ConfigError(f"cannot open config {path}: {exc}") from None
     for lineno, text in lines:
+        text = text.strip()
+        if not text or text.startswith("#"):
+            continue
         if text.startswith("[") and text.endswith("]"):
             current = text[1:-1].strip()
             if current not in _SECTIONS:

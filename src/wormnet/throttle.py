@@ -54,7 +54,9 @@ class Enqueued:
     dropped: tuple[int, float, object] | None
 
 
-_ADMITTED, _ENQUEUED = Admitted(), Enqueued(None)  # frozen: shared by every request they answer
+# ``request`` answers every pass with ADMITTED and every enqueue that evicts
+# nothing with ENQUEUED, so a caller can tell its answers apart by identity
+ADMITTED, ENQUEUED = Admitted(), Enqueued(None)
 
 
 class ThrottleState:
@@ -82,12 +84,12 @@ class ThrottleState:
             raise ClockError(f"request at t={t} precedes state clock {self.last_update}")
         if dest in self.working_set:
             self.working_set.move_to_end(dest)
-            return _ADMITTED
+            return ADMITTED
         self.delay_queue.append((dest, t, tag))
         cap = self.config.queue_capacity
         if cap is not None and len(self.delay_queue) > cap:
             return Enqueued(self.delay_queue.popleft())
-        return _ENQUEUED
+        return ENQUEUED
 
     def tick(self, t: float) -> list[tuple[int, float, object]]:
         """Advance the clock to t; return the released (dest, delay, tag) triples."""

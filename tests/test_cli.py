@@ -369,6 +369,23 @@ seed = 5
         for name in os.listdir(first):
             assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
+    def test_config_value_may_hold_a_hash(self, tmp_path, monkeypatch):
+        # a comment is a whole line, so a graph file named net#1.edges loads,
+        # and the resolved.cfg that records it re-runs to the same bytes
+        monkeypatch.chdir(tmp_path)
+        os.rename(_generate(tmp_path), "net#1.edges")
+        (tmp_path / "exp.cfg").write_text("# a scan worm on net#1\n[network]\nfile = net#1.edges\n"
+                                          "\n[worm]\ntargeting = scan\nrate = 1\n"
+                                          "\n[run]\ntmax = 1\nseed = 1\n")
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["experiment", "--config", "exp.cfg", "--out", str(first)]) == 0
+        assert "file = net#1.edges" in (first / "resolved.cfg").read_text().splitlines()
+        assert main(["experiment", "--config", str(first / "resolved.cfg"),
+                     "--out", str(again)]) == 0
+        assert sorted(os.listdir(again)) == sorted(os.listdir(first))
+        for name in os.listdir(first):
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
     def test_outputs_get_umask_mode_and_symlinks_are_kept(self, tmp_path, monkeypatch):
         old_umask = os.umask(0o022)
         try:

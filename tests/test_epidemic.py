@@ -22,7 +22,7 @@ from wormnet.epidemic import (
 )
 from wormnet.graph import Graph, ParseError
 from wormnet.netgen import build_complete
-from wormnet.throttle import ThrottleConfig
+from wormnet.throttle import Admitted, ThrottleConfig, ThrottleState
 
 
 def _star(n):
@@ -449,6 +449,46 @@ class TestThrottledRuns:
                 log.extend(a.tolist())
             sim.step()
         assert seen == expected
+
+    @pytest.mark.parametrize("targeting", ["neighbor", "scan"])
+    @settings(max_examples=200, deadline=None)
+    @given(_graph_seeds_vaccinated(), st.sampled_from([1.0, 0.5]),
+           st.sampled_from([0.5, 2.0, math.inf]), st.integers(0, 4), st.sampled_from([None, 1, 3]),
+           st.integers(0, 2**32 - 1))
+    def test_matches_per_host_throttle_oracle(self, targeting, case, p, rate, capacity,
+                                              queue_capacity, seed):
+        # differential oracle: each tick, a full gather's attempts go through
+        # one ThrottleState per infected host, made at its infection tick with
+        # an empty budget; then every host whose queue head is due ticks once,
+        # and the tick's passes and releases are delivered together
+        g, seeds, vaccinated = case
+        worm = WormBehavior(targeting, attempt_rate=10.0, infection_probability=p,
+                            address_space=2 * g.n if targeting == "scan" else None)
+        config = ThrottleConfig(rate=rate, working_set_capacity=capacity,
+                                queue_capacity=queue_capacity)
+        sim = Simulation(g, worm, init_infected=seeds, vaccinated=vaccinated, throttle=config,
+                         dt=0.2, seed=seed)
+        compartments = sim.compartments.copy()
+        hosts = {u: ThrottleState(config, t0=0.0, initial_budget=0.0) for u in seeds}
+        for tick in range(1, 16):
+            t = tick * 0.2
+            delivered = []
+            for s, d, ok in zip(*(a.tolist() for a in _full_gather_replay(sim))):
+                if isinstance(hosts[s].request(d, t, ok), Admitted):
+                    delivered.append((d, ok))
+            for state in hosts.values():
+                due = state.next_release_due()
+                if due is not None and due <= t + 1e-9:
+                    delivered += [(d, ok) for d, _delay, ok in state.tick(t)]
+            for d, ok in delivered:
+                if ok and d < g.n and compartments[d] == SUSCEPTIBLE:
+                    compartments[d] = INFECTED
+                    hosts[d] = ThrottleState(config, t0=t, initial_budget=0.0)
+            queued = sum(len(state.delay_queue) for state in hosts.values())
+            sir = [int((compartments == c).sum()) for c in (SUSCEPTIBLE, INFECTED, RECOVERED)]
+            assert sim.step()[2:] == (*sir, queued, len(delivered))
+            assert np.array_equal(np.flatnonzero(sim.compartments == INFECTED),
+                                  np.flatnonzero(compartments == INFECTED))
 
     def test_throttle_slows_spread(self):
         g = build_complete(200)

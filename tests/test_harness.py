@@ -89,7 +89,9 @@ class TestLoadConfig:
          "rate = fast\npinfect = 1\n\nstealth = yes\n", ":7: bad value 'fast' for key 'rate'"),
         ("[network]\nfamily = powerlaw\ndirected = maybe\n",
          ":3: bad value 'maybe' for key 'directed'"),
-    ], ids=["bad-value-before-unknown-key", "bad-bool"])
+        ("[network]\npreset = net-a\n\n[worm]\ntargeting = scan\nrate = 10 # per second\n",
+         ":6: bad value '10 # per second' for key 'rate'"),
+    ], ids=["bad-value-before-unknown-key", "bad-bool", "comment-after-value"])
     def test_first_bad_line_is_named(self, tmp_path, text, message):
         path = _write(tmp_path, text)
         with pytest.raises(ConfigError) as err:
