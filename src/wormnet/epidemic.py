@@ -136,7 +136,15 @@ class Simulation:
     request's tag.  A throttled host with a non-empty queue has its next
     release time in ``_due`` (``inf`` for every other node).  Per attempt,
     ``_request`` makes one ``request`` call and nothing else, and ``_release``
-    ticks each due host once; the passes, queue count and due times are per tick.
+    ticks each due host once; the passes, due times and ``counters`` are per tick.
+
+    ``counters`` holds the throttle's cumulative work: ``requests``, of which
+    ``passed`` went through the working set and ``enqueued`` joined a queue;
+    ``dropped``, the queued attempts a full queue evicted; ``release_visits``,
+    the due hosts ``_release`` ticked; ``released``, the attempts they let go;
+    and ``wait_sum`` and ``wait_max``, the queue waits of the released attempts.
+    Every enqueued attempt is still queued, dropped or released, so the
+    ``queued`` column is ``enqueued - dropped - released``.
 
     ``_sus_out`` counts each node's susceptible out-neighbours (neighbour worm
     only); the run is exhausted when no infected host has one left, or, for a
@@ -198,7 +206,8 @@ class Simulation:
 
         self._throttles: dict[int, ThrottleState] = {}
         self._due = np.full(g.n, np.inf)
-        self.queued_total = 0
+        self.counters = {"requests": 0, "passed": 0, "enqueued": 0, "dropped": 0,
+                         "released": 0, "release_visits": 0, "wait_sum": 0.0, "wait_max": 0.0}
         self._start_throttles(self._infected, 0.0)
 
     def step(self) -> tuple[int, float, int, int, int, int, int]:
@@ -257,13 +266,14 @@ class Simulation:
             delivered = int(np.dot(counts, valid))
 
         self._infect(targets[ok], t)
+        c = self.counters
         return (
             self.tick_index,
             t,
             self.n_susceptible,
             self.n_infected,
             self.n_recovered,
-            self.queued_total,
+            c["enqueued"] - c["dropped"] - c["released"],
             delivered,
         )
 
@@ -285,7 +295,13 @@ class Simulation:
         decisions = [throttles[s].request(d, t, ok)
                      for s, d, ok in zip(sources.tolist(), targets.tolist(), success.tolist())]
         passed = np.fromiter(map(is_, decisions, repeat(ADMITTED)), bool, len(decisions))
-        self.queued_total += sum(map(is_, decisions, repeat(ENQUEUED)))  # evictions keep the length
+        enqueued = len(decisions) - int(np.count_nonzero(passed))
+        c = self.counters
+        c["requests"] += len(decisions)
+        c["passed"] += len(decisions) - enqueued
+        c["enqueued"] += enqueued
+        # an enqueue answers ENQUEUED unless it evicts the queue's head
+        c["dropped"] += enqueued - sum(map(is_, decisions, repeat(ENQUEUED)))
         hosts = np.unique(sources[~passed & np.isinf(self._due[sources])])
         self._due[hosts] = [throttles[s].next_release_due() for s in hosts.tolist()]
         return targets[passed], success[passed]
@@ -298,7 +314,11 @@ class Simulation:
         due = np.array([state.next_release_due() for state in states], dtype=float)  # None: nan
         # an emptied queue is never due; a host that has just released is never due again at this t
         self._due[hosts] = np.where(np.isnan(due), np.inf, np.maximum(due, t + 2e-9))
-        self.queued_total -= len(released)
+        c = self.counters
+        c["release_visits"] += len(hosts)
+        c["released"] += len(released)
+        c["wait_sum"] += float(released["delay"].sum())
+        c["wait_max"] = max(c["wait_max"], float(released["delay"].max(initial=0.0)))
         return released["dest"], released["ok"]
 
     def _start_throttles(self, hosts: np.ndarray, t: float) -> None:

@@ -12,7 +12,6 @@ whose degree sequences match the request exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -197,15 +196,35 @@ def _wire(n, directed, src, dst, rng) -> Graph:
     random orientation.  The whole repair shares a budget of 100 draws per pair.
     The draws still index ``list(edge_set)``, a set filled with the kept canonical
     pairs in input order, so they rest on CPython's set order; removing that
-    order (roadmap item 6) moves bytes.
+    order (roadmap item 6B) moves bytes.
+
+    The graph itself is held as arrays throughout: ``Graph`` gets the kept pairs
+    in sorted order, less the pairs the swaps removed, plus the ones they added.
+    The set and its list are built only to drive the draws, and ``_repair``
+    returns, releasing every tuple, before ``Graph`` is built.
     """
-    u, v, _, leftover = _simple_split(n, directed, src, dst)
+    u, v, order, leftover = _simple_split(n, directed, src, dst)
     if not leftover.any():
-        return Graph(n, directed, np.column_stack((u, v)))
-    edge_set = set(zip(u[~leftover].tolist(), v[~leftover].tolist()))
-    budget = 100 * max(len(src), 1)
+        return Graph(n, directed, np.column_stack((u[order], v[order])))
+    kept = (u * n + v)[order[~leftover[order]]]  # one key u * n + v per kept pair, sorted
+    pairs = zip(u[~leftover].tolist(), v[~leftover].tolist())  # the kept pairs in input order
+    del u, v, order  # free the split's columns before the set is built
+    removed, added = _repair(pairs, zip(src[leftover].tolist(), dst[leftover].tolist()),
+                             directed, 100 * max(len(src), 1), rng)
+    del pairs  # once exhausted, it still holds the list of the kept v's
+    kept = np.delete(kept, np.searchsorted(kept, removed[:, 0] * n + removed[:, 1]))
+    return Graph(n, directed, np.concatenate([np.column_stack(np.divmod(kept, n)), added]))
+
+
+def _repair(pairs, leftovers, directed, budget, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Place each leftover (u, v) by an edge swap over the set of ``pairs``;
+    return, each as a sorted (k, 2) array, the pairs of ``pairs`` that the swaps
+    removed and the pairs they added that are still there.  A pair of ``pairs``
+    that a later swap adds back is in both."""
+    edge_set = set(pairs)
     edge_list = list(edge_set)
-    for u, v in zip(src[leftover].tolist(), dst[leftover].tolist()):
+    removed, added = set(), set()
+    for u, v in leftovers:
         placed = False
         while budget > 0 and not placed:
             budget -= 1
@@ -223,13 +242,19 @@ def _wire(n, directed, src, dst, rng) -> Graph:
             edge_set.discard(old)
             edge_set.add(e1)
             edge_set.add(e2)
+            if old in added:  # an earlier swap's pair: un-add it
+                added.discard(old)
+            else:
+                removed.add(old)
+            added.add(e1)
+            added.add(e2)
             edge_list[j] = e1
             edge_list.append(e2)
             placed = True
         if not placed:
             raise GenerationError("edge-swap repair exhausted its retry budget")
-    pairs = np.fromiter(chain.from_iterable(edge_list), np.int64, 2 * len(edge_list))
-    return Graph(n, directed, pairs.reshape(-1, 2))
+    return (np.array(sorted(removed), dtype=np.int64).reshape(-1, 2),
+            np.array(sorted(added), dtype=np.int64).reshape(-1, 2))
 
 
 def build_multimodal(

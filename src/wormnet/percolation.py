@@ -12,7 +12,7 @@ model assumption).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -45,6 +45,11 @@ class ThresholdResult:
     interval: the empirical bisection stops at ``max(1/n, 1e-3)``, and the
     analytical value is exact (0).  It says nothing about the spread of f_c
     between trial seeds.
+
+    ``labellings`` and ``levels`` count the work of an empirical estimate: the
+    component labellings, the one at k = 0 included, and the bisection levels
+    (0 and 0 for the analytical route).  They describe how the estimate was
+    computed, not the estimate, so equality ignores them.
     """
 
     f_c: float
@@ -53,6 +58,8 @@ class ThresholdResult:
     s_min: float | None
     trials: int
     ci_halfwidth: float
+    labellings: int = field(default=0, compare=False)
+    levels: int = field(default=0, compare=False)
 
 
 def _target_count(fraction: float, n: int) -> int:
@@ -206,7 +213,7 @@ def empirical_threshold(
         return float(np.mean(lower)) < s_min
 
     tol = max(1.0 / g.n, 1e-3)
-    lo, hi = 0.0, 1.0
+    lo, hi, n_levels = 0.0, 1.0, 0
     # Removing nothing leaves the same graph in every trial: label it once.
     full = _level_fraction(csrs[0], 0, g.n)
     labelled = [{0: full} for _ in csrs]  # per trial, {removed count: fraction}
@@ -215,6 +222,7 @@ def empirical_threshold(
     else:
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
+            n_levels += 1
             if below(mid):
                 hi = mid
             else:
@@ -228,6 +236,9 @@ def empirical_threshold(
         s_min=s_min,
         trials=trials,
         ci_halfwidth=tol,
+        # past the one at k = 0, which every trial shares, each labelling adds one entry
+        labellings=1 + sum(len(fractions) - 1 for fractions in labelled),
+        levels=n_levels,
     )
 
 

@@ -460,7 +460,8 @@ class TestThrottledRuns:
         # differential oracle: each tick, a full gather's attempts go through
         # one ThrottleState per infected host, made at its infection tick with
         # an empty budget; then every host whose queue head is due ticks once,
-        # and the tick's passes and releases are delivered together
+        # and the tick's passes and releases are delivered together.  The
+        # replay tallies each counter of the engine as it goes.
         g, seeds, vaccinated = case
         worm = WormBehavior(targeting, attempt_rate=10.0, infection_probability=p,
                             address_space=2 * g.n if targeting == "scan" else None)
@@ -470,16 +471,29 @@ class TestThrottledRuns:
                          dt=0.2, seed=seed)
         compartments = sim.compartments.copy()
         hosts = {u: ThrottleState(config, t0=0.0, initial_budget=0.0) for u in seeds}
+        tally = {"requests": 0, "passed": 0, "enqueued": 0, "dropped": 0,
+                 "released": 0, "release_visits": 0}
+        waits = []
         for tick in range(1, 16):
             t = tick * 0.2
             delivered = []
             for s, d, ok in zip(*(a.tolist() for a in _full_gather_replay(sim))):
-                if isinstance(hosts[s].request(d, t, ok), Admitted):
+                decision = hosts[s].request(d, t, ok)
+                tally["requests"] += 1
+                if isinstance(decision, Admitted):
+                    tally["passed"] += 1
                     delivered.append((d, ok))
+                else:
+                    tally["enqueued"] += 1
+                    tally["dropped"] += decision.dropped is not None
             for state in hosts.values():
                 due = state.next_release_due()
                 if due is not None and due <= t + 1e-9:
-                    delivered += [(d, ok) for d, _delay, ok in state.tick(t)]
+                    released = state.tick(t)
+                    tally["release_visits"] += 1
+                    tally["released"] += len(released)
+                    waits += [delay for _d, delay, _ok in released]
+                    delivered += [(d, ok) for d, _delay, ok in released]
             for d, ok in delivered:
                 if ok and d < g.n and compartments[d] == SUSCEPTIBLE:
                     compartments[d] = INFECTED
@@ -489,6 +503,10 @@ class TestThrottledRuns:
             assert sim.step()[2:] == (*sir, queued, len(delivered))
             assert np.array_equal(np.flatnonzero(sim.compartments == INFECTED),
                                   np.flatnonzero(compartments == INFECTED))
+            counters = dict(sim.counters)
+            assert counters.pop("wait_sum") == pytest.approx(math.fsum(waits), rel=1e-12, abs=1e-12)
+            assert counters.pop("wait_max") == max(waits, default=0.0)
+            assert counters == tally
 
     def test_throttle_slows_spread(self):
         g = build_complete(200)

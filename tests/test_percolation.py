@@ -365,6 +365,7 @@ class TestEmpiricalThreshold:
         res = empirical_threshold(g, RANDOM, trials=10)
         # Labelling every trial takes one call for k = 0, then 10 per level over 10 levels.
         assert len(calls) < 1 + 10 * 10
+        assert res.labellings == len(calls)
         assert res.f_c == _reference_threshold(g, RANDOM, 0.01, trials=10, seed=0).f_c
 
     def test_subcritical_graph_gives_zero(self):
