@@ -8,7 +8,7 @@ import math
 import sys
 
 from . import harness, presets
-from .graph import ParseError, read_edge_list, write_edge_list, write_text
+from .graph import ParseError, format_field, read_edge_list, table_text, write_edge_list, write_text
 from .netgen import FAMILIES, GenerationError, build_network
 from .percolation import analytical_threshold, empirical_threshold
 from .throttle import ThrottleConfig, process_trace
@@ -51,10 +51,9 @@ def _cmd_threshold(args) -> int:
         )
     else:
         result = analytical_threshold(g.degrees(), args.strategy)
-    s_min = "" if result.s_min is None else f"{result.s_min:.10g}"
-    write_text(args.out, "strategy,f_c,method,s_min,trials,ci_halfwidth\n"
-               f"{result.kind},{result.f_c:.10g},{result.method},{s_min},"
-               f"{result.trials},{result.ci_halfwidth:.10g}\n")
+    s_min = "" if result.s_min is None else result.s_min  # an analytical row has none
+    write_text(args.out, table_text("strategy,f_c,method,s_min,trials,ci_halfwidth", [
+        (result.kind, result.f_c, result.method, s_min, result.trials, result.ci_halfwidth)]))
     print(f"f_c({result.kind}, {result.method}) = {result.f_c:.4g}")
     return 0
 
@@ -82,8 +81,7 @@ def _cmd_throttle_demo(args) -> int:
         queue_capacity=args.queue_capacity,
     )
     rows = process_trace(events, config)
-    write_text(args.out, "t,dest,decision,delay\n" + "".join(
-        f"{t:.10g},{dest},{decision},{delay:.10g}\n" for t, dest, decision, delay in rows))
+    write_text(args.out, table_text("t,dest,decision,delay", rows))
     print(f"wrote {len(rows)} decisions to {args.out}")
     return 0
 
@@ -91,13 +89,10 @@ def _cmd_throttle_demo(args) -> int:
 def _cmd_experiment(args) -> int:
     cfg = harness.load_config(args.config)
     result = harness.run_experiment(cfg, args.out)
-    agg = result.aggregates
-    print(
-        f"{cfg.replicates} replicate(s) -> {args.out}; "
-        f"growth_rate mean = {harness._na(agg['growth_rate_mean'])}, "
-        f"time_to_{harness.TIME_TO_FRACTION_Q:g} mean = "
-        f"{harness._na(agg['time_to_fraction_mean'])}"
-    )
+    growth, reach = (format_field(harness.mean_std(values)[0])
+                     for values in (result.growth_rates, result.times_to_fraction))
+    print(f"{cfg.replicates} replicate(s) -> {args.out}; growth_rate mean = {growth}, "
+          f"time_to_{harness.TIME_TO_FRACTION_Q:g} mean = {reach}")
     return 0
 
 
@@ -108,10 +103,8 @@ def _cmd_compare(args) -> int:
     if args.out:
         harness.write_compare_csv(rows, args.out)
     for row in rows:
-        print(
-            f"{row['metric']}: baseline={harness._na(row['baseline'])} "
-            f"treated={harness._na(row['treated'])} slowdown={harness._na(row['slowdown'])}"
-        )
+        print(f"{row['metric']}: " + " ".join(
+            f"{key}={format_field(row[key])}" for key in harness.COMPARE_COLUMNS[1:]))
     return 0
 
 

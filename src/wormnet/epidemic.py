@@ -17,7 +17,7 @@ from operator import is_
 
 import numpy as np
 
-from .graph import Graph, ParseError, int64_array, write_text
+from .graph import Graph, ParseError, int64_array, table_text, write_text
 from .throttle import ADMITTED, ENQUEUED, ThrottleConfig, ThrottleState
 
 SUSCEPTIBLE, INFECTED, RECOVERED = 0, 1, 2
@@ -82,10 +82,7 @@ class TimeSeries:
         return s + i + r
 
     def to_csv_text(self) -> str:
-        lines = [CSV_HEADER]
-        for tick, t, s, i, r, q, a in self.rows:
-            lines.append(f"{tick},{t:.10g},{s},{i},{r},{q},{a}")
-        return "\n".join(lines) + "\n"
+        return table_text(CSV_HEADER, self.rows)
 
     def to_csv(self, path) -> None:
         write_text(path, self.to_csv_text())

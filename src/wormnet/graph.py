@@ -198,6 +198,20 @@ def write_text(path, text: str) -> None:
         raise
 
 
+def format_field(v) -> str:
+    """One field of an output table: None (no value, such as a time a run never
+    reached) as ``NA``, a float to 10 significant digits, anything else with ``str``."""
+    if v is None:
+        return "NA"
+    return f"{v:.10g}" if isinstance(v, float) else str(v)
+
+
+def table_text(header: str, rows) -> str:
+    """The CSV text of ``header`` and ``rows``, each a sequence of fields; the one
+    table format of every output, each field written by ``format_field``."""
+    return "".join([header + "\n", *(",".join(map(format_field, row)) + "\n" for row in rows)])
+
+
 def _content_lines(path):
     """Yield (lineno, stripped_text) for non-comment, non-blank lines."""
     with open(path, "r", encoding="utf-8") as fh:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import presets
 from .epidemic import TimeSeries, WormBehavior, growth_rate, run, time_to_fraction
-from .graph import Graph, read_degree_histogram, read_edge_list, write_text
+from .graph import Graph, read_degree_histogram, read_edge_list, table_text, write_text
 from .netgen import NetworkSpec, build_network
 from .percolation import VaccinationStrategy, vaccinate
 from .throttle import ThrottleConfig
@@ -113,10 +113,12 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
+    """Each replicate's growth rate and time to TIME_TO_FRACTION_Q, None where it
+    has none."""
+
     config: ExperimentConfig
     growth_rates: list[float | None]
     times_to_fraction: list[float | None]
-    aggregates: dict
 
 
 def _parse_kv_file(path) -> dict[str, dict]:
@@ -376,20 +378,16 @@ def run_experiment(cfg: ExperimentConfig, outdir: str) -> ExperimentResult:
     for i, ts in enumerate(series):
         ts.to_csv(_replicate_csv(outdir, i))
     result = summarize(cfg, series)
-
-    agg = result.aggregates
-    summary = ["replicate,growth_rate,time_to_fraction"]
-    for i, (r, t) in enumerate(zip(result.growth_rates, result.times_to_fraction)):
-        summary.append(f"{i},{_na(r)},{_na(t)}")
-    summary.append(f"mean,{_na(agg['growth_rate_mean'])},{_na(agg['time_to_fraction_mean'])}")
-    summary.append(f"std,{_na(agg['growth_rate_std'])},{_na(agg['time_to_fraction_std'])}")
-    write_text(os.path.join(outdir, "summary.csv"), "\n".join(summary) + "\n")
+    columns = (result.growth_rates, result.times_to_fraction)
+    rows = [(i, *values) for i, values in enumerate(zip(*columns))]
+    rows += zip(("mean", "std"), *map(mean_std, columns))  # over the replicates that have one
+    write_text(os.path.join(outdir, "summary.csv"),
+               table_text("replicate,growth_rate,time_to_fraction", rows))
     return result
 
 
 def summarize(cfg: ExperimentConfig, series: list[TimeSeries]) -> ExperimentResult:
-    """Growth rate and time to TIME_TO_FRACTION_Q of each replicate, with
-    their mean and standard deviation over the replicates that have one."""
+    """Growth rate and time to TIME_TO_FRACTION_Q of each replicate."""
     rates: list[float | None] = []
     times: list[float | None] = []
     for ts in series:
@@ -398,27 +396,14 @@ def summarize(cfg: ExperimentConfig, series: list[TimeSeries]) -> ExperimentResu
         except ValueError:
             rates.append(None)
         times.append(time_to_fraction(ts, TIME_TO_FRACTION_Q))
-    aggregates = {
-        "growth_rate_mean": _mean(rates),
-        "growth_rate_std": _std(rates),
-        "time_to_fraction_mean": _mean(times),
-        "time_to_fraction_std": _std(times),
-    }
-    return ExperimentResult(cfg, rates, times, aggregates)
+    return ExperimentResult(cfg, rates, times)
 
 
-def _mean(values):
+def mean_std(values) -> tuple[float | None, float | None]:
+    """The mean and standard deviation of the values that are not None, or
+    (None, None) when every value is."""
     vals = [v for v in values if v is not None]
-    return float(np.mean(vals)) if vals else None
-
-
-def _std(values):
-    vals = [v for v in values if v is not None]
-    return float(np.std(vals)) if vals else None
-
-
-def _na(v) -> str:
-    return "NA" if v is None else f"{v:.10g}"
+    return (float(np.mean(vals)), float(np.std(vals))) if vals else (None, None)
 
 
 def load_result(outdir: str) -> ExperimentResult:
@@ -451,8 +436,8 @@ def compare(baseline: ExperimentResult, treated: ExperimentResult) -> list[dict]
         raise ValueError("cannot compare: experiments apply identical controls")
 
     rows = []
-    gb = baseline.aggregates["growth_rate_mean"]
-    gt = treated.aggregates["growth_rate_mean"]
+    gb = mean_std(baseline.growth_rates)[0]
+    gt = mean_std(treated.growth_rates)[0]
     rows.append({
         "metric": "growth_rate",
         "baseline": gb,
@@ -467,17 +452,16 @@ def compare(baseline: ExperimentResult, treated: ExperimentResult) -> list[dict]
     ]
     rows.append({
         "metric": "time_to_fraction",
-        "baseline": baseline.aggregates["time_to_fraction_mean"],
-        "treated": treated.aggregates["time_to_fraction_mean"],
+        "baseline": mean_std(baseline.times_to_fraction)[0],
+        "treated": mean_std(treated.times_to_fraction)[0],
         "slowdown": float(np.mean(ratios)) if ratios else None,
     })
     return rows
 
 
+COMPARE_COLUMNS = ("metric", "baseline", "treated", "slowdown")
+
+
 def write_compare_csv(rows: list[dict], path: str) -> None:
-    lines = ["metric,baseline,treated,slowdown"]
-    for row in rows:
-        lines.append(
-            f"{row['metric']},{_na(row['baseline'])},{_na(row['treated'])},{_na(row['slowdown'])}"
-        )
-    write_text(path, "\n".join(lines) + "\n")
+    write_text(path, table_text(",".join(COMPARE_COLUMNS),
+                                ([row[k] for k in COMPARE_COLUMNS] for row in rows)))

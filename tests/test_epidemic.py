@@ -519,6 +519,30 @@ class TestThrottledRuns:
         assert t_fast is not None and t_slow is not None
         assert t_slow > 3 * t_fast
 
+    @pytest.mark.parametrize("rate, dt", [(1.0, 0.1), (3.0, 0.1), (10.0, 0.1), (0.7, 0.05),
+                                          (1.0, 0.002)])
+    def test_release_counts_are_exact(self, rate, dt):
+        # an empty working set passes nothing and a fast scan worm keeps every
+        # queue full, so host h, infected at tick k_h with an empty budget,
+        # releases once every P = ceil(1 / (rate * dt)) ticks: floor((T - k_h) / P)
+        # times in T ticks, with P taken to the 1e-9 tolerance of a due time
+        g = Graph(40, False, [])
+        worm = WormBehavior("scan", attempt_rate=400.0)
+        sim = Simulation(g, worm, init_infected={0}, dt=dt, seed=3,
+                         throttle=ThrottleConfig(rate=rate, working_set_capacity=0))
+        period = math.ceil(1.0 / (rate * dt) - 1e-9)
+        infected_at = {0: 0}
+        ticks = round(6.0 / dt)
+        for tick in range(1, ticks + 1):
+            sim.step()
+            for h in np.flatnonzero(sim.compartments == INFECTED).tolist():
+                infected_at.setdefault(h, tick)
+        expected = sum((ticks - k) // period for k in infected_at.values())
+        assert len(infected_at) > 1
+        assert sim.counters["released"] == expected
+        assert sim.counters["release_visits"] == expected
+        assert sim.counters["passed"] == 0
+
     def test_queued_column_tracks_backlog(self):
         g = build_complete(50)
         worm = WormBehavior("neighbor", attempt_rate=30.0)

@@ -3,7 +3,9 @@
 Each digest covers the exact bytes a user would get: preset edge lists as
 written by ``write_edge_list``, replicate CSVs from ``run_replicate`` over a
 matrix of worm x throttle x vaccination settings, and ``wormnet threshold``
-CSVs.  A change may update a digest only when it documents the intended
+CSVs.  The short outputs are pinned as text instead: an experiment pair's
+``summary.csv`` files, its compare CSV and its stdout, and ``throttle-demo``
+logs.  A change may update a digest only when it documents the intended
 output change.
 """
 
@@ -213,3 +215,91 @@ def test_configmodel_from_histogram_edge_list(tmp_path, kind):
                "--seed", "4", *directed, "--out", str(out)])
     assert rc == 0
     assert _sha(out.read_bytes()) == CONFIGMODEL_EDGE_LISTS[kind]
+
+
+# A 3-replicate pair on a small net-b in which some replicates, but not all, are
+# censored: each arm has a replicate that never reaches TIME_TO_FRACTION_Q within
+# its tmax, so its summary row reads NA and the mean and std skip it.  The arms
+# differ in tmax as well as in their controls, which compare allows.
+EXPERIMENT_CFG = """\
+[network]
+preset = net-b
+n = 300
+
+[worm]
+targeting = neighbor
+rate = 5
+
+[run]
+replicates = 3
+dt = 0.1
+tmax = {tmax}
+seed = 3
+"""
+EXPERIMENT_ARMS = {
+    "baseline": EXPERIMENT_CFG.format(tmax=14),
+    "treated": EXPERIMENT_CFG.format(tmax=16) + "\n[controls]\nthrottle_rate = 16\n",
+}
+SUMMARIES = {
+    "baseline": ("replicate,growth_rate,time_to_fraction\n"
+                 "0,1.945339945,NA\n"
+                 "1,2.196393638,11.7\n"
+                 "2,2.489937958,12\n"
+                 "mean,2.21055718,11.85\n"
+                 "std,0.2225566644,0.15\n"),
+    "treated": ("replicate,growth_rate,time_to_fraction\n"
+                "0,1.985336882,13.3\n"
+                "1,2.060010872,NA\n"
+                "2,2.275984973,14.8\n"
+                "mean,2.107110909,14.05\n"
+                "std,0.1232420065,0.75\n"),
+}
+COMPARE_CSV = ("metric,baseline,treated,slowdown\n"
+               "growth_rate,2.21055718,2.107110909,1.04909389\n"
+               "time_to_fraction,11.85,14.05,1.233333333\n")
+EXPERIMENT_STDOUT = (
+    "3 replicate(s) -> {baseline}; growth_rate mean = 2.21055718, time_to_0.95 mean = 11.85\n"
+    "3 replicate(s) -> {treated}; growth_rate mean = 2.107110909, time_to_0.95 mean = 14.05\n"
+    "growth_rate: baseline=2.21055718 treated=2.107110909 slowdown=1.04909389\n"
+    "time_to_fraction: baseline=11.85 treated=14.05 slowdown=1.233333333\n"
+)
+
+
+def test_experiment_summary_and_compare_csv(tmp_path, capsys):
+    outdirs = {}
+    for arm, text in EXPERIMENT_ARMS.items():
+        cfg = tmp_path / f"{arm}.cfg"
+        cfg.write_text(text)
+        outdirs[arm] = str(tmp_path / arm)
+        assert main(["experiment", "--config", str(cfg), "--out", outdirs[arm]]) == 0
+        assert (tmp_path / arm / "summary.csv").read_text() == SUMMARIES[arm]
+    out = tmp_path / "slowdown.csv"
+    assert main(["compare", "--baseline", outdirs["baseline"], "--treated", outdirs["treated"],
+                 "--out", str(out)]) == 0
+    assert out.read_text() == COMPARE_CSV
+    assert capsys.readouterr().out == EXPERIMENT_STDOUT.format(**outdirs)
+
+
+# The request trace of the README walkthrough, and the decision log of each throttle.
+THROTTLE_TRACE = "t,dest\n0,1\n0,2\n0.25,1\n0.5,3\n1,4\n1.5,2\n"
+THROTTLE_LOGS = {
+    "unbounded": ([], "t,dest,decision,delay\n"
+                      "0,1,release,0\n0.25,1,admit,0\n1,2,release,1\n"
+                      "1.5,2,admit,0\n2,3,release,1.5\n3,4,release,2\n"),
+    "queue1": (["--queue-capacity", "1"],
+               "t,dest,decision,delay\n"
+               "0,1,release,0\n0.25,1,admit,0\n0.5,2,drop,0.5\n"
+               "1,3,release,0.5\n1.5,4,drop,0.5\n2,2,release,0.5\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THROTTLE_LOGS))
+def test_throttle_demo_log(tmp_path, name):
+    flags, expected = THROTTLE_LOGS[name]
+    trace = tmp_path / "trace.csv"
+    trace.write_text(THROTTLE_TRACE)
+    out = tmp_path / "decisions.csv"
+    rc = main(["throttle-demo", "--trace", str(trace), "--rate", "1", "--working-set", "4",
+               *flags, "--out", str(out)])
+    assert rc == 0
+    assert out.read_text() == expected

@@ -14,9 +14,11 @@ from wormnet.graph import (
     Graph,
     ParseError,
     _content_lines,
+    format_field,
     int64_array,
     read_degree_histogram,
     read_edge_list,
+    table_text,
     write_edge_list,
     write_text,
 )
@@ -567,3 +569,20 @@ class TestWriteText:
             write_text(p, "half\n\udc80\n")  # a lone surrogate has no UTF-8 form
         assert p.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["out.csv"]
+
+
+@pytest.mark.parametrize("value, text", [
+    (None, "NA"),
+    (0.0, "0"),
+    (np.float64(0.1), "0.1"),
+    (1 / 3, "0.3333333333"),
+    (np.int64(12345678901), "12345678901"),  # in full, not in exponent form
+    ("", ""),
+])
+def test_format_field(value, text):
+    assert format_field(value) == text
+
+
+def test_table_text_writes_one_line_per_row():
+    assert table_text("a,b", []) == "a,b\n"
+    assert table_text("a,b", [(1, 2.5), ("mean", None)]) == "a,b\n1,2.5\nmean,NA\n"

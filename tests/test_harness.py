@@ -385,15 +385,15 @@ class TestCompare:
                                         str(tmp_path / "out"))
         assert (tmp_path / "out" / "rep_002.csv").exists()
         loaded = harness.load_result(str(tmp_path / "out"))
-        assert len(loaded.growth_rates) == 2
-        assert loaded.aggregates == pytest.approx(result.aggregates)
+        assert loaded.growth_rates == pytest.approx(result.growth_rates)
+        assert loaded.times_to_fraction == pytest.approx(result.times_to_fraction)
 
     def test_load_result_roundtrip(self, tmp_path):
         rb, rt = self._run_pair(tmp_path)
         loaded = harness.load_result(str(tmp_path / "base"))
         # CSVs keep 10 significant digits, so allow round-trip rounding
-        for key in rb.aggregates:
-            assert loaded.aggregates[key] == pytest.approx(rb.aggregates[key])
+        assert loaded.growth_rates == pytest.approx(rb.growth_rates)
+        assert loaded.times_to_fraction == pytest.approx(rb.times_to_fraction)
         rows_a = harness.compare(rb, rt)
         rows_b = harness.compare(loaded, harness.load_result(str(tmp_path / "treated")))
         for a, b in zip(rows_a, rows_b):
