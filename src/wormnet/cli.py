@@ -20,12 +20,12 @@ def _section(args, name: str) -> dict:
     return {
         key: harness.convert_value(args.command, name, key, value)
         for key, value in vars(args).items()
-        if key in harness._SECTIONS[name] and value is not None
+        if key in harness.SECTIONS[name] and value is not None
     }
 
 
 def _cmd_generate(args) -> int:
-    master = harness._DEFAULTS["run"]["seed"]
+    master = harness.DEFAULTS["run"]["seed"]
     spec = harness.network_spec(_section(args, "network"), args.command, master)
     g = build_network(spec)
     write_edge_list(g, args.out)

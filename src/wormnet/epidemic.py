@@ -18,7 +18,7 @@ from operator import is_
 import numpy as np
 
 from .graph import Graph, ParseError, int64_array, table_text, write_text
-from .throttle import ADMITTED, ENQUEUED, ThrottleConfig, ThrottleState
+from .throttle import ADMITTED, EARLY, ENQUEUED, ThrottleConfig, ThrottleState
 
 SUSCEPTIBLE, INFECTED, RECOVERED = 0, 1, 2
 
@@ -120,10 +120,10 @@ class TimeSeries:
 class Simulation:
     """One deterministic propagation run, advanced tick by tick.
 
-    Per-node throttle state is created when a node becomes infected, with an
-    empty release budget: a freshly infected machine does not get a free
-    instant connection, so its novel-destination rate is bounded by the
-    throttle rate from its very first contact.
+    Per-node throttle state is created when a node becomes infected, with its
+    first release a service time 1/rate away: a freshly infected machine does
+    not get a free instant connection, so its novel-destination rate is
+    bounded by the throttle rate from its very first contact.
 
     A tick's deliveries (unthrottled attempts, working-set passes and queue
     releases) are gathered as ``(dest, ok)`` arrays and applied once, as a
@@ -285,7 +285,7 @@ class Simulation:
         """Pass each attempt, in order, to its source's throttle; return the
         ``(dest, ok)`` arrays of the working-set passes.
 
-        Scheduling is per tick: a request moves no clock or budget and a new
+        Scheduling is per tick: a request moves no release time and a new
         queue's head is stamped t, so the hosts whose queue was empty when the
         tick began (``_due`` is inf) get their release times after the requests."""
         throttles = self._throttles
@@ -304,13 +304,13 @@ class Simulation:
         return targets[passed], success[passed]
 
     def _release(self, t):
-        """Tick each host due by t once; return the released ``(dest, ok)`` arrays."""
-        hosts = np.flatnonzero(self._due <= t + 1e-9)
+        """Tick each host due by t, by ``tick``'s own rule, once; every one of
+        them releases.  Return the released ``(dest, ok)`` arrays."""
+        hosts = np.flatnonzero(self._due <= t + EARLY / self.throttle_config.rate)
         states = [self._throttles[s] for s in hosts.tolist()]
         released = np.array([r for state in states for r in state.tick(t)], dtype=_RELEASED)
         due = np.array([state.next_release_due() for state in states], dtype=float)  # None: nan
-        # an emptied queue is never due; a host that has just released is never due again at this t
-        self._due[hosts] = np.where(np.isnan(due), np.inf, np.maximum(due, t + 2e-9))
+        self._due[hosts] = np.where(np.isnan(due), np.inf, due)  # an emptied queue is never due
         c = self.counters
         c["release_visits"] += len(hosts)
         c["released"] += len(released)
@@ -319,7 +319,7 @@ class Simulation:
         return released["dest"], released["ok"]
 
     def _start_throttles(self, hosts: np.ndarray, t: float) -> None:
-        """Give each host infected at t, if throttled, a throttle with an empty budget."""
+        """Give each host infected at t, if throttled, a throttle first free at t + 1/rate."""
         if self.throttle_config is not None:
             for u in hosts.tolist():
                 self._throttles[u] = ThrottleState(self.throttle_config, t0=t, initial_budget=0.0)

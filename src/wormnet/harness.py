@@ -30,7 +30,8 @@ class ConfigError(ValueError):
     """A configuration file failed to parse or validate."""
 
 
-_SECTIONS = {
+# Each config section's keys and their types; the CLI's flags are these keys.
+SECTIONS = {
     "network": {
         "preset": str,
         "family": str,
@@ -80,7 +81,8 @@ _NETWORK_KEYS = {
 # Fraction of nodes whose first infection time an experiment summarises.
 TIME_TO_FRACTION_Q = 0.95
 
-_DEFAULTS = {
+# The value of each key that has one when a config leaves it out.
+DEFAULTS = {
     "worm": {"pinfect": 1.0},
     "controls": {"working_set": 4},
     "run": {"replicates": 1, "dt": 0.1, "tmax": 60.0, "seed": 0, "seed_infected": 1},
@@ -122,11 +124,11 @@ class ExperimentResult:
 
 
 def _parse_kv_file(path) -> dict[str, dict]:
-    """The typed values of a config file, one dict per section of ``_SECTIONS``;
+    """The typed values of a config file, one dict per section of ``SECTIONS``;
     each value is converted on its line, so an error names the first bad line.
     A comment is a whole line whose first non-blank character is ``#``, so a
     value may hold one."""
-    sections: dict[str, dict] = {s: {} for s in _SECTIONS}
+    sections: dict[str, dict] = {s: {} for s in SECTIONS}
     current = None
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -139,7 +141,7 @@ def _parse_kv_file(path) -> dict[str, dict]:
             continue
         if text.startswith("[") and text.endswith("]"):
             current = text[1:-1].strip()
-            if current not in _SECTIONS:
+            if current not in SECTIONS:
                 raise ConfigError(f"{path}:{lineno}: unknown section [{current}]")
             continue
         if "=" not in text:
@@ -147,7 +149,7 @@ def _parse_kv_file(path) -> dict[str, dict]:
         if current is None:
             raise ConfigError(f"{path}:{lineno}: key outside any [section]")
         key, value = (part.strip() for part in text.split("=", 1))
-        if key not in _SECTIONS[current]:
+        if key not in SECTIONS[current]:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in section [{current}]")
         if key in sections[current]:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -160,7 +162,7 @@ def convert_value(where, section, key, value):
 
     ``where`` prefixes the error message (``path:lineno`` for a file).
     """
-    typ = _SECTIONS[section][key]
+    typ = SECTIONS[section][key]
     try:
         if typ is int:
             return int(value)
@@ -248,7 +250,7 @@ def experiment_config(values: dict[str, dict], where, open_files: bool = True) -
     """The ExperimentConfig of parsed config sections, one dict per section, with
     the documented defaults filled in; ``where`` prefixes every error, and
     ``open_files`` is as in ``network_spec``."""
-    net, worm_sec, ctl, run_sec = ({**_DEFAULTS.get(s, {}), **values[s]} for s in _SECTIONS)
+    net, worm_sec, ctl, run_sec = ({**DEFAULTS.get(s, {}), **values[s]} for s in SECTIONS)
     if not 0 < run_sec["dt"] < np.inf:
         raise ConfigError(f"{where}: [run] dt must be > 0 and finite, got {run_sec['dt']}")
     if not run_sec["tmax"] > 0:

@@ -1,10 +1,12 @@
-"""Per-host connection throttle: working set + delay queue + release budget.
+"""Per-host connection throttle: working set + delay queue + one release time.
 
 Requests to recently contacted destinations (the working set) pass through
 immediately; requests to new destinations wait in a FIFO delay queue that
-drains at a fixed rate.  Legitimate traffic, which revisits a small set of
-destinations at a low novelty rate, is effectively untouched, while a worm's
-high-rate fan-out piles up in the queue.
+drains at a fixed rate r.  The queue is a single server with service time
+1/r, so its k-th request leaves at R_k = max(t_k, R_{k-1} + 1/r) (Lindley's
+recursion), and the throttle's whole release state is one time.  Legitimate
+traffic, which revisits a small set of destinations at a low novelty rate, is
+effectively untouched, while a worm's high-rate fan-out piles up in the queue.
 """
 
 from __future__ import annotations
@@ -18,10 +20,9 @@ class ClockError(ValueError):
     """An event arrived with a timestamp earlier than the state's clock."""
 
 
-# Budget within this distance of a full token counts as full: repeated
-# floating-point accrual can stop a hair short of 1.0, which would otherwise
-# push the next release due-time infinitesimally (but endlessly) forward.
-_TOKEN_EPS = 1e-9
+# A release may happen up to EARLY service times (EARLY / rate) before its due
+# time: a tick's time k * dt meets a due time R + 1 / rate only up to rounding.
+EARLY = 1e-9
 
 
 @dataclass(frozen=True)
@@ -62,9 +63,14 @@ ADMITTED, ENQUEUED = Admitted(), Enqueued(None)
 class ThrottleState:
     """Mutable per-host throttle state, driven in timestamp order.
 
-    ``request`` classifies an incoming connection attempt; ``tick`` accrues
-    release budget up to the current time and drains the queue head(s).  At a
-    finite rate the budget is capped at one token, so releases cannot burst.
+    ``request`` classifies an incoming connection attempt; ``tick`` releases
+    the queue head once ``ready_at``, the earliest time of the next release,
+    has come, and the next release is then due a service time 1/rate later.
+    So at a finite rate at most one request leaves per call and releases
+    cannot burst; at an infinite rate 1/rate = 0 and the whole queue drains.
+    ``initial_budget``, in [0, 1], is the share of a release the throttle has
+    in hand at ``t0``: the first release may happen at
+    ``t0 + (1 - initial_budget) / rate``.
     The queue holds ``(dest, t_enq, tag)``: the caller's ``tag`` (the engine's
     success flag) comes back with the attempt's release or eviction.
     """
@@ -75,7 +81,7 @@ class ThrottleState:
         self.config = config
         self.working_set: OrderedDict[int, None] = OrderedDict()
         self.delay_queue: deque[tuple[int, float, object]] = deque()
-        self.budget = float(initial_budget)
+        self.ready_at = float(t0) + (1.0 - initial_budget) / config.rate
         self.last_update = float(t0)
 
     def request(self, dest: int, t: float, tag=None) -> Admitted | Enqueued:
@@ -95,33 +101,22 @@ class ThrottleState:
         """Advance the clock to t; return the released (dest, delay, tag) triples."""
         if t < self.last_update:
             raise ClockError(f"tick at t={t} precedes state clock {self.last_update}")
-        rate = self.config.rate
-        if math.isinf(rate):
-            self.budget = math.inf  # inf - 1 is inf: the whole queue drains
-        else:
-            self.budget = min(1.0, self.budget + rate * (t - self.last_update))
         self.last_update = t
-
+        rate = self.config.rate
         released: list[tuple[int, float, object]] = []
-        while self.budget >= 1.0 - _TOKEN_EPS and self.delay_queue:
+        while self.delay_queue and self.ready_at <= t + EARLY / rate:
             dest, t_enq, tag = self.delay_queue.popleft()
-            self.budget = max(0.0, self.budget - 1.0)
+            self.ready_at = t + 1.0 / rate
             self._admit_to_working_set(dest)
             released.append((dest, t - t_enq, tag))
         return released
 
     def next_release_due(self) -> float | None:
-        """Earliest time the queue head can be released, or None if empty.
-
-        Never earlier than the head's own enqueue time: budget may have been
-        full for a while before the request arrived.
-        """
+        """Earliest time the queue head can be released, or None if empty:
+        never before ``ready_at`` nor before the head's own enqueue time."""
         if not self.delay_queue:
             return None
-        head_t = self.delay_queue[0][1]
-        if self.budget >= 1.0 - _TOKEN_EPS:
-            return max(self.last_update, head_t)
-        return max(self.last_update + (1.0 - self.budget) / self.config.rate, head_t)
+        return max(self.ready_at, self.delay_queue[0][1])
 
     def _admit_to_working_set(self, dest: int) -> None:
         w = self.config.working_set_capacity

@@ -507,6 +507,8 @@ class TestThrottledRuns:
             assert counters.pop("wait_sum") == pytest.approx(math.fsum(waits), rel=1e-12, abs=1e-12)
             assert counters.pop("wait_max") == max(waits, default=0.0)
             assert counters == tally
+            if rate < math.inf:  # a due host's tick releases exactly its head
+                assert counters["release_visits"] == counters["released"]
 
     def test_throttle_slows_spread(self):
         g = build_complete(200)
@@ -542,6 +544,21 @@ class TestThrottledRuns:
         assert sim.counters["released"] == expected
         assert sim.counters["release_visits"] == expected
         assert sim.counters["passed"] == 0
+
+    def test_scan_passes_are_bounded_by_the_working_set_share(self):
+        # a uniform scan target falls in a working set of at most W of the
+        # address space's Omega addresses with probability at most W / Omega,
+        # whatever the set holds, so the passes are bounded by a
+        # Binomial(requests, W / Omega) draw: its mean plus 4 standard deviations
+        w, omega = 4, 1000
+        worm = WormBehavior("scan", attempt_rate=20.0, address_space=omega)
+        sim = Simulation(Graph(200, False, []), worm, init_infected={0}, dt=0.1, seed=5,
+                         throttle=ThrottleConfig(rate=2.0, working_set_capacity=w))
+        for _ in range(100):
+            sim.step()
+        c = sim.counters
+        mean = c["requests"] * w / omega
+        assert c["passed"] <= mean + 4 * math.sqrt(mean)
 
     def test_queued_column_tracks_backlog(self):
         g = build_complete(50)
