@@ -202,6 +202,7 @@ class Simulation:
                 raise ValueError("address_space must be >= n")
 
         self._throttles: dict[int, ThrottleState] = {}
+        self._ids = list(range(g.n)) if throttle is not None else []
         self._due = np.full(g.n, np.inf)
         self.counters = {"requests": 0, "passed": 0, "enqueued": 0, "dropped": 0,
                          "released": 0, "release_visits": 0, "wait_sum": 0.0, "wait_max": 0.0}
@@ -287,9 +288,17 @@ class Simulation:
 
         Scheduling is per tick: a request moves no release time and a new
         queue's head is stamped t, so the hosts whose queue was empty when the
-        tick began (``_due`` is inf) get their release times after the requests."""
+        tick began (``_due`` is inf) get their release times after the requests.
+
+        A destination inside the graph is passed as ``_ids``' int for its node,
+        not the fresh int ``tolist`` makes: a worm's fan-out piles up in the
+        queues, so every queued attempt and working-set key for a node shares
+        one int object.  A scan target outside the graph keeps its own int,
+        since the address space can be far larger than n."""
         throttles = self._throttles
-        decisions = [throttles[s].request(d, t, ok)
+        ids = self._ids
+        n = len(ids)
+        decisions = [throttles[s].request(ids[d] if d < n else d, t, ok)
                      for s, d, ok in zip(sources.tolist(), targets.tolist(), success.tolist())]
         passed = np.fromiter(map(is_, decisions, repeat(ADMITTED)), bool, len(decisions))
         enqueued = len(decisions) - int(np.count_nonzero(passed))

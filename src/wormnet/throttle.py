@@ -12,7 +12,7 @@ effectively untouched, while a worm's high-rate fan-out piles up in the queue.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 
 
@@ -73,14 +73,26 @@ class ThrottleState:
     ``t0 + (1 - initial_budget) / rate``.
     The queue holds ``(dest, t_enq, tag)``: the caller's ``tag`` (the engine's
     success flag) comes back with the attempt's release or eviction.
+
+    The queue is a plain list, and the state has ``__slots__``: a worm's
+    fan-out piles up in every infected host's queue, so the per-host and
+    per-attempt bytes set a throttled run's memory.  A release deletes the
+    released prefix in one ``del``, so an infinite-rate drain stays linear; it
+    and an eviction (``pop(0)``) shift the rest of the list: O(queue length)
+    against a deque's O(1), so at a capacity of 100 an append and an eviction
+    take about 1.5 times as long as a deque's.  The working set stays an
+    ``OrderedDict``: a plain dict used as an LRU scans its deleted entries on
+    every eviction.
     """
+
+    __slots__ = ("config", "working_set", "delay_queue", "ready_at", "last_update")
 
     def __init__(self, config: ThrottleConfig, t0: float = 0.0, initial_budget: float = 1.0):
         if not 0.0 <= initial_budget <= 1.0:
             raise ValueError("initial_budget must lie in [0, 1]")
         self.config = config
         self.working_set: OrderedDict[int, None] = OrderedDict()
-        self.delay_queue: deque[tuple[int, float, object]] = deque()
+        self.delay_queue: list[tuple[int, float, object]] = []
         self.ready_at = float(t0) + (1.0 - initial_budget) / config.rate
         self.last_update = float(t0)
 
@@ -94,7 +106,7 @@ class ThrottleState:
         self.delay_queue.append((dest, t, tag))
         cap = self.config.queue_capacity
         if cap is not None and len(self.delay_queue) > cap:
-            return Enqueued(self.delay_queue.popleft())
+            return Enqueued(self.delay_queue.pop(0))
         return ENQUEUED
 
     def tick(self, t: float) -> list[tuple[int, float, object]]:
@@ -103,12 +115,14 @@ class ThrottleState:
             raise ClockError(f"tick at t={t} precedes state clock {self.last_update}")
         self.last_update = t
         rate = self.config.rate
+        queue = self.delay_queue
         released: list[tuple[int, float, object]] = []
-        while self.delay_queue and self.ready_at <= t + EARLY / rate:
-            dest, t_enq, tag = self.delay_queue.popleft()
+        while len(released) < len(queue) and self.ready_at <= t + EARLY / rate:
+            dest, t_enq, tag = queue[len(released)]
             self.ready_at = t + 1.0 / rate
             self._admit_to_working_set(dest)
             released.append((dest, t - t_enq, tag))
+        del queue[:len(released)]
         return released
 
     def next_release_due(self) -> float | None:

@@ -1,6 +1,8 @@
 import copy
 import itertools
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -578,6 +580,34 @@ class TestThrottledRuns:
         i = ts.column("infected")
         assert np.all(q <= 3 * i)
         assert np.all(np.diff(i) >= 0)
+
+    def test_a_queued_attempt_holds_one_tuple_and_one_list_slot(self):
+        # an empty working set passes nothing and a first release due at
+        # t = 100 lets nothing go, so every attempt stays queued.  Each must
+        # cost its (dest, t_enq, tag) tuple and a list slot, with some slack,
+        # and no more: a destination node's int is shared, not the attempt's own
+        n = 2000
+        worm = WormBehavior("scan", attempt_rate=400.0, address_space=n)
+        sim = Simulation(Graph(n, False, []), worm, init_infected=np.arange(20), dt=0.01,
+                         seed=0, throttle=ThrottleConfig(rate=0.01, working_set_capacity=0))
+        bound = sys.getsizeof((0, 0.0, True)) + 16
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            for _ in range(10):
+                sim.step()
+            size, enqueued = tracemalloc.get_traced_memory()[0], sim.counters["enqueued"]
+            for _ in range(240):
+                sim.step()
+            grown = tracemalloc.get_traced_memory()[0] - size
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        c = sim.counters
+        assert c["passed"] == c["released"] == c["dropped"] == 0
+        assert c["enqueued"] - enqueued > 15_000
+        assert grown / (c["enqueued"] - enqueued) <= bound
 
 
 class TestMetrics:

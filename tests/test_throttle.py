@@ -1,5 +1,5 @@
 import math
-from collections import Counter
+from collections import Counter, OrderedDict, deque
 
 import numpy as np
 import pytest
@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wormnet.throttle import (
+    ADMITTED,
+    EARLY,
+    ENQUEUED,
     Admitted,
     ClockError,
     Enqueued,
@@ -323,3 +326,89 @@ class TestSingleServerQueue:
         for values, expected in ((mean_waits, rho / (2 * rate * (1 - rho))), (no_wait, 1 - rho)):
             se = np.std(values, ddof=1) / math.sqrt(len(values))
             assert abs(np.mean(values) - expected) <= 4 * se
+
+
+class _DequeThrottle:
+    """The reference model: the throttle's rules written apart from
+    ThrottleState, over a deque as the delay queue."""
+
+    def __init__(self, config, t0, initial_budget):
+        self.config = config
+        self.working_set = OrderedDict()
+        self.delay_queue = deque()
+        self.ready_at = t0 + (1.0 - initial_budget) / config.rate
+
+    def request(self, dest, t, tag):
+        if dest in self.working_set:
+            self.working_set.move_to_end(dest)
+            return ADMITTED
+        self.delay_queue.append((dest, t, tag))
+        cap = self.config.queue_capacity
+        if cap is not None and len(self.delay_queue) > cap:
+            return Enqueued(self.delay_queue.popleft())
+        return ENQUEUED
+
+    def tick(self, t):
+        rate, w = self.config.rate, self.config.working_set_capacity
+        released = []
+        while self.delay_queue and self.ready_at <= t + EARLY / rate:
+            dest, t_enq, tag = self.delay_queue.popleft()
+            self.ready_at = t + 1.0 / rate
+            if dest in self.working_set:
+                self.working_set.move_to_end(dest)
+            elif w:
+                if len(self.working_set) >= w:
+                    self.working_set.popitem(last=False)
+                self.working_set[dest] = None
+            released.append((dest, t - t_enq, tag))
+        return released
+
+    def next_release_due(self):
+        if not self.delay_queue:
+            return None
+        return max(self.ready_at, self.delay_queue[0][1])
+
+
+class TestAgainstDequeModel:
+    """The list queue answers, releases and evicts exactly as a deque queue
+    does, and its working set holds the same destinations in the same order."""
+
+    @staticmethod
+    def _run(config, initial_budget, ops):
+        # each op is a request (True) or a tick (False) after a time step
+        state = ThrottleState(config, t0=0.0, initial_budget=initial_budget)
+        model = _DequeThrottle(config, 0.0, initial_budget)
+        t = 0.0
+        for i, (is_request, step, dest) in enumerate(ops):
+            t += step
+            if is_request:
+                got, want = state.request(dest, t, tag=i), model.request(dest, t, i)
+                if want is ADMITTED or want is ENQUEUED:
+                    assert got is want
+                else:
+                    assert got == want
+            else:
+                assert state.tick(t) == model.tick(t)
+            assert state.next_release_due() == model.next_release_due()
+            assert list(state.delay_queue) == list(model.delay_queue)
+            assert list(state.working_set) == list(model.working_set)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 4), st.sampled_from([None, 1, 3]), st.sampled_from([0.5, 1.0, math.inf]),
+           st.sampled_from([0.0, 1.0]),
+           st.lists(st.tuples(st.booleans(), st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.7]),
+                              st.integers(0, 6)), max_size=80))
+    def test_matches_the_deque_model(self, w, queue_capacity, rate, initial_budget, ops):
+        config = ThrottleConfig(rate=rate, working_set_capacity=w, queue_capacity=queue_capacity)
+        self._run(config, initial_budget, ops)
+
+    def test_an_infinite_rate_tick_drains_ten_thousand_requests(self):
+        config = ThrottleConfig(rate=math.inf, working_set_capacity=4)
+        state, model = ThrottleState(config), _DequeThrottle(config, 0.0, 1.0)
+        for d in range(10_000):
+            assert state.request(d, 0.0, tag=d) is model.request(d, 0.0, d) is ENQUEUED
+        released = state.tick(0.5)
+        assert len(released) == 10_000
+        assert released == model.tick(0.5)
+        assert state.delay_queue == [] and state.next_release_due() is None
+        assert list(state.working_set) == list(model.working_set) == [9996, 9997, 9998, 9999]
