@@ -11,6 +11,7 @@ Runs are fully deterministic given (graph, worm, controls, seeds).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import repeat
 from operator import is_
@@ -18,7 +19,7 @@ from operator import is_
 import numpy as np
 
 from .graph import Graph, ParseError, int64_array, table_text, write_text
-from .throttle import ADMITTED, EARLY, ENQUEUED, ThrottleConfig, ThrottleState
+from .throttle import ADMITTED, EARLY, ENQUEUED, ClockError, ThrottleConfig, ThrottleState
 
 SUSCEPTIBLE, INFECTED, RECOVERED = 0, 1, 2
 
@@ -143,6 +144,12 @@ class Simulation:
     Every enqueued attempt is still queued, dropped or released, so the
     ``queued`` column is ``enqueued - dropped - released``.
 
+    ``horizon`` is the time of the last tick the caller will make, and
+    ``step`` raises past it.  Each throttle gets it, and so stores only the
+    queued attempts that can still leave by then (see ``ThrottleState``); the
+    rest it only counts.  No counter or column changes with the horizon: an
+    attempt that cannot leave by it stays queued either way.
+
     ``_sus_out`` counts each node's susceptible out-neighbours (neighbour worm
     only); the run is exhausted when no infected host has one left, or, for a
     scan worm, when no host is infected or none is susceptible.  Every worm
@@ -162,9 +169,12 @@ class Simulation:
         throttle: ThrottleConfig | None = None,
         dt: float = 0.1,
         seed=0,
+        horizon: float = math.inf,
     ):
         if not 0 < dt < np.inf:
             raise ValueError("dt must be > 0 and finite")
+        if not horizon > 0:  # NaN fails too
+            raise ValueError("horizon must be > 0")
         vaccinated = np.unique(int64_array(vaccinated))
         init_infected = np.unique(int64_array(init_infected))
         if np.isin(init_infected, vaccinated).any():
@@ -177,6 +187,7 @@ class Simulation:
         self.g = g
         self.worm = worm
         self.dt = float(dt)
+        self.horizon = float(horizon)
         self.tick_index = 0
         self.throttle_config = throttle
         self.rng = np.random.default_rng(seed)
@@ -225,8 +236,10 @@ class Simulation:
         passes and releases.  The tick's deliveries are applied together at
         the end, as a set.
         """
+        t = (self.tick_index + 1) * self.dt
+        if t > self.horizon:
+            raise ClockError(f"tick at t={t} passes the horizon {self.horizon}")
         self.tick_index += 1
-        t = self.tick_index * self.dt
         worm = self.worm
         rng = self.rng
         throttled = self.throttle_config is not None
@@ -309,7 +322,7 @@ class Simulation:
         # an enqueue answers ENQUEUED unless it evicts the queue's head
         c["dropped"] += enqueued - sum(map(is_, decisions, repeat(ENQUEUED)))
         hosts = np.unique(sources[~passed & np.isinf(self._due[sources])])
-        self._due[hosts] = [throttles[s].next_release_due() for s in hosts.tolist()]
+        self._due[hosts] = _due_times([throttles[s] for s in hosts.tolist()])
         return targets[passed], success[passed]
 
     def _release(self, t):
@@ -318,8 +331,7 @@ class Simulation:
         hosts = np.flatnonzero(self._due <= t + EARLY / self.throttle_config.rate)
         states = [self._throttles[s] for s in hosts.tolist()]
         released = np.array([r for state in states for r in state.tick(t)], dtype=_RELEASED)
-        due = np.array([state.next_release_due() for state in states], dtype=float)  # None: nan
-        self._due[hosts] = np.where(np.isnan(due), np.inf, due)  # an emptied queue is never due
+        self._due[hosts] = _due_times(states)
         c = self.counters
         c["release_visits"] += len(hosts)
         c["released"] += len(released)
@@ -331,7 +343,8 @@ class Simulation:
         """Give each host infected at t, if throttled, a throttle first free at t + 1/rate."""
         if self.throttle_config is not None:
             for u in hosts.tolist():
-                self._throttles[u] = ThrottleState(self.throttle_config, t0=t, initial_budget=0.0)
+                self._throttles[u] = ThrottleState(self.throttle_config, t0=t, initial_budget=0.0,
+                                                   horizon=self.horizon)
 
     def _infect(self, hits: np.ndarray, t: float) -> None:
         """Infect the still-susceptible nodes among the successful targets."""
@@ -366,6 +379,12 @@ class Simulation:
         return not len(self._spreaders)
 
 
+def _due_times(states) -> np.ndarray:
+    """Each state's next release time; inf, never due, for one that stores no attempt."""
+    due = np.array([state.next_release_due() for state in states], dtype=float)  # None: nan
+    return np.where(np.isnan(due), np.inf, due)
+
+
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """The index ranges ``[starts[i], starts[i] + lens[i])``, concatenated."""
     return np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens - starts, lens)
@@ -373,13 +392,18 @@ def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
 
 def run(g: Graph, worm: WormBehavior, *, t_max: float = 60.0, **settings) -> TimeSeries:
     """Iterate ``Simulation(g, worm, **settings)`` until t_max or until no further
-    spread is possible; ``Simulation`` owns the keywords of ``settings``."""
+    spread is possible; ``Simulation`` owns the keywords of ``settings``.
+
+    The last tick is the last at or before ``t_max + 1e-9``, and that time is
+    the simulation's horizon, so its throttles store only the queued attempts
+    that can still leave within the run."""
     if not t_max > 0:
         raise ValueError("t_max must be > 0")
-    sim = Simulation(g, worm, **settings)
+    horizon = t_max + 1e-9
+    sim = Simulation(g, worm, horizon=horizon, **settings)
     ts = TimeSeries()
     ts.append((0, 0.0, sim.n_susceptible, sim.n_infected, sim.n_recovered, 0, 0))
-    while (sim.tick_index + 1) * sim.dt <= t_max + 1e-9:
+    while (sim.tick_index + 1) * sim.dt <= horizon:
         if sim.exhausted():
             break
         ts.append(sim.step())

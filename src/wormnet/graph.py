@@ -39,6 +39,11 @@ class EdgeError(ValueError):
 # The largest n whose packed edge keys (n + 2)**2 - 1 fit in int64.
 MAX_NODES = 3_037_000_497
 
+# Rows the edge-list writer and the generators' wiring turn into Python objects
+# at a time: enough that numpy's per-call cost vanishes, few enough that no
+# whole column of Python ints is alive at once.
+CHUNK = 1 << 13
+
 
 class Graph:
     """Immutable simple graph over integer node ids.
@@ -152,6 +157,11 @@ def _simple_split(n: int, directed: bool, u: np.ndarray, v: np.ndarray):
     bad = u == v
     bad[order[1:][np.diff(keys[order]) == 0]] = True
     return u, v, order, bad
+
+
+def _chunks(a: np.ndarray):
+    """``a`` in consecutive slices of ``CHUNK`` rows."""
+    return (a[i:i + CHUNK] for i in range(0, len(a), CHUNK))
 
 
 def _csr(n: int, rows: np.ndarray, cols: np.ndarray, order=None) -> tuple[np.ndarray, np.ndarray]:
@@ -302,10 +312,12 @@ def read_edge_list(path) -> Graph:
 
 def write_edge_list(g: Graph, path) -> None:
     """Write a graph in canonical edge-list form (sorted, no comments); the
-    header carries the node count only when it exceeds max id + 1."""
+    header carries the node count only when it exceeds max id + 1.  The rows
+    are formatted ``CHUNK`` at a time, so no list of every id is built."""
     n = f" {g.n}" if g.n > int(g.edge_array.max(initial=-1)) + 1 else ""
     header = ("directed" if g.directed else "undirected") + n + "\n"
-    write_text(path, header + "%d %d\n" * g.num_edges % tuple(g.edge_array.ravel().tolist()))
+    rows = ("%d %d\n" * len(c) % tuple(c.ravel().tolist()) for c in _chunks(g.edge_array))
+    write_text(path, "".join([header, *rows]))
 
 
 def read_degree_histogram(path) -> np.ndarray:

@@ -12,11 +12,12 @@ whose degree sequences match the request exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, _simple_split
+from .graph import Graph, _chunks, _simple_split
 
 
 class GenerationError(RuntimeError):
@@ -200,20 +201,29 @@ def _wire(n, directed, src, dst, rng) -> Graph:
 
     The graph itself is held as arrays throughout: ``Graph`` gets the kept pairs
     in sorted order, less the pairs the swaps removed, plus the ones they added.
-    The set and its list are built only to drive the draws, and ``_repair``
-    returns, releasing every tuple, before ``Graph`` is built.
+    The set and its list are built only to drive the draws, from ``_node_pairs``,
+    and ``_repair`` returns, releasing every tuple, before ``Graph`` is built.
     """
     u, v, order, leftover = _simple_split(n, directed, src, dst)
     if not leftover.any():
         return Graph(n, directed, np.column_stack((u[order], v[order])))
     kept = (u * n + v)[order[~leftover[order]]]  # one key u * n + v per kept pair, sorted
-    pairs = zip(u[~leftover].tolist(), v[~leftover].tolist())  # the kept pairs in input order
+    pairs = _node_pairs(n, u[~leftover], v[~leftover])  # the kept pairs in input order
     del u, v, order  # free the split's columns before the set is built
     removed, added = _repair(pairs, zip(src[leftover].tolist(), dst[leftover].tolist()),
                              directed, 100 * max(len(src), 1), rng)
-    del pairs  # once exhausted, it still holds the list of the kept v's
     kept = np.delete(kept, np.searchsorted(kept, removed[:, 0] * n + removed[:, 1]))
     return Graph(n, directed, np.concatenate([np.column_stack(np.divmod(kept, n)), added]))
+
+
+def _node_pairs(n, u, v):
+    """The pairs ``(u[i], v[i])`` in order, made ``CHUNK`` at a time, each end the
+    one int object of its node: the set they fill then holds n ints in all,
+    and no list of a whole column is built.  Indexing an object array of the
+    ids hands out those ints with no Python call per pair."""
+    ids = np.arange(n).astype(object)
+    return chain.from_iterable(zip(ids[cu].tolist(), ids[cv].tolist())
+                               for cu, cv in zip(_chunks(u), _chunks(v)))
 
 
 def _repair(pairs, leftovers, directed, budget, rng) -> tuple[np.ndarray, np.ndarray]:

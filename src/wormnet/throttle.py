@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 
 class ClockError(ValueError):
-    """An event arrived with a timestamp earlier than the state's clock."""
+    """An event's timestamp breaks the state's clock: it is earlier than the
+    clock, or it is a tick past the state's horizon."""
 
 
 # A release may happen up to EARLY service times (EARLY / rate) before its due
@@ -83,18 +84,44 @@ class ThrottleState:
     take about 1.5 times as long as a deque's.  The working set stays an
     ``OrderedDict``: a plain dict used as an LRU scans its deleted entries on
     every eviction.
+
+    ``horizon`` is the time of the last tick the caller will make: ``tick``
+    raises past it.  An unbounded queue at a finite rate stores only the
+    attempts that can still leave by then.  A release may come up to
+    EARLY / rate before its due time, and where the cut applies float rounding
+    adds less than that again, so each release moves ``ready_at`` on by at
+    least (1 - 2 EARLY) / rate, and the queue's k-th attempt (from 0) cannot
+    leave before ``ready_at + (k - 2 (k + 1) EARLY) / rate``.  A request whose
+    attempt would sit past the horizon by that rule, or behind one that does,
+    is only counted in ``counted`` and still answers ENQUEUED; the bound only
+    grows as releases go, so a counted attempt never leaves, and the stored
+    queue and the counted attempts stay in FIFO order.  A bounded queue stores
+    every attempt, since an eviction needs the real order, and so does a rate
+    at which rounding could outgrow the EARLY slack (from about 2e4 per second
+    at a horizon of 100).  The default horizon, inf, stores everything.
     """
 
-    __slots__ = ("config", "working_set", "delay_queue", "ready_at", "last_update")
+    __slots__ = ("config", "working_set", "delay_queue", "ready_at", "last_update", "horizon",
+                 "counted", "_cut")
 
-    def __init__(self, config: ThrottleConfig, t0: float = 0.0, initial_budget: float = 1.0):
+    def __init__(self, config: ThrottleConfig, t0: float = 0.0, initial_budget: float = 1.0,
+                 horizon: float = math.inf):
         if not 0.0 <= initial_budget <= 1.0:
             raise ValueError("initial_budget must lie in [0, 1]")
+        if not horizon >= t0:  # NaN fails too
+            raise ValueError("horizon must be >= t0")
         self.config = config
         self.working_set: OrderedDict[int, None] = OrderedDict()
         self.delay_queue: list[tuple[int, float, object]] = []
         self.ready_at = float(t0) + (1.0 - initial_budget) / config.rate
         self.last_update = float(t0)
+        self.horizon = float(horizon)
+        self.counted = 0
+        # every time the state sees lies in [t0, horizon], and ready_at within
+        # 1/rate past it: the cut holds while their rounding is far below EARLY / rate
+        scale = max(abs(t0), abs(horizon)) + 1.0 / config.rate
+        cut = config.queue_capacity is None and EARLY / config.rate > 4 * math.ulp(scale)
+        self._cut = self.horizon if cut else math.inf
 
     def request(self, dest: int, t: float, tag=None) -> Admitted | Enqueued:
         """Classify one connection attempt at time t."""
@@ -103,6 +130,10 @@ class ThrottleState:
         if dest in self.working_set:
             self.working_set.move_to_end(dest)
             return ADMITTED
+        k = len(self.delay_queue)
+        if self.counted or self.ready_at + (k - 2 * (k + 1) * EARLY) / self.config.rate > self._cut:
+            self.counted += 1  # it cannot leave by the horizon
+            return ENQUEUED
         self.delay_queue.append((dest, t, tag))
         cap = self.config.queue_capacity
         if cap is not None and len(self.delay_queue) > cap:
@@ -113,6 +144,8 @@ class ThrottleState:
         """Advance the clock to t; return the released (dest, delay, tag) triples."""
         if t < self.last_update:
             raise ClockError(f"tick at t={t} precedes state clock {self.last_update}")
+        if t > self.horizon:
+            raise ClockError(f"tick at t={t} passes the horizon {self.horizon}")
         self.last_update = t
         rate = self.config.rate
         queue = self.delay_queue
@@ -126,8 +159,8 @@ class ThrottleState:
         return released
 
     def next_release_due(self) -> float | None:
-        """Earliest time the queue head can be released, or None if empty:
-        never before ``ready_at`` nor before the head's own enqueue time."""
+        """Earliest time the queue head can be released, or None if no attempt
+        is stored: never before ``ready_at`` nor before the head's own enqueue time."""
         if not self.delay_queue:
             return None
         return max(self.ready_at, self.delay_queue[0][1])

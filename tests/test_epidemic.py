@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import math
 import sys
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wormnet import epidemic
 from wormnet.epidemic import (
     CSV_HEADER,
     INFECTED,
@@ -24,7 +26,7 @@ from wormnet.epidemic import (
 )
 from wormnet.graph import Graph, ParseError
 from wormnet.netgen import build_complete
-from wormnet.throttle import Admitted, ThrottleConfig, ThrottleState
+from wormnet.throttle import Admitted, ClockError, ThrottleConfig, ThrottleState
 
 
 def _star(n):
@@ -463,14 +465,17 @@ class TestThrottledRuns:
         # one ThrottleState per infected host, made at its infection tick with
         # an empty budget; then every host whose queue head is due ticks once,
         # and the tick's passes and releases are delivered together.  The
-        # replay tallies each counter of the engine as it goes.
+        # replay tallies each counter of the engine as it goes.  The engine has
+        # the horizon ``run`` gives a 15-tick run, and its throttles store only
+        # what can leave by then; the replay's states have none and store all.
         g, seeds, vaccinated = case
         worm = WormBehavior(targeting, attempt_rate=10.0, infection_probability=p,
                             address_space=2 * g.n if targeting == "scan" else None)
         config = ThrottleConfig(rate=rate, working_set_capacity=capacity,
                                 queue_capacity=queue_capacity)
-        sim = Simulation(g, worm, init_infected=seeds, vaccinated=vaccinated, throttle=config,
-                         dt=0.2, seed=seed)
+        kw = dict(init_infected=seeds, vaccinated=vaccinated, throttle=config, dt=0.2, seed=seed)
+        sim = Simulation(g, worm, horizon=3.0 + 1e-9, **kw)
+        rows = [(0, 0.0, sim.n_susceptible, sim.n_infected, sim.n_recovered, 0, 0)]
         compartments = sim.compartments.copy()
         hosts = {u: ThrottleState(config, t0=0.0, initial_budget=0.0) for u in seeds}
         tally = {"requests": 0, "passed": 0, "enqueued": 0, "dropped": 0,
@@ -502,7 +507,8 @@ class TestThrottledRuns:
                     hosts[d] = ThrottleState(config, t0=t, initial_budget=0.0)
             queued = sum(len(state.delay_queue) for state in hosts.values())
             sir = [int((compartments == c).sum()) for c in (SUSCEPTIBLE, INFECTED, RECOVERED)]
-            assert sim.step()[2:] == (*sir, queued, len(delivered))
+            rows.append(sim.step())
+            assert rows[-1][2:] == (*sir, queued, len(delivered))
             assert np.array_equal(np.flatnonzero(sim.compartments == INFECTED),
                                   np.flatnonzero(compartments == INFECTED))
             counters = dict(sim.counters)
@@ -511,6 +517,10 @@ class TestThrottledRuns:
             assert counters == tally
             if rate < math.inf:  # a due host's tick releases exactly its head
                 assert counters["release_visits"] == counters["released"]
+        # run gives its simulation that horizon and steps it the same way, up
+        # to the tick where no further spread is possible
+        ts = run(g, worm, t_max=3.0, **kw)
+        assert ts.rows == rows[:len(ts)]
 
     def test_throttle_slows_spread(self):
         g = build_complete(200)
@@ -608,6 +618,44 @@ class TestThrottledRuns:
         assert c["passed"] == c["released"] == c["dropped"] == 0
         assert c["enqueued"] - enqueued > 15_000
         assert grown / (c["enqueued"] - enqueued) <= bound
+
+    def test_run_stores_only_the_attempts_that_can_leave_by_t_max(self, monkeypatch):
+        # a 200/s scan worm throttled to 1/s piles up about 20 attempts per tick
+        # in each host's queue, yet from t0 >= 0 a host can release at most
+        # floor(r * t_max) + 1 of them by t_max; the queued column still counts
+        # every attempt.  Scenario fixed before measuring; the digest was taken
+        # from a run that stored every attempt (1,623 at one host)
+        peak = 0
+
+        class Watched(Simulation):
+            def step(self):
+                nonlocal peak
+                row = super().step()
+                peak = max(peak, *(len(s.delay_queue) for s in self._throttles.values()))
+                return row
+
+        monkeypatch.setattr(epidemic, "Simulation", Watched)
+        rate, t_max = 1.0, 8.0
+        ts = run(Graph(300, False, []), WormBehavior("scan", attempt_rate=200.0),
+                 init_infected=range(5), dt=0.1, t_max=t_max, seed=2,
+                 throttle=ThrottleConfig(rate=rate, working_set_capacity=4))
+        assert hashlib.sha256(ts.to_csv_text().encode()).hexdigest() == (
+            "a7d98f00d42218d2756fec7670e35e47ef12e2d63901b859f59e4e49542a665e")
+        assert ts.rows[-1][5] == 126_368
+        assert peak <= math.floor(rate * t_max) + 2
+
+    def test_a_step_past_the_horizon_raises(self):
+        sim = Simulation(Graph(10, False, []), WormBehavior("scan", attempt_rate=5.0),
+                         init_infected={0}, dt=0.1, horizon=0.25,
+                         throttle=ThrottleConfig(rate=1.0))
+        sim.step()
+        sim.step()
+        with pytest.raises(ClockError, match="passes the horizon"):
+            sim.step()
+        assert sim.tick_index == 2
+        with pytest.raises(ValueError, match="horizon must be > 0"):
+            Simulation(Graph(10, False, []), WormBehavior("scan", attempt_rate=5.0),
+                       init_infected={0}, horizon=math.nan)
 
 
 class TestMetrics:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wormnet import graph
 from wormnet.graph import (
     MAX_NODES,
     EdgeError,
@@ -311,6 +312,16 @@ class TestEdgeListFiles:
         write_edge_list(g2, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert g2 == g
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 4, 5])
+    def test_rows_written_in_chunks_equal_one_format(self, tmp_path, monkeypatch, m):
+        # chunks of 4 rows: none, one row, one short of a chunk, one chunk, and
+        # a chunk plus a one-row chunk; the isolated node 9 puts n in the header
+        monkeypatch.setattr(graph, "CHUNK", 4)
+        g = Graph(10, True, [(i, i + 1) for i in range(m)])
+        write_edge_list(g, tmp_path / "c.edges")
+        expected = "directed 10\n" + "%d %d\n" * m % tuple(g.edge_array.ravel().tolist())
+        assert (tmp_path / "c.edges").read_text() == expected
 
     def test_directed_roundtrip(self, tmp_path):
         g = Graph(3, True, [(0, 1), (1, 0), (2, 1)])

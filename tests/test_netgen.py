@@ -1,11 +1,13 @@
 import itertools
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wormnet import graph
 from wormnet.graph import Graph, _simple_split, read_degree_histogram
 from wormnet.netgen import (
     FAMILIES,
@@ -202,6 +204,22 @@ def _wire_oracle(n, directed, src, dst, rng):
     return Graph(n, directed, edge_set)
 
 
+def _check_wire(stubs, directed, seed):
+    """``_wire`` builds the oracle's graph, or fails where it fails, and leaves
+    its generator where the oracle leaves its own."""
+    n, pairs = stubs
+    src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        expected = _wire_oracle(n, directed, src, dst, oracle_rng)
+    except GenerationError:
+        with pytest.raises(GenerationError):
+            _wire(n, directed, src, dst, rng)
+    else:
+        assert _wire(n, directed, src, dst, rng) == expected
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 _stub_pairs = st.integers(1, 12).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60)))
 
@@ -224,17 +242,26 @@ class TestWiring:
     @settings(max_examples=300, deadline=None)
     @given(_stub_pairs, st.booleans(), st.integers(0, 2**31))
     def test_wire_matches_per_pair_wiring(self, stubs, directed, seed):
-        n, pairs = stubs
-        src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        try:
-            expected = _wire_oracle(n, directed, src, dst, oracle_rng)
-        except GenerationError:
-            with pytest.raises(GenerationError):
-                _wire(n, directed, src, dst, rng)
-        else:
-            assert _wire(n, directed, src, dst, rng) == expected
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        _check_wire(stubs, directed, seed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_stub_pairs, st.booleans(), st.integers(0, 2**31), st.integers(1, 4))
+    def test_wire_in_small_chunks_matches_per_pair_wiring(self, stubs, directed, seed, chunk):
+        # the kept pairs reach the repair's set a few at a time, and most inputs
+        # end in a short chunk
+        with mock.patch.object(graph, "CHUNK", chunk):
+            _check_wire(stubs, directed, seed)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_a_one_pair_last_chunk_reaches_the_set(self, directed):
+        # ten distinct pairs and a repeat of the first: ten kept pairs in chunks
+        # of three, the last of them alone in its chunk, and one pair to repair
+        pairs = [(i, (i + 1) % 10) for i in range(10)] + [(0, 1)]
+        src, dst = np.array(pairs, dtype=np.int64).T
+        assert np.count_nonzero(~_simple_split(10, directed, src, dst)[3]) == 10
+        expected = _wire_oracle(10, directed, src, dst, np.random.default_rng(4))
+        with mock.patch.object(graph, "CHUNK", 3):
+            assert _wire(10, directed, src, dst, np.random.default_rng(4)) == expected
 
 
 class TestGraphicality:

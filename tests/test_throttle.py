@@ -3,7 +3,7 @@ from collections import Counter, OrderedDict, deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wormnet.throttle import (
@@ -328,6 +328,13 @@ class TestSingleServerQueue:
             assert abs(np.mean(values) - expected) <= 4 * se
 
 
+def _same_answer(got, want):
+    if want is ADMITTED or want is ENQUEUED:
+        assert got is want
+    else:
+        assert got == want
+
+
 class _DequeThrottle:
     """The reference model: the throttle's rules written apart from
     ThrottleState, over a deque as the delay queue."""
@@ -382,11 +389,7 @@ class TestAgainstDequeModel:
         for i, (is_request, step, dest) in enumerate(ops):
             t += step
             if is_request:
-                got, want = state.request(dest, t, tag=i), model.request(dest, t, i)
-                if want is ADMITTED or want is ENQUEUED:
-                    assert got is want
-                else:
-                    assert got == want
+                _same_answer(state.request(dest, t, tag=i), model.request(dest, t, i))
             else:
                 assert state.tick(t) == model.tick(t)
             assert state.next_release_due() == model.next_release_due()
@@ -412,3 +415,100 @@ class TestAgainstDequeModel:
         assert released == model.tick(0.5)
         assert state.delay_queue == [] and state.next_release_due() is None
         assert list(state.working_set) == list(model.working_set) == [9996, 9997, 9998, 9999]
+
+
+class TestHorizon:
+    """A state told the time of its last tick stores only the queued attempts
+    that can still leave by then and counts the rest; up to that tick it
+    answers and releases exactly as a state without a horizon does."""
+
+    def test_the_attempts_that_cannot_leave_are_counted(self):
+        # an empty budget at rate 1 frees the server at t = 1, so by a last tick
+        # at t = 2 only the queue's first two attempts can leave
+        state = ThrottleState(ThrottleConfig(rate=1.0), initial_budget=0.0, horizon=2.0 + 1e-9)
+        for d in range(10):
+            assert state.request(d, 0.0, tag=d) is ENQUEUED
+        assert [d for d, _, _ in state.delay_queue] == [0, 1] and state.counted == 8
+        assert state.tick(1.0) == [(0, 1.0, 0)]
+        assert state.tick(2.0) == [(1, 2.0, 1)]
+        assert state.delay_queue == [] and state.next_release_due() is None
+        assert state.request(10, 2.0) is ENQUEUED and state.counted == 9
+        with pytest.raises(ClockError, match="passes the horizon"):
+            state.tick(2.1)
+        assert state.last_update == 2.0
+
+    @pytest.mark.parametrize("config", [ThrottleConfig(rate=1.0, queue_capacity=50),
+                                        ThrottleConfig(rate=1e6), ThrottleConfig(rate=math.inf)])
+    def test_a_bounded_queue_and_a_rate_past_the_rounding_store_every_attempt(self, config):
+        # an eviction needs the real queue; at 1e6 per second the rounding of a
+        # time near 100 outgrows the EARLY slack of a release
+        state = ThrottleState(config, initial_budget=0.0, horizon=100.0)
+        for d in range(40):
+            state.request(d, 99.0)
+        assert len(state.delay_queue) == 40 and state.counted == 0
+
+    def test_the_horizon_may_not_precede_t0(self):
+        for horizon in (0.5, math.nan):
+            with pytest.raises(ValueError, match="horizon must be >= t0"):
+                ThrottleState(ThrottleConfig(), t0=1.0, horizon=horizon)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([0.5, 1.0, 2.0, 1 / 0.3, 10.0, math.inf]), st.integers(0, 3),
+           st.sampled_from([None, None, 2]), st.sampled_from([0.0, 1.0]), st.integers(0, 5),
+           st.integers(0, 60), st.booleans(),
+           st.lists(st.tuples(st.booleans(), st.sampled_from([0, 1, 2, 3, 7]), st.integers(0, 6)),
+                    max_size=80))
+    # a backlog whose last attempt to leave does so at the last tick itself
+    @example(1.0, 0, None, 0.0, 0, 20, True, [(True, 0, d) for d in range(3)])
+    @example(2.0, 1, None, 0.0, 3, 10, True, [(True, 0, d) for d in range(4)])
+    def test_matches_a_state_without_a_horizon(self, rate, w, queue_capacity, initial_budget,
+                                               first, span, every_tick, ops):
+        # times lie on the engine's lattice k * dt and the horizon is the last
+        # tick's time plus 1e-9, as ``run`` sets it.  Each op is a request
+        # (True) or a tick (False) some ticks on; with ``every_tick``, as in the
+        # engine, both states tick at every lattice time instead, so a backlog
+        # leaves at the earliest times the rule allows.  Past the horizon a tick
+        # raises and the ops stop; after them both tick at every time left.
+        dt = 0.1
+        config = ThrottleConfig(rate=rate, working_set_capacity=w, queue_capacity=queue_capacity)
+        last = first + span
+        horizon = last * dt + 1e-9
+        cut = ThrottleState(config, t0=first * dt, initial_budget=initial_budget, horizon=horizon)
+        ref = ThrottleState(config, t0=first * dt, initial_budget=initial_budget)
+
+        def agree():
+            stored = len(cut.delay_queue)
+            assert stored + cut.counted == len(ref.delay_queue)
+            assert cut.delay_queue == ref.delay_queue[:stored]
+            assert list(cut.working_set) == list(ref.working_set)
+            due = ref.next_release_due()
+            if stored:
+                assert cut.next_release_due() == due
+            else:  # the head of a queue of counted attempts cannot leave
+                assert cut.next_release_due() is None and (due is None or due > horizon)
+
+        def tick(j):
+            """Tick both at lattice time j; past the horizon, check that the
+            state with one refuses, and return False."""
+            if j > last:
+                with pytest.raises(ClockError, match="passes the horizon"):
+                    cut.tick(j * dt)
+                return False
+            assert cut.tick(j * dt) == ref.tick(j * dt)
+            agree()
+            return True
+
+        k = first
+        for i, (is_request, steps, dest) in enumerate(ops):
+            start, k = k, k + steps
+            if every_tick and not all(tick(j) for j in range(start + 1, k + 1)):
+                break
+            if is_request:
+                _same_answer(cut.request(dest, k * dt, tag=i), ref.request(dest, k * dt, tag=i))
+                agree()
+            elif not every_tick and not tick(k):
+                break
+        for j in range(k + 1, last + 1):
+            tick(j)
+        if queue_capacity is not None or rate == math.inf:
+            assert cut.counted == 0
