@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from operator import is_
 
 import numpy as np
 
 from .graph import Graph, ParseError, int64_array, table_text, write_text
-from .throttle import ADMITTED, EARLY, ENQUEUED, ClockError, ThrottleConfig, ThrottleState
+from .throttle import ClockError, HostThrottles, ThrottleConfig
 
 SUSCEPTIBLE, INFECTED, RECOVERED = 0, 1, 2
 
@@ -30,9 +28,6 @@ CSV_HEADER = "tick,t,susceptible,infected,recovered,queued,admitted"
 
 # Per-node cap on one tick's attempts, against pathological rate * dt products.
 MAX_ATTEMPTS_PER_TICK = 1_000_000
-
-# ThrottleState.tick's (dest, delay, tag) triples; the engine's tag is the success flag
-_RELEASED = [("dest", np.int64), ("delay", float), ("ok", bool)]
 
 
 @dataclass(frozen=True)
@@ -121,42 +116,21 @@ class TimeSeries:
 class Simulation:
     """One deterministic propagation run, advanced tick by tick.
 
-    Per-node throttle state is created when a node becomes infected, with its
-    first release a service time 1/rate away: a freshly infected machine does
-    not get a free instant connection, so its novel-destination rate is
-    bounded by the throttle rate from its very first contact.
-
     A tick's deliveries (unthrottled attempts, working-set passes and queue
     releases) are gathered as ``(dest, ok)`` arrays and applied once, as a
     set, at the end of the tick; no request or release reads the
-    compartments, so the result does not depend on delivery order.  A queued
-    attempt's ``ok`` rides in its source's ``ThrottleState`` queue as the
-    request's tag.  A throttled host with a non-empty queue has its next
-    release time in ``_due`` (``inf`` for every other node).  Per attempt,
-    ``_request`` makes one ``request`` call and nothing else, and ``_release``
-    ticks each due host once; the passes, due times and ``counters`` are per tick.
-
-    ``counters`` holds the throttle's cumulative work: ``requests``, of which
-    ``passed`` went through the working set and ``enqueued`` joined a queue;
-    ``dropped``, the queued attempts a full queue evicted; ``release_visits``,
-    the due hosts ``_release`` ticked; ``released``, the attempts they let go;
-    and ``wait_sum`` and ``wait_max``, the queue waits of the released attempts.
-    Every enqueued attempt is still queued, dropped or released, so the
-    ``queued`` column is ``enqueued - dropped - released``.
+    compartments, so the result does not depend on delivery order.
 
     ``horizon`` is the time of the last tick the caller will make, and
-    ``step`` raises past it.  Each throttle gets it, and so stores only the
-    queued attempts that can still leave by then (see ``ThrottleState``); the
-    rest it only counts.  No counter or column changes with the horizon: an
-    attempt that cannot leave by it stays queued either way.
+    ``step`` raises past it; a throttled run's ``throttles``, one
+    ``HostThrottles``, get it too.
 
     ``_sus_out`` counts each node's susceptible out-neighbours (neighbour worm
     only); the run is exhausted when no infected host has one left, or, for a
     scan worm, when no host is infected or none is susceptible.  Every worm
     and throttle arm draws, gathers and filters its attempts through the same
     lines of ``step``; they differ only in which hosts' attempts the gather
-    keeps, and a throttled run alone passes them through ``_request`` and
-    ``_release``.
+    keeps, and a throttled run alone passes them through ``throttles``.
     """
 
     def __init__(
@@ -212,12 +186,9 @@ class Simulation:
             if self.address_space < g.n:
                 raise ValueError("address_space must be >= n")
 
-        self._throttles: dict[int, ThrottleState] = {}
-        self._ids = list(range(g.n)) if throttle is not None else []
-        self._due = np.full(g.n, np.inf)
-        self.counters = {"requests": 0, "passed": 0, "enqueued": 0, "dropped": 0,
-                         "released": 0, "release_visits": 0, "wait_sum": 0.0, "wait_max": 0.0}
-        self._start_throttles(self._infected, 0.0)
+        self.throttles = None if throttle is None else HostThrottles(throttle, g.n, self.horizon)
+        if self.throttles is not None:
+            self.throttles.start(self._infected, 0.0)
 
     def step(self) -> tuple[int, float, int, int, int, int, int]:
         """Advance one tick; return the resulting TimeSeries row.
@@ -230,11 +201,9 @@ class Simulation:
         targets are all infected or vaccinated.  The gathered attempts draw
         their targets and success flags.  Without a throttle they are
         delivered, and ``admitted`` counts every valid attempt, gathered or
-        not.  With one, each source's throttle passes a working-set
-        destination and queues a new one; then every host whose ``_due`` time
-        has come releases its queue head(s), and ``admitted`` counts the
-        passes and releases.  The tick's deliveries are applied together at
-        the end, as a set.
+        not.  With one, ``admitted`` counts the working-set passes and queue
+        releases that ``throttles`` returns.  The tick's deliveries are
+        applied together at the end, as a set.
         """
         t = (self.tick_index + 1) * self.dt
         if t > self.horizon:
@@ -242,7 +211,7 @@ class Simulation:
         self.tick_index += 1
         worm = self.worm
         rng = self.rng
-        throttled = self.throttle_config is not None
+        throttled = self.throttles is not None
         neighbor = worm.targeting == NEIGHBOR
         snapshot = self._infected
 
@@ -268,23 +237,19 @@ class Simulation:
             ok = np.ones(len(pos), dtype=bool)
 
         if throttled:
-            targets, ok = self._request(sources, targets, ok, t)
-            released, released_ok = self._release(t)
-            targets = np.concatenate([targets, released])
-            ok = np.concatenate([ok, released_ok])
+            targets, ok = self.throttles.deliver(sources, targets, ok, t)
             delivered = len(targets)
         else:
             delivered = int(np.dot(counts, valid))
 
         self._infect(targets[ok], t)
-        c = self.counters
         return (
             self.tick_index,
             t,
             self.n_susceptible,
             self.n_infected,
             self.n_recovered,
-            c["enqueued"] - c["dropped"] - c["released"],
+            self.throttles.queued if throttled else 0,
             delivered,
         )
 
@@ -294,57 +259,6 @@ class Simulation:
         # float rounding can give random() * deg == deg
         idx = np.minimum((picks * degs).astype(np.int64), degs - 1)
         return self._adj[self._indptr[sources] + idx]
-
-    def _request(self, sources, targets, success, t):
-        """Pass each attempt, in order, to its source's throttle; return the
-        ``(dest, ok)`` arrays of the working-set passes.
-
-        Scheduling is per tick: a request moves no release time and a new
-        queue's head is stamped t, so the hosts whose queue was empty when the
-        tick began (``_due`` is inf) get their release times after the requests.
-
-        A destination inside the graph is passed as ``_ids``' int for its node,
-        not the fresh int ``tolist`` makes: a worm's fan-out piles up in the
-        queues, so every queued attempt and working-set key for a node shares
-        one int object.  A scan target outside the graph keeps its own int,
-        since the address space can be far larger than n."""
-        throttles = self._throttles
-        ids = self._ids
-        n = len(ids)
-        decisions = [throttles[s].request(ids[d] if d < n else d, t, ok)
-                     for s, d, ok in zip(sources.tolist(), targets.tolist(), success.tolist())]
-        passed = np.fromiter(map(is_, decisions, repeat(ADMITTED)), bool, len(decisions))
-        enqueued = len(decisions) - int(np.count_nonzero(passed))
-        c = self.counters
-        c["requests"] += len(decisions)
-        c["passed"] += len(decisions) - enqueued
-        c["enqueued"] += enqueued
-        # an enqueue answers ENQUEUED unless it evicts the queue's head
-        c["dropped"] += enqueued - sum(map(is_, decisions, repeat(ENQUEUED)))
-        hosts = np.unique(sources[~passed & np.isinf(self._due[sources])])
-        self._due[hosts] = _due_times([throttles[s] for s in hosts.tolist()])
-        return targets[passed], success[passed]
-
-    def _release(self, t):
-        """Tick each host due by t, by ``tick``'s own rule, once; every one of
-        them releases.  Return the released ``(dest, ok)`` arrays."""
-        hosts = np.flatnonzero(self._due <= t + EARLY / self.throttle_config.rate)
-        states = [self._throttles[s] for s in hosts.tolist()]
-        released = np.array([r for state in states for r in state.tick(t)], dtype=_RELEASED)
-        self._due[hosts] = _due_times(states)
-        c = self.counters
-        c["release_visits"] += len(hosts)
-        c["released"] += len(released)
-        c["wait_sum"] += float(released["delay"].sum())
-        c["wait_max"] = max(c["wait_max"], float(released["delay"].max(initial=0.0)))
-        return released["dest"], released["ok"]
-
-    def _start_throttles(self, hosts: np.ndarray, t: float) -> None:
-        """Give each host infected at t, if throttled, a throttle first free at t + 1/rate."""
-        if self.throttle_config is not None:
-            for u in hosts.tolist():
-                self._throttles[u] = ThrottleState(self.throttle_config, t0=t, initial_budget=0.0,
-                                                   horizon=self.horizon)
 
     def _infect(self, hits: np.ndarray, t: float) -> None:
         """Infect the still-susceptible nodes among the successful targets."""
@@ -363,7 +277,8 @@ class Simulation:
             np.subtract.at(self._sus_out, in_src[pos], 1)
             hosts = np.concatenate([self._spreaders, hits])
             self._spreaders = hosts[self._sus_out[hosts] > 0]
-        self._start_throttles(hits, t)
+        if self.throttles is not None:
+            self.throttles.start(hits, t)
         self._infected = np.concatenate([self._infected, hits])
 
     def exhausted(self) -> bool:
@@ -377,12 +292,6 @@ class Simulation:
         if self.worm.targeting == SCAN:
             return self.n_infected == 0 or self.n_susceptible == 0
         return not len(self._spreaders)
-
-
-def _due_times(states) -> np.ndarray:
-    """Each state's next release time; inf, never due, for one that stores no attempt."""
-    due = np.array([state.next_release_due() for state in states], dtype=float)  # None: nan
-    return np.where(np.isnan(due), np.inf, due)
 
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:

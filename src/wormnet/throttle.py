@@ -7,6 +7,8 @@ drains at a fixed rate r.  The queue is a single server with service time
 recursion), and the throttle's whole release state is one time.  Legitimate
 traffic, which revisits a small set of destinations at a low novelty rate, is
 effectively untouched, while a worm's high-rate fan-out piles up in the queue.
+
+``ThrottleState`` is one host's throttle; ``HostThrottles`` holds a run's.
 """
 
 from __future__ import annotations
@@ -14,6 +16,10 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import repeat
+from operator import is_
+
+import numpy as np
 
 
 class ClockError(ValueError):
@@ -98,7 +104,8 @@ class ThrottleState:
     queue and the counted attempts stay in FIFO order.  A bounded queue stores
     every attempt, since an eviction needs the real order, and so does a rate
     at which rounding could outgrow the EARLY slack (from about 2e4 per second
-    at a horizon of 100).  The default horizon, inf, stores everything.
+    at a horizon of 100).  The default horizon, inf, stores everything; where
+    all is stored, ``_cut`` is None and ``request`` skips the bound.
     """
 
     __slots__ = ("config", "working_set", "delay_queue", "ready_at", "last_update", "horizon",
@@ -121,7 +128,7 @@ class ThrottleState:
         # 1/rate past it: the cut holds while their rounding is far below EARLY / rate
         scale = max(abs(t0), abs(horizon)) + 1.0 / config.rate
         cut = config.queue_capacity is None and EARLY / config.rate > 4 * math.ulp(scale)
-        self._cut = self.horizon if cut else math.inf
+        self._cut = self.horizon if cut else None
 
     def request(self, dest: int, t: float, tag=None) -> Admitted | Enqueued:
         """Classify one connection attempt at time t."""
@@ -131,7 +138,8 @@ class ThrottleState:
             self.working_set.move_to_end(dest)
             return ADMITTED
         k = len(self.delay_queue)
-        if self.counted or self.ready_at + (k - 2 * (k + 1) * EARLY) / self.config.rate > self._cut:
+        if self._cut is not None and (self.counted or self._cut < self.ready_at
+                                      + (k - 2 * (k + 1) * EARLY) / self.config.rate):
             self.counted += 1  # it cannot leave by the horizon
             return ENQUEUED
         self.delay_queue.append((dest, t, tag))
@@ -177,13 +185,97 @@ class ThrottleState:
         self.working_set[dest] = None
 
 
+# ThrottleState.tick's (dest, delay, tag) triples; a run's tag is the success flag
+_RELEASED = [("dest", np.int64), ("delay", float), ("ok", bool)]
+
+
+class HostThrottles:
+    """A run's throttles over n nodes: one ``ThrottleState`` per infected host.
+
+    Each throttle gets ``horizon``, the time of the caller's last tick, and
+    stores only the queued attempts that can still leave by then (see
+    ``ThrottleState``); it counts the rest, so no counter changes with it.
+    ``deliver`` passes each attempt of a tick to its source's throttle, one
+    ``request`` call each, then ticks each due host once.  A queued attempt's
+    ``ok`` rides in its source's queue as the request's tag.  A host with a
+    non-empty queue has its next release time in ``_due`` (inf for the rest).
+
+    ``counters``, updated once per tick, holds the cumulative work: ``requests``,
+    of which ``passed`` went through the working set and ``enqueued`` joined a
+    queue; ``dropped``, the queued attempts a full queue evicted;
+    ``release_visits``, the due hosts ticked; ``released``, the attempts they
+    let go; and ``wait_sum`` and ``wait_max``, their queue waits.  Every
+    enqueued attempt is ``queued``, dropped or released.
+    """
+
+    def __init__(self, config: ThrottleConfig, n: int, horizon: float):
+        self.config = config
+        self.horizon = horizon
+        self.states: dict[int, ThrottleState] = {}
+        self._ids = list(range(n))
+        self._due = np.full(n, np.inf)
+        self.counters = {"requests": 0, "passed": 0, "enqueued": 0, "dropped": 0,
+                         "released": 0, "release_visits": 0, "wait_sum": 0.0, "wait_max": 0.0}
+
+    @property
+    def queued(self) -> int:
+        return self.counters["enqueued"] - self.counters["dropped"] - self.counters["released"]
+
+    def start(self, hosts: np.ndarray, t: float) -> None:
+        """Give each host infected at t a throttle first free at t + 1/rate: a
+        freshly infected machine gets no free instant connection, so its novel-
+        destination rate is bounded by the throttle rate from its first contact."""
+        for u in hosts.tolist():
+            self.states[u] = ThrottleState(self.config, t0=t, initial_budget=0.0,
+                                           horizon=self.horizon)
+
+    def deliver(self, sources, targets, ok, t):
+        """Pass each attempt at t, in order, to its source's throttle, then tick
+        each host due by t once, by ``tick``'s own rule; return the ``(dest, ok)``
+        arrays of the working-set passes followed by the releases.
+
+        A request moves no release time and a new queue's head is stamped t, so
+        the hosts whose queue was empty (``_due`` is inf) get their due times
+        after the requests.  Every queued attempt and working-set key for a node
+        shares ``_ids``' one int for it, not a fresh one from ``tolist``; a scan
+        target past the nodes keeps its own: the address space can be far larger."""
+        states, ids, n = self.states, self._ids, len(self._ids)
+        decisions = [states[s].request(ids[d] if d < n else d, t, tag)
+                     for s, d, tag in zip(sources.tolist(), targets.tolist(), ok.tolist())]
+        passed = np.fromiter(map(is_, decisions, repeat(ADMITTED)), bool, len(decisions))
+        enqueued = len(decisions) - int(np.count_nonzero(passed))
+        c = self.counters
+        c["requests"] += len(decisions)
+        c["passed"] += len(decisions) - enqueued
+        c["enqueued"] += enqueued
+        # an enqueue answers ENQUEUED unless it evicts the queue's head
+        c["dropped"] += enqueued - sum(map(is_, decisions, repeat(ENQUEUED)))
+        hosts = np.unique(sources[~passed & np.isinf(self._due[sources])])
+        self._set_due(hosts, [states[s] for s in hosts.tolist()])
+        hosts = np.flatnonzero(self._due <= t + EARLY / self.config.rate)
+        due = [states[s] for s in hosts.tolist()]
+        released = np.array([r for state in due for r in state.tick(t)], dtype=_RELEASED)
+        self._set_due(hosts, due)
+        c["release_visits"] += len(hosts)
+        c["released"] += len(released)
+        c["wait_sum"] += float(released["delay"].sum())
+        c["wait_max"] = max(c["wait_max"], float(released["delay"].max(initial=0.0)))
+        return (np.concatenate([targets[passed], released["dest"]]),
+                np.concatenate([ok[passed], released["ok"]]))
+
+    def _set_due(self, hosts, states) -> None:
+        """Set each host's next release time; inf, never due, if it stores no attempt."""
+        due = np.array([state.next_release_due() for state in states], dtype=float)  # None: nan
+        self._due[hosts] = np.where(np.isnan(due), np.inf, due)
+
+
 def process_trace(events, config: ThrottleConfig) -> list[tuple[float, int, str, float]]:
     """Run a (t, dest) request trace through one throttle.
 
     Returns decision rows ``(t, dest, decision, delay)`` with decision in
-    {admit, release, drop}; releases and drops are timestamped at the moment
-    they happen, not at the triggering request.  The queue is fully drained
-    after the last event.
+    {admit, release, drop}, in time order: releases and drops are timestamped
+    when they happen, not at the triggering request, and each event first
+    releases what fell due since the last.  The queue is drained after the last event.
     """
     events = sorted(events, key=lambda e: e[0])
     state = ThrottleState(config, t0=events[0][0] if events else 0.0)
@@ -208,5 +300,4 @@ def process_trace(events, config: ThrottleConfig) -> list[tuple[float, int, str,
         drain_until(t)  # a no-op after an admit: the queue is unchanged
 
     drain_until(math.inf)
-    rows.sort(key=lambda r: r[0])
     return rows

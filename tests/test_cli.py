@@ -71,6 +71,9 @@ class TestGenerate:
         (["--preset", "net-a", "--seed", "-1"], "[network] seed must be >= 0, got -1"),
         (["--family", "configmodel", "--degree-histogram", "{tmp}/h.hist"],
          "h.hist:2: counts sum past 3037000497, the most a Graph can hold"),
+        # an odd degree sum whose parity fix would need a degree of n or more
+        (["--family", "multimodal", "--n", "5", "--peaks", "4:0.5,1:0.5", "--seed", "1"],
+         "cannot adjust degree parity without exceeding n - 1"),
     ])
     def test_bad_network_is_one_line_error(self, tmp_path, capsys, argv, message):
         (tmp_path / "h.hist").write_text("1 4\n3 10000000000000\n")
@@ -81,6 +84,7 @@ class TestGenerate:
         assert err.startswith("wormnet: error:")
         assert len(err.strip().splitlines()) == 1
         assert message in err
+        assert not (tmp_path / "x.edges").exists()
 
     @pytest.mark.parametrize("error, message", [
         (MemoryError("Unable to allocate 2.98 GiB for an array"),

@@ -440,14 +440,14 @@ class TestThrottledRuns:
                          throttle=ThrottleConfig(rate=2.0, working_set_capacity=2),
                          dt=0.1, seed=seed)
         seen, expected = [[], [], []], [[], [], []]
-        request = sim._request
+        deliver = sim.throttles.deliver
 
         def spy(sources, targets, ok, t):
             for log, a in zip(seen, (sources, targets, ok)):
                 log.extend(a.tolist())
-            return request(sources, targets, ok, t)
+            return deliver(sources, targets, ok, t)
 
-        sim._request = spy
+        sim.throttles.deliver = spy
         for _ in range(6):
             for log, a in zip(expected, _full_gather_replay(sim)):
                 log.extend(a.tolist())
@@ -511,7 +511,7 @@ class TestThrottledRuns:
             assert rows[-1][2:] == (*sir, queued, len(delivered))
             assert np.array_equal(np.flatnonzero(sim.compartments == INFECTED),
                                   np.flatnonzero(compartments == INFECTED))
-            counters = dict(sim.counters)
+            counters = dict(sim.throttles.counters)
             assert counters.pop("wait_sum") == pytest.approx(math.fsum(waits), rel=1e-12, abs=1e-12)
             assert counters.pop("wait_max") == max(waits, default=0.0)
             assert counters == tally
@@ -553,9 +553,9 @@ class TestThrottledRuns:
                 infected_at.setdefault(h, tick)
         expected = sum((ticks - k) // period for k in infected_at.values())
         assert len(infected_at) > 1
-        assert sim.counters["released"] == expected
-        assert sim.counters["release_visits"] == expected
-        assert sim.counters["passed"] == 0
+        assert sim.throttles.counters["released"] == expected
+        assert sim.throttles.counters["release_visits"] == expected
+        assert sim.throttles.counters["passed"] == 0
 
     def test_scan_passes_are_bounded_by_the_working_set_share(self):
         # a uniform scan target falls in a working set of at most W of the
@@ -568,7 +568,7 @@ class TestThrottledRuns:
                          throttle=ThrottleConfig(rate=2.0, working_set_capacity=w))
         for _ in range(100):
             sim.step()
-        c = sim.counters
+        c = sim.throttles.counters
         mean = c["requests"] * w / omega
         assert c["passed"] <= mean + 4 * math.sqrt(mean)
 
@@ -607,14 +607,14 @@ class TestThrottledRuns:
         try:
             for _ in range(10):
                 sim.step()
-            size, enqueued = tracemalloc.get_traced_memory()[0], sim.counters["enqueued"]
+            size, enqueued = tracemalloc.get_traced_memory()[0], sim.throttles.counters["enqueued"]
             for _ in range(240):
                 sim.step()
             grown = tracemalloc.get_traced_memory()[0] - size
         finally:
             if not tracing:
                 tracemalloc.stop()
-        c = sim.counters
+        c = sim.throttles.counters
         assert c["passed"] == c["released"] == c["dropped"] == 0
         assert c["enqueued"] - enqueued > 15_000
         assert grown / (c["enqueued"] - enqueued) <= bound
@@ -631,7 +631,7 @@ class TestThrottledRuns:
             def step(self):
                 nonlocal peak
                 row = super().step()
-                peak = max(peak, *(len(s.delay_queue) for s in self._throttles.values()))
+                peak = max(peak, *(len(s.delay_queue) for s in self.throttles.states.values()))
                 return row
 
         monkeypatch.setattr(epidemic, "Simulation", Watched)
