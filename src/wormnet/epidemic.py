@@ -127,8 +127,10 @@ class Simulation:
 
     ``_sus_out`` counts each node's susceptible out-neighbours (neighbour worm
     only); the run is exhausted when no infected host has one left, or, for a
-    scan worm, when no host is infected or none is susceptible.  Every worm
-    and throttle arm draws, gathers and filters its attempts through the same
+    scan worm, when no host is infected or none is susceptible.  ``_sinks``
+    counts the infected hosts that make no valid attempt: a neighbour worm's
+    hosts without out-neighbours (none for a scan worm).  Every worm and
+    throttle arm draws, gathers and filters its attempts through the same
     lines of ``step``; they differ only in which hosts' attempts the gather
     keeps, and a throttled run alone passes them through ``throttles``.
     """
@@ -181,7 +183,9 @@ class Simulation:
             sus = self.compartments[self._adj] == SUSCEPTIBLE
             self._sus_out = np.bincount(rows[sus], minlength=g.n)
             self._spreaders = self._infected[self._sus_out[self._infected] > 0]
+            self._sinks = int(np.count_nonzero(self._out_deg[self._infected] == 0))
         else:
+            self._sinks = 0
             self.address_space = g.n if worm.address_space is None else int(worm.address_space)
             if self.address_space < g.n:
                 raise ValueError("address_space must be >= n")
@@ -195,15 +199,18 @@ class Simulation:
 
         Every arm takes one path.  Each infected host draws its attempts; a
         scan worm's are all valid, and a neighbour worm's host without
-        out-neighbours makes none.  One ranged gather keeps every valid
+        out-neighbours (a sink) makes none.  The gather keeps every valid
         attempt when throttled, since each must reach its source's throttle,
         and otherwise a neighbour worm's spreaders' only, since an idle host's
-        targets are all infected or vaccinated.  The gathered attempts draw
+        targets are all infected or vaccinated.  While no infected host is a
+        sink, a throttled or scan tick keeps every draw whole; otherwise one
+        ranged gather picks the kept hosts' draws.  The gathered attempts draw
         their targets and success flags.  Without a throttle they are
         delivered, and ``admitted`` counts every valid attempt, gathered or
-        not.  With one, ``admitted`` counts the working-set passes and queue
-        releases that ``throttles`` returns.  The tick's deliveries are
-        applied together at the end, as a set.
+        not: all drawn attempts while there is no sink.  With one,
+        ``admitted`` counts the working-set passes and queue releases that
+        ``throttles`` returns.  The tick's deliveries are applied together at
+        the end, as a set.
         """
         t = (self.tick_index + 1) * self.dt
         if t > self.horizon:
@@ -221,12 +228,14 @@ class Simulation:
             counts = np.minimum(counts, MAX_ATTEMPTS_PER_TICK)
         total = int(counts.sum())
 
-        valid = self._out_deg[snapshot] > 0 if neighbor else np.ones(len(snapshot), dtype=bool)
-        gather = self._sus_out[snapshot] > 0 if neighbor and not throttled else valid
-        active = np.flatnonzero(gather)
-        lens = counts[active]
-        pos = _ranges(np.cumsum(counts)[active] - lens, lens)
-        sources = np.repeat(snapshot[active], lens)
+        if not self._sinks and (throttled or not neighbor):  # every attempt is kept
+            sources, pos = np.repeat(snapshot, counts), slice(None)
+        else:
+            keep = self._out_deg[snapshot] > 0 if throttled else self._sus_out[snapshot] > 0
+            active = np.flatnonzero(keep)
+            lens = counts[active]
+            pos = _ranges(np.cumsum(counts)[active] - lens, lens)
+            sources = np.repeat(snapshot[active], lens)
         if neighbor:
             targets = self._pick(sources, rng.random(total)[pos])
         else:
@@ -234,13 +243,15 @@ class Simulation:
         if worm.infection_probability < 1.0:
             ok = rng.random(total)[pos] < worm.infection_probability
         else:
-            ok = np.ones(len(pos), dtype=bool)
+            ok = np.ones(len(sources), dtype=bool)
 
         if throttled:
             targets, ok = self.throttles.deliver(sources, targets, ok, t)
             delivered = len(targets)
+        elif self._sinks:
+            delivered = int(np.dot(counts, self._out_deg[snapshot] > 0))
         else:
-            delivered = int(np.dot(counts, valid))
+            delivered = total
 
         self._infect(targets[ok], t)
         return (
@@ -277,6 +288,7 @@ class Simulation:
             np.subtract.at(self._sus_out, in_src[pos], 1)
             hosts = np.concatenate([self._spreaders, hits])
             self._spreaders = hosts[self._sus_out[hosts] > 0]
+            self._sinks += int(np.count_nonzero(self._out_deg[hits] == 0))
         if self.throttles is not None:
             self.throttles.start(hits, t)
         self._infected = np.concatenate([self._infected, hits])

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import is_
 
 import numpy as np
@@ -192,13 +192,15 @@ _RELEASED = [("dest", np.int64), ("delay", float), ("ok", bool)]
 class HostThrottles:
     """A run's throttles over n nodes: one ``ThrottleState`` per infected host.
 
-    Each throttle gets ``horizon``, the time of the caller's last tick, and
-    stores only the queued attempts that can still leave by then (see
-    ``ThrottleState``); it counts the rest, so no counter changes with it.
-    ``deliver`` passes each attempt of a tick to its source's throttle, one
-    ``request`` call each, then ticks each due host once.  A queued attempt's
-    ``ok`` rides in its source's queue as the request's tag.  A host with a
-    non-empty queue has its next release time in ``_due`` (inf for the rest).
+    ``states`` is an (n,) object array that holds host u's ``ThrottleState``
+    at index u, and None before u is infected.  Each throttle gets
+    ``horizon``, the time of the caller's last tick, and stores only the
+    queued attempts that can still leave by then (see ``ThrottleState``); it
+    counts the rest, so no counter changes with it.  ``deliver`` passes each
+    attempt of a tick to its source's throttle, one ``request`` call each,
+    then ticks each due host once.  A queued attempt's ``ok`` rides in its
+    source's queue as the request's tag.  A host with a non-empty queue has
+    its next release time in ``_due`` (inf for the rest).
 
     ``counters``, updated once per tick, holds the cumulative work: ``requests``,
     of which ``passed`` went through the working set and ``enqueued`` joined a
@@ -211,8 +213,8 @@ class HostThrottles:
     def __init__(self, config: ThrottleConfig, n: int, horizon: float):
         self.config = config
         self.horizon = horizon
-        self.states: dict[int, ThrottleState] = {}
-        self._ids = list(range(n))
+        self.states = np.full(n, None, dtype=object)
+        self._ids = np.arange(n).astype(object)
         self._due = np.full(n, np.inf)
         self.counters = {"requests": 0, "passed": 0, "enqueued": 0, "dropped": 0,
                          "released": 0, "release_visits": 0, "wait_sum": 0.0, "wait_max": 0.0}
@@ -234,28 +236,37 @@ class HostThrottles:
         each host due by t once, by ``tick``'s own rule; return the ``(dest, ok)``
         arrays of the working-set passes followed by the releases.
 
-        A request moves no release time and a new queue's head is stamped t, so
-        the hosts whose queue was empty (``_due`` is inf) get their due times
-        after the requests.  Every queued attempt and working-set key for a node
-        shares ``_ids``' one int for it, not a fresh one from ``tolist``; a scan
-        target past the nodes keeps its own: the address space can be far larger."""
-        states, ids, n = self.states, self._ids, len(self._ids)
-        decisions = [states[s].request(ids[d] if d < n else d, t, tag)
-                     for s, d, tag in zip(sources.tolist(), targets.tolist(), ok.tolist())]
+        The tick's states are one gather from ``states``, and ``map`` drives
+        ``ThrottleState.request``, ``tick`` and ``next_release_due`` over them,
+        so ``deliver`` runs no Python loop of its own per attempt or host.  Each
+        method is looked up on the class when ``deliver`` runs, so a wrapper
+        set on the class sees every call, in order.  A request moves no release
+        time and a new queue's head is stamped t, so the hosts whose queue was
+        empty (``_due`` is inf) get their due times after the requests.  Every
+        queued attempt and working-set key for a node shares ``_ids``' one int
+        for it, gathered, not a fresh one from ``tolist``; a scan target past
+        the nodes keeps its own: the address space can be far larger."""
+        states, ids = self.states, self._ids
+        past = targets >= len(ids)
+        dests = ids[np.where(past, 0, targets)]
+        if past.any():
+            dests[past] = targets[past].astype(object)
+        decisions = list(map(ThrottleState.request, states[sources].tolist(), dests.tolist(),
+                             repeat(t), ok.tolist()))
         passed = np.fromiter(map(is_, decisions, repeat(ADMITTED)), bool, len(decisions))
         enqueued = len(decisions) - int(np.count_nonzero(passed))
         c = self.counters
         c["requests"] += len(decisions)
         c["passed"] += len(decisions) - enqueued
         c["enqueued"] += enqueued
-        # an enqueue answers ENQUEUED unless it evicts the queue's head
-        c["dropped"] += enqueued - sum(map(is_, decisions, repeat(ENQUEUED)))
-        hosts = np.unique(sources[~passed & np.isinf(self._due[sources])])
-        self._set_due(hosts, [states[s] for s in hosts.tolist()])
+        # an enqueue answers ENQUEUED unless it evicts the head of a full queue
+        if self.config.queue_capacity is not None:
+            c["dropped"] += enqueued - sum(map(is_, decisions, repeat(ENQUEUED)))
+        self._set_due(np.unique(sources[~passed & np.isinf(self._due[sources])]))
         hosts = np.flatnonzero(self._due <= t + EARLY / self.config.rate)
-        due = [states[s] for s in hosts.tolist()]
-        released = np.array([r for state in due for r in state.tick(t)], dtype=_RELEASED)
-        self._set_due(hosts, due)
+        released = np.array(list(chain.from_iterable(
+            map(ThrottleState.tick, states[hosts].tolist(), repeat(t)))), dtype=_RELEASED)
+        self._set_due(hosts)
         c["release_visits"] += len(hosts)
         c["released"] += len(released)
         c["wait_sum"] += float(released["delay"].sum())
@@ -263,9 +274,10 @@ class HostThrottles:
         return (np.concatenate([targets[passed], released["dest"]]),
                 np.concatenate([ok[passed], released["ok"]]))
 
-    def _set_due(self, hosts, states) -> None:
+    def _set_due(self, hosts) -> None:
         """Set each host's next release time; inf, never due, if it stores no attempt."""
-        due = np.array([state.next_release_due() for state in states], dtype=float)  # None: nan
+        due = np.array(list(map(ThrottleState.next_release_due, self.states[hosts].tolist())),
+                       dtype=float)  # None: nan
         self._due[hosts] = np.where(np.isnan(due), np.inf, due)
 
 

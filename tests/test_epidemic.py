@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -432,7 +433,9 @@ class TestThrottledRuns:
     @given(_graph_seeds_vaccinated(), st.sampled_from([1.0, 0.5]), st.integers(0, 2**32 - 1))
     def test_every_valid_attempt_reaches_the_throttle_in_order(self, targeting, case, p, seed):
         # the throttle sees each valid attempt once, in snapshot order, then
-        # draw order, with the target and success flag a full gather draws
+        # draw order, with the target and success flag a full gather draws;
+        # wrappers set on ThrottleState itself see one request per attempt,
+        # in that order, and one tick per due host, as a tracer's would
         g, seeds, vaccinated = case
         worm = WormBehavior(targeting, attempt_rate=10.0, infection_probability=p,
                             address_space=2 * g.n if targeting == "scan" else None)
@@ -440,19 +443,37 @@ class TestThrottledRuns:
                          throttle=ThrottleConfig(rate=2.0, working_set_capacity=2),
                          dt=0.1, seed=seed)
         seen, expected = [[], [], []], [[], [], []]
+        requested, expected_requests, ticks = [], [], []
         deliver = sim.throttles.deliver
+        request, tick = ThrottleState.request, ThrottleState.tick
 
         def spy(sources, targets, ok, t):
             for log, a in zip(seen, (sources, targets, ok)):
                 log.extend(a.tolist())
             return deliver(sources, targets, ok, t)
 
+        def counted_request(state, dest, t, tag=None):
+            requested.append((dest, t, tag))
+            return request(state, dest, t, tag)
+
+        def counted_tick(state, t):
+            ticks.append(t)
+            return tick(state, t)
+
         sim.throttles.deliver = spy
-        for _ in range(6):
-            for log, a in zip(expected, _full_gather_replay(sim)):
-                log.extend(a.tolist())
-            sim.step()
+        with mock.patch.object(ThrottleState, "request", counted_request), \
+                mock.patch.object(ThrottleState, "tick", counted_tick):
+            for _ in range(6):
+                attempts = _full_gather_replay(sim)
+                for log, a in zip(expected, attempts):
+                    log.extend(a.tolist())
+                t = (sim.tick_index + 1) * sim.dt
+                expected_requests += [(d, t, ok) for d, ok in zip(attempts[1].tolist(),
+                                                                  attempts[2].tolist())]
+                sim.step()
         assert seen == expected
+        assert requested == expected_requests
+        assert len(ticks) == sim.throttles.counters["release_visits"]
 
     @pytest.mark.parametrize("targeting", ["neighbor", "scan"])
     @settings(max_examples=200, deadline=None)
@@ -631,7 +652,8 @@ class TestThrottledRuns:
             def step(self):
                 nonlocal peak
                 row = super().step()
-                peak = max(peak, *(len(s.delay_queue) for s in self.throttles.states.values()))
+                peak = max(peak, *(len(s.delay_queue) for s in self.throttles.states
+                                   if s is not None))
                 return row
 
         monkeypatch.setattr(epidemic, "Simulation", Watched)
