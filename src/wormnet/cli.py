@@ -7,26 +7,25 @@ import argparse
 import math
 import sys
 
-from . import harness, presets
+from . import harness
 from .graph import ParseError, format_field, read_edge_list, table_text, write_edge_list, write_text
-from .netgen import FAMILIES, GenerationError, build_network
+from .netgen import GenerationError, build_network
 from .percolation import analytical_threshold, empirical_threshold
 from .throttle import ThrottleConfig, process_trace
 
 
-def _section(args, name: str) -> dict:
-    """Config section ``name`` from the flags given: each flag is named after
-    its key and parsed like a config value."""
-    return {
-        key: harness.convert_value(args.command, name, key, value)
-        for key, value in vars(args).items()
-        if key in harness.SECTIONS[name] and value is not None
-    }
+def _sections(args) -> dict:
+    """The config sections of the command's flags, each value parsed as on its
+    config line."""
+    return {name: {key: harness.convert_value(args.command, name, key, value)
+                   for key, value in vars(args).items()
+                   if key in harness.SECTIONS[name] and value is not None}
+            for name in args.sections}
 
 
 def _cmd_generate(args) -> int:
     master = harness.DEFAULTS["run"]["seed"]
-    spec = harness.network_spec(_section(args, "network"), args.command, master)
+    spec = harness.network_spec(_sections(args)["network"], args.command, master)
     g = build_network(spec)
     write_edge_list(g, args.out)
     print(f"wrote {g!r} to {args.out}")
@@ -35,8 +34,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     """Replicate 0 of the experiment whose ``[network]`` is ``file = --graph``."""
-    sections = {name: _section(args, name) for name in ("worm", "controls", "run")}
-    cfg = harness.experiment_config({"network": {"file": args.graph}, **sections}, args.command)
+    sections = {**_sections(args), "network": {"file": args.graph}}
+    cfg = harness.experiment_config(sections, args.command)
     ts = harness.run_replicate(harness.build_graph(cfg), cfg, 0)
     ts.to_csv(args.out)
     print(f"wrote {len(ts)} rows to {args.out}")
@@ -108,6 +107,24 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+# The config-key flags that are not a plain string flag named after their key.
+_FLAG_NAMES = {"degrees_file": "--degree-histogram"}
+_FLAG_OPTIONS = {"directed": {"action": "store_const", "const": "true"},
+                 "peaks": {"help": "degree:weight,degree:weight,..."}}
+
+
+def _add_config_flags(p: argparse.ArgumentParser, *sections: str) -> None:
+    """Add a flag for each key of ``sections`` but ``file`` (simulate's
+    ``--graph``) and ``replicates``: the key spelled with dashes, its dest the
+    key.  argparse checks none: ``harness`` does, as for the key's config line."""
+    p.set_defaults(sections=sections)
+    for section in sections:
+        for key in harness.SECTIONS[section]:
+            if key not in ("file", "replicates"):
+                flag = _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
+                p.add_argument(flag, dest=key, **_FLAG_OPTIONS.get(key, {}))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wormnet",
@@ -115,43 +132,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # flags of generate/simulate are the config keys of [network], or of
-    # [worm]/[controls]/[run], parsed and defaulted as in a config file
     p = sub.add_parser("generate", help="generate a network and write an edge list")
-    p.add_argument("--preset", choices=presets.PRESET_NAMES)
-    p.add_argument("--family", choices=FAMILIES)
-    p.add_argument("--n")
-    p.add_argument("--alpha")
-    p.add_argument("--k-min", dest="k_min")
-    p.add_argument("--k-max", dest="k_max")
-    p.add_argument("--peaks", help="degree:weight,degree:weight,...")
-    p.add_argument("--degree-histogram", dest="degrees_file")
-    p.add_argument("--directed", action="store_const", const="true")
-    p.add_argument("--seed")
+    _add_config_flags(p, "network")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("simulate", help="run one propagation and write a time series")
     p.add_argument("--graph", required=True)
-    p.add_argument("--targeting", choices=["neighbor", "scan"], required=True)
-    p.add_argument("--rate", required=True)
-    p.add_argument("--pinfect")
-    p.add_argument("--address-space", dest="address_space")
-    p.add_argument("--throttle-rate", dest="throttle_rate")
-    p.add_argument("--working-set", dest="working_set")
-    p.add_argument("--queue-capacity", dest="queue_capacity")
-    p.add_argument("--vaccinate", choices=["random", "targeted"])
-    p.add_argument("--fraction")
-    p.add_argument("--seed-infected", dest="seed_infected")
-    p.add_argument("--dt")
-    p.add_argument("--tmax")
-    p.add_argument("--seed")
+    _add_config_flags(p, "worm", "controls", "run")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("threshold", help="estimate the critical vaccination fraction")
     p.add_argument("--graph", required=True)
-    p.add_argument("--strategy", choices=["random", "targeted"], required=True)
+    p.add_argument("--strategy", required=True)
     p.add_argument("--method", choices=["empirical", "analytical"], default="empirical")
     p.add_argument("--s-min", type=float, dest="s_min", default=0.01)
     p.add_argument("--trials", type=int, default=10)

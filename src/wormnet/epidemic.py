@@ -46,7 +46,7 @@ class WormBehavior:
 
     def __post_init__(self):
         if self.targeting not in (NEIGHBOR, SCAN):
-            raise ValueError(f"unknown targeting {self.targeting!r}")
+            raise ValueError(f"unknown targeting {self.targeting!r}; available: {NEIGHBOR}, {SCAN}")
         if not 0 < self.attempt_rate < np.inf:
             raise ValueError("attempt_rate must be > 0 and finite")
         if not 0.0 < self.infection_probability <= 1.0:

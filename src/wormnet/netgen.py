@@ -51,7 +51,7 @@ class NetworkSpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise ValueError(f"unknown family {self.family!r}; available: {', '.join(FAMILIES)}")
         if self.n is None:
             raise ValueError(f"{self.family} family requires n")
         if self.n < 0:

@@ -25,14 +25,18 @@ TARGETED = "targeted"
 _KINDS = (RANDOM, TARGETED)
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in _KINDS:
+        raise ValueError(f"unknown strategy kind {kind!r}; available: {', '.join(_KINDS)}")
+
+
 @dataclass(frozen=True)
 class VaccinationStrategy:
     kind: str
     fraction: float
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
+        _check_kind(self.kind)
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError("fraction must lie in [0, 1]")
 
@@ -181,8 +185,7 @@ def empirical_threshold(
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    if kind not in _KINDS:
-        raise ValueError(f"unknown strategy kind {kind!r}")
+    _check_kind(kind)
     if g.n == 0:
         raise ValueError("graph has no nodes")
     _check_int32(g)
@@ -251,8 +254,7 @@ def analytical_threshold(degrees, kind: str) -> ThresholdResult:
     giant-component criterion <k^2> - 2<k> <= 0, with fractional occupation
     of the boundary degree class.
     """
-    if kind not in _KINDS:
-        raise ValueError(f"unknown strategy kind {kind!r}")
+    _check_kind(kind)
     degrees = np.asarray(degrees, dtype=np.int64)
     if (degrees < 0).any() or not degrees.any():
         raise ValueError("degree sequence must be non-negative with mean degree > 0")

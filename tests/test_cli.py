@@ -1,3 +1,4 @@
+import argparse
 import os
 import re
 import stat
@@ -6,9 +7,10 @@ import threading
 import numpy as np
 import pytest
 
-from wormnet.cli import main
+from wormnet.cli import build_parser, main
 from wormnet.epidemic import CSV_HEADER, TimeSeries
 from wormnet.graph import read_edge_list
+from wormnet.harness import SECTIONS
 
 
 def _generate(tmp_path, *extra):
@@ -528,3 +530,86 @@ seed = 5
         err = capsys.readouterr().err
         assert err.startswith("wormnet: error:")
         assert len(err.strip().splitlines()) == 1
+
+
+def _command_actions(command):
+    """The option actions of ``command``, -h left out."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [a for a in sub.choices[command]._actions if a.option_strings and a.dest != "help"]
+
+
+# the config keys that are flags: [network]'s of generate, the rest of simulate
+CONFIG_FLAG_KEYS = [(section, key) for section, keys in SECTIONS.items() for key in keys
+                    if key not in ("file", "replicates")]
+
+
+class TestConfigKeyFlags:
+    # every flag of generate and simulate, with its dest
+    FLAGS = {
+        "generate": {
+            "--preset": "preset", "--family": "family", "--n": "n", "--alpha": "alpha",
+            "--k-min": "k_min", "--k-max": "k_max", "--peaks": "peaks",
+            "--degree-histogram": "degrees_file", "--directed": "directed", "--seed": "seed",
+            "--out": "out",
+        },
+        "simulate": {
+            "--graph": "graph", "--targeting": "targeting", "--rate": "rate",
+            "--pinfect": "pinfect", "--address-space": "address_space",
+            "--throttle-rate": "throttle_rate", "--working-set": "working_set",
+            "--queue-capacity": "queue_capacity", "--vaccinate": "vaccinate",
+            "--fraction": "fraction", "--seed-infected": "seed_infected", "--dt": "dt",
+            "--tmax": "tmax", "--seed": "seed", "--out": "out",
+        },
+    }
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_flags_and_dests(self, command):
+        actions = _command_actions(command)
+        assert {flag: a.dest for a in actions for flag in a.option_strings} == self.FLAGS[command]
+        # in config-section order; argparse checks no value or presence: harness does
+        config_actions = [a for a in actions if a.dest not in ("graph", "out")]
+        generate = command == "generate"
+        assert [a.dest for a in config_actions] == [
+            key for section, key in CONFIG_FLAG_KEYS if (section == "network") == generate]
+        assert all(a.choices is None and not a.required for a in config_actions)
+
+    @pytest.mark.parametrize("section, key", CONFIG_FLAG_KEYS)
+    def test_every_config_key_is_a_flag_named_after_it(self, section, key):
+        command = "generate" if section == "network" else "simulate"
+        flag, = (f for f, dest in self.FLAGS[command].items() if dest == key)
+        assert flag == {"degrees_file": "--degree-histogram"}.get(key, "--" + key.replace("_", "-"))
+        value = [] if key == "directed" else ["v"]
+        graph = ["--graph", "g"] if command == "simulate" else []
+        args = build_parser().parse_args([command, *graph, flag, *value, "--out", "o"])
+        assert getattr(args, key) == ("true" if key == "directed" else "v")
+
+    @pytest.mark.parametrize("flags, config, message", [
+        (["--family", "bogus", "--n", "10"], "[network]\nfamily = bogus\nn = 10\n",
+         "[network] unknown family 'bogus'; available: complete, multimodal, configmodel, "
+         "powerlaw"),
+        (["--preset", "bogus"], "[network]\npreset = bogus\n",
+         "[network] unknown preset 'bogus'; available: net-a, net-b, net-c, net-d"),
+        (["--targeting", "bogus", "--rate", "5"], "[worm]\ntargeting = bogus\nrate = 5\n",
+         "[worm] unknown targeting 'bogus'; available: neighbor, scan"),
+        (["--targeting", "scan", "--rate", "5", "--vaccinate", "bogus", "--fraction", "0.1"],
+         "[worm]\ntargeting = scan\nrate = 5\n[controls]\nvaccinate = bogus\nfraction = 0.1\n",
+         "[controls] unknown strategy kind 'bogus'; available: random, targeted"),
+        (["--rate", "5"], "[worm]\nrate = 5\n", "[worm] missing required key 'targeting'"),
+        (["--targeting", "scan"], "[worm]\ntargeting = scan\n",
+         "[worm] missing required key 'rate'"),
+    ])
+    def test_flag_fails_as_its_config_line_does(self, tmp_path, capsys, flags, config, message):
+        graph = tmp_path / "g.edges"
+        graph.write_text("undirected 3\n0 1\n1 2\n")
+        if config.startswith("[network]"):
+            argv = ["generate", *flags]
+        else:
+            argv = ["simulate", "--graph", str(graph), *flags]
+            config = f"[network]\nfile = {graph}\n{config}"
+        cfg = tmp_path / "x.cfg"
+        cfg.write_text(config)
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"wormnet: error: {argv[0]}: {message}\n"
+        assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"wormnet: error: {cfg}: {message}\n"
+        assert not (tmp_path / "o").exists()

@@ -5,23 +5,27 @@ written by ``write_edge_list``, replicate CSVs from ``run_replicate`` over a
 matrix of worm x throttle x vaccination settings, and ``wormnet threshold``
 CSVs.  The short outputs are pinned as text instead: an experiment pair's
 ``summary.csv`` files, its compare CSV and its stdout, and ``throttle-demo``
-logs.  A change may update a digest only when it documents the intended
-output change.
+logs.  The README walkthrough's last rows and the benchmark's seven
+exactness counts are pinned as numbers.  A change may update a digest only
+when it documents the intended output change.
 """
 
 import dataclasses
 import hashlib
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
 from wormnet import harness, presets
 from wormnet.cli import main
-from wormnet.epidemic import WormBehavior
+from wormnet.epidemic import TimeSeries, WormBehavior
 from wormnet.graph import write_edge_list
 from wormnet.netgen import build_network
 from wormnet.percolation import VaccinationStrategy
-from wormnet.throttle import ThrottleConfig
+from wormnet.throttle import HostThrottles, ThrottleConfig
 
 
 def _sha(data: bytes) -> str:
@@ -303,3 +307,103 @@ def test_throttle_demo_log(tmp_path, name):
                *flags, "--out", str(out)])
     assert rc == 0
     assert out.read_text() == expected
+
+
+# The README walkthrough's simulate and threshold calls on its generated graph,
+# each with the last row of its CSV.
+_NEIGHBOR = ["--targeting", "neighbor", "--rate", "40", "--seed-infected", "3"]
+_THROTTLE = ["--throttle-rate", "1", "--working-set", "4"]
+_RUN = ["--dt", "0.05", "--tmax", "30", "--seed", "7"]
+WALKTHROUGH = {
+    "fast": (["simulate", *_NEIGHBOR, *_RUN], "269,13.45,2196,2804,0,0,5530"),
+    "slow": (["simulate", *_NEIGHBOR, *_THROTTLE, *_RUN], "600,30,4074,926,0,68865,2076"),
+    "half": (["simulate", *_NEIGHBOR, "--pinfect", "0.5", *_THROTTLE, *_RUN],
+             "600,30,3921,1079,0,88953,1856"),
+    "scan": (["simulate", "--targeting", "scan", "--address-space", "10000", "--rate", "40",
+              "--seed-infected", "3", *_THROTTLE, "--queue-capacity", "100",
+              "--dt", "0.05", "--tmax", "12", "--seed", "7"], "240,12,4429,571,0,29595,397"),
+    "targeted": (["threshold", "--strategy", "targeted"],
+                 "targeted,0.03125,empirical,0.01,1,0.001"),
+    "random": (["threshold", "--strategy", "random", "--trials", "10"],
+               "random,0.798828125,empirical,0.01,10,0.001"),
+    "analytic": (["threshold", "--strategy", "random", "--method", "analytical"],
+                 "random,0.8459036812,analytical,,0,0"),
+    "analytic-targeted": (["threshold", "--strategy", "targeted", "--method", "analytical"],
+                          "targeted,0.02809714286,analytical,,0,0"),
+}
+
+
+@pytest.fixture(scope="module")
+def walkthrough_net(tmp_path_factory):
+    path = tmp_path_factory.mktemp("walkthrough") / "net.edges"
+    assert main(["generate", "--family", "powerlaw", "--n", "5000", "--alpha", "2.5",
+                 "--k-min", "1", "--k-max", "100", "--seed", "1", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("name", WALKTHROUGH)
+def test_readme_walkthrough_row(tmp_path, walkthrough_net, name):
+    (command, *flags), row = WALKTHROUGH[name]
+    out = tmp_path / f"{name}.csv"
+    assert main([command, "--graph", str(walkthrough_net), *flags, "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-1] == row
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The benchmark's seven exactness counts at seed 0, as its traced runs record them.
+EXACTNESS_COUNTS = {
+    "outbreak-directed": {
+        "requests": 607744, "passed": 437329, "release_calls": 55912, "released": 55912,
+        "queue_peak": 121069, "valid_attempts": 12235149, "deliveries": 12120646,
+    },
+    "throttle-scan": {
+        "requests": 2260970, "passed": 1268, "release_calls": 5646, "released": 5646,
+        "queue_peak": 1121454, "valid_attempts": 2277696, "deliveries": 23640,
+    },
+}
+
+
+@pytest.mark.parametrize("workload", sorted(EXACTNESS_COUNTS))
+def test_exactness_counts(tmp_path, monkeypatch, workload):
+    """Run the workload's seed-0 steps in-process and read the counts from the
+    runs' ``HostThrottles.counters`` and their CSVs: ``queued`` peaks at
+    queue_peak, every arm's ``admitted`` sums to the deliveries, and an
+    unthrottled arm's ``admitted`` counts its valid attempts."""
+    plan = _perfbench_workloads().plan(workload, 0)
+    monkeypatch.chdir(tmp_path)
+    for name, text in plan.files.items():
+        Path(name).write_text(text)
+    throttles = []
+    init = HostThrottles.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        throttles.append(self)
+
+    monkeypatch.setattr(HostThrottles, "__init__", spy)
+    arms = []  # whether each experiment is unthrottled, and its time series
+    for step in plan.steps:
+        assert main(list(step.argv)) == 0
+        if step.command == "experiment":
+            _, _, cfg, _, outdir = step.argv
+            arms.append((harness.load_config(cfg).throttle is None,
+                         TimeSeries.from_csv(Path(outdir) / "rep_000.csv")))
+    total = {key: sum(h.counters[key] for h in throttles)
+             for key in ("requests", "passed", "release_visits", "released")}
+    assert {
+        "requests": total["requests"],
+        "passed": total["passed"],
+        "release_calls": total["release_visits"],
+        "released": total["released"],
+        "queue_peak": max(int(ts.column("queued").max()) for _, ts in arms),
+        "valid_attempts": total["requests"] + sum(
+            int(ts.column("admitted").sum()) for unthrottled, ts in arms if unthrottled),
+        "deliveries": sum(int(ts.column("admitted").sum()) for _, ts in arms),
+    } == EXACTNESS_COUNTS[workload]

@@ -144,7 +144,7 @@ class TestLoadConfig:
         ("family = multimodal\nn = 10\npeaks = 2:nan,4:1", "",
          "[network] peak weights must be positive"),
         ("preset = net-a", "vaccinate = bogus\nfraction = 0.1",
-         "[controls] unknown strategy kind 'bogus'"),
+         "[controls] unknown strategy kind 'bogus'; available: random, targeted"),
         ("family = configmodel\ndegrees_file = nope.hist", "",
          "degrees file not found: nope.hist"),
         ("preset = net-a", "fraction = 0.5", "[controls] fraction requires 'vaccinate'"),
