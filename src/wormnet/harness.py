@@ -20,7 +20,7 @@ import numpy as np
 
 from . import presets
 from .epidemic import TimeSeries, WormBehavior, growth_rate, run, time_to_fraction
-from .graph import Graph, read_degree_histogram, read_edge_list, table_text, write_text
+from .graph import Graph, read_edge_list, table_text, write_text
 from .netgen import NetworkSpec, build_network
 from .percolation import VaccinationStrategy, vaccinate
 from .throttle import ThrottleConfig
@@ -194,15 +194,14 @@ def _checked(where, section, build, *args, **kwargs):
         raise ConfigError(f"{where}: [{section}] {exc}") from None
 
 
-def network_spec(net: dict, where, master: int, open_files: bool = True) -> NetworkSpec | None:
+def network_spec(net: dict, where, master: int) -> NetworkSpec | None:
     """The NetworkSpec of a ``[network]`` section, or None when it names a file.
 
     Exactly one of preset/family/file must be given, with only the keys that
     ``_NETWORK_KEYS`` lists for it.  A family's seed defaults to the run's
-    ``master`` seed; ``configmodel`` takes its degrees and n from
-    ``degrees_file``, and every other family requires ``n``.
-    Without ``open_files`` the named files are neither checked nor read, and
-    a ``configmodel`` section gives None too.
+    ``master`` seed; ``configmodel`` names its histogram in ``degrees_file``,
+    and every other family requires ``n``.  No file is opened: a named graph
+    or histogram is read when the graph is built.
     """
     sources = [k for k in ("preset", "family", "file") if k in net]
     if len(sources) != 1:
@@ -214,8 +213,6 @@ def network_spec(net: dict, where, master: int, open_files: bool = True) -> Netw
     if unused:
         raise ConfigError(f"{where}: [network] {source} does not take {sorted(unused)}")
     if "file" in net:
-        if open_files and not os.path.exists(net["file"]):
-            raise ConfigError(f"{where}: graph file not found: {net['file']}")
         return None
     if "preset" in net:
         spec = _checked(where, "network", presets.preset, net["preset"])
@@ -223,33 +220,21 @@ def network_spec(net: dict, where, master: int, open_files: bool = True) -> Netw
             if key in net:
                 spec = _checked(where, "network", dataclasses.replace, spec, **{key: net[key]})
         return spec
-    family = net["family"]
-    if family == "configmodel":
-        if "degrees_file" not in net:
-            raise ConfigError(f"{where}: [network] configmodel family requires degrees_file")
-        if not open_files:
-            return None
-        if not os.path.exists(net["degrees_file"]):
-            raise ConfigError(f"{where}: degrees file not found: {net['degrees_file']}")
-        degrees = read_degree_histogram(net["degrees_file"])
-        kwargs = {"degrees": tuple(degrees.tolist()), "n": len(degrees)}
-    else:
-        kwargs = {"n": net.get("n")}
-    return _checked(where, "network", NetworkSpec, family, seed=net.get("seed", master),
-                    directed=net.get("directed", False), alpha=net.get("alpha"),
-                    k_min=net.get("k_min"), k_max=net.get("k_max"), peaks=net.get("peaks"),
-                    **kwargs)
+    return _checked(where, "network", NetworkSpec, net["family"], n=net.get("n"),
+                    seed=net.get("seed", master), directed=net.get("directed", False),
+                    alpha=net.get("alpha"), k_min=net.get("k_min"), k_max=net.get("k_max"),
+                    peaks=net.get("peaks"), degrees_file=net.get("degrees_file"))
 
 
-def load_config(path, open_files: bool = True) -> ExperimentConfig:
-    """Parse and validate an experiment config file; see ``experiment_config``."""
-    return experiment_config(_parse_kv_file(path), path, open_files)
+def load_config(path) -> ExperimentConfig:
+    """Parse and validate an experiment config file; see ``experiment_config``.
+    Opens no file but ``path``."""
+    return experiment_config(_parse_kv_file(path), path)
 
 
-def experiment_config(values: dict[str, dict], where, open_files: bool = True) -> ExperimentConfig:
+def experiment_config(values: dict[str, dict], where) -> ExperimentConfig:
     """The ExperimentConfig of parsed config sections, one dict per section, with
-    the documented defaults filled in; ``where`` prefixes every error, and
-    ``open_files`` is as in ``network_spec``."""
+    the documented defaults filled in; ``where`` prefixes every error."""
     net, worm_sec, ctl, run_sec = ({**DEFAULTS.get(s, {}), **values[s]} for s in SECTIONS)
     if not 0 < run_sec["dt"] < np.inf:
         raise ConfigError(f"{where}: [run] dt must be > 0 and finite, got {run_sec['dt']}")
@@ -260,7 +245,7 @@ def experiment_config(values: dict[str, dict], where, open_files: bool = True) -
     for key in ("replicates", "seed_infected"):
         if run_sec[key] < 1:
             raise ConfigError(f"{where}: [run] {key} must be >= 1, got {run_sec[key]}")
-    spec = network_spec(net, where, run_sec["seed"], open_files)
+    spec = network_spec(net, where, run_sec["seed"])
     for required in ("targeting", "rate"):
         if required not in worm_sec:
             raise ConfigError(f"{where}: [worm] missing required key {required!r}")
@@ -304,6 +289,7 @@ def experiment_config(values: dict[str, dict], where, open_files: bool = True) -
 
 
 def build_graph(cfg: ExperimentConfig) -> Graph:
+    """The graph of ``cfg``: its edge list read, or its network generated."""
     if cfg.graph_path is not None:
         return read_edge_list(cfg.graph_path)
     return build_network(cfg.network_spec)
@@ -319,7 +305,9 @@ def run_replicate(g: Graph, cfg: ExperimentConfig, replicate: int) -> TimeSeries
         vaccinated = vaccinate(g, cfg.vaccination, seed=np.random.default_rng(vacc_ss))
     candidates = np.setdiff1d(np.arange(g.n), vaccinated)
     if len(candidates) < cfg.seed_infected:
-        raise ValueError("not enough unvaccinated nodes to seed the infection")
+        raise ValueError("not enough unvaccinated nodes to seed the infection: "
+                         f"[run] seed_infected = {cfg.seed_infected}, "
+                         f"{len(candidates)} unvaccinated")
     init_rng = np.random.default_rng(init_ss)
     init = init_rng.choice(candidates, size=cfg.seed_infected, replace=False)
     return run(
@@ -358,7 +346,7 @@ def _replicate_csv(outdir: str, i: int) -> str:
 def write_resolved_config(cfg: ExperimentConfig, path: str) -> None:
     """Echo the fully resolved configuration (provenance record)."""
     lines = []
-    for section in ("network", "worm", "controls", "run"):
+    for section in SECTIONS:
         entries = cfg.resolved.get(section, {})
         if not entries:
             continue
@@ -412,7 +400,7 @@ def load_result(outdir: str) -> ExperimentResult:
     """Reconstruct an ExperimentResult from a finished output directory: its
     ``resolved.cfg`` and the ``[run] replicates`` CSVs that ``run_experiment``
     wrote, and no other file; opens no network file."""
-    cfg = load_config(os.path.join(outdir, "resolved.cfg"), open_files=False)
+    cfg = load_config(os.path.join(outdir, "resolved.cfg"))
     return summarize(cfg, [TimeSeries.from_csv(_replicate_csv(outdir, i))
                            for i in range(cfg.replicates)])
 

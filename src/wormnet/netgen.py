@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, _chunks, _simple_split
+from .graph import Graph, _chunks, _simple_split, read_degree_histogram
 
 
 class GenerationError(RuntimeError):
@@ -35,15 +35,16 @@ class NetworkSpec:
 
     * ``complete``: n
     * ``multimodal``: n, peaks (list of ``(degree, weight)``)
-    * ``configmodel``: degrees (a tuple of ints, so that specs compare and hash), directed
+    * ``configmodel``: degrees_file (a ``k count`` histogram, read when the
+      graph is built; it gives n), directed
     * ``powerlaw``: n, alpha, k_min, k_max, directed
     """
 
     family: str
-    n: int
+    n: int | None = None
     seed: int = 0
     peaks: tuple[tuple[int, float], ...] | None = None
-    degrees: tuple[int, ...] | None = None
+    degrees_file: str | None = None
     directed: bool = False
     alpha: float | None = None
     k_min: int | None = None
@@ -52,9 +53,12 @@ class NetworkSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; available: {', '.join(FAMILIES)}")
-        if self.n is None:
+        if self.family == "configmodel":
+            if self.degrees_file is None:
+                raise ValueError("configmodel family requires degrees_file")
+        elif self.n is None:
             raise ValueError(f"{self.family} family requires n")
-        if self.n < 0:
+        elif self.n < 0:
             raise ValueError("n must be >= 0")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -68,8 +72,6 @@ class NetworkSpec:
                 raise ValueError("peak weights must sum to 1")
             if any(d < 0 or d >= self.n for d, _ in self.peaks):
                 raise ValueError("peak degrees must lie in [0, n)")
-        if self.family == "configmodel" and self.degrees is None:
-            raise ValueError("configmodel family requires degrees")
         if self.family == "powerlaw":
             if self.alpha is None or not self.alpha > 1:
                 raise ValueError("powerlaw requires alpha > 1")
@@ -332,11 +334,13 @@ def build_powerlaw(
 
 
 def build_network(spec: NetworkSpec) -> Graph:
-    """Generate the graph described by a NetworkSpec (deterministic per seed)."""
+    """Generate the graph described by a NetworkSpec (deterministic per seed);
+    a ``configmodel`` spec's histogram is read here."""
     if spec.family == "complete":
         return build_complete(spec.n)
     if spec.family == "multimodal":
         return build_multimodal(spec.n, spec.peaks, spec.seed)
     if spec.family == "configmodel":
-        return build_configuration_model(spec.degrees, directed=spec.directed, seed=spec.seed)
+        return build_configuration_model(read_degree_histogram(spec.degrees_file),
+                                         directed=spec.directed, seed=spec.seed)
     return build_powerlaw(spec.n, spec.alpha, spec.k_min, spec.k_max, spec.seed, spec.directed)

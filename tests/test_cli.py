@@ -24,6 +24,11 @@ def _generate(tmp_path, *extra):
     return path
 
 
+def _assert_names_missing_file(err, path):
+    """``err`` is the one-line error of a command whose input ``path`` is missing."""
+    assert err == f"wormnet: error: [Errno 2] No such file or directory: '{path}'\n"
+
+
 class TestGenerate:
     def test_writes_readable_edge_list(self, tmp_path, capsys):
         path = _generate(tmp_path)
@@ -98,7 +103,7 @@ class TestGenerate:
         def read_degree_histogram(path):
             raise error
 
-        monkeypatch.setattr("wormnet.harness.read_degree_histogram", read_degree_histogram)
+        monkeypatch.setattr("wormnet.netgen.read_degree_histogram", read_degree_histogram)
         (tmp_path / "h.hist").write_text("3 4\n")
         out = tmp_path / "x.edges"
         rc = main(["generate", "--family", "configmodel",
@@ -107,8 +112,24 @@ class TestGenerate:
         assert capsys.readouterr().err == message
         assert not out.exists()
 
+    def test_missing_degree_histogram_fails_before_writing(self, tmp_path, capsys):
+        hist, out = tmp_path / "gone.hist", tmp_path / "x.edges"
+        rc = main(["generate", "--family", "configmodel", "--degree-histogram", str(hist),
+                   "--out", str(out)])
+        assert rc == 1
+        _assert_names_missing_file(capsys.readouterr().err, hist)
+        assert not out.exists()
+
 
 class TestSimulate:
+    def test_missing_graph_fails_before_writing(self, tmp_path, capsys):
+        graph, out = tmp_path / "gone.edges", tmp_path / "run.csv"
+        rc = main(["simulate", "--graph", str(graph), "--targeting", "scan", "--rate", "1",
+                   "--out", str(out)])
+        assert rc == 1
+        _assert_names_missing_file(capsys.readouterr().err, graph)
+        assert not out.exists()
+
     def test_produces_time_series(self, tmp_path):
         graph = _generate(tmp_path)
         out = tmp_path / "run.csv"
@@ -453,7 +474,8 @@ seed = 5
         (("targeting = neighbor", "targeting = scan\naddress_space = 100"),
          "address_space must be >= n"),
         (("seed = 5", "seed = 5\nseed_infected = 151"),
-         "not enough unvaccinated nodes to seed the infection"),
+         "not enough unvaccinated nodes to seed the infection: "
+         "[run] seed_infected = 151, 150 unvaccinated"),
     ])
     def test_setting_that_fails_in_a_replicate_writes_nothing(self, tmp_path, capsys, edit,
                                                              message):
@@ -492,12 +514,17 @@ seed = 5
         assert rc == 0
         assert (tmp_path / "base" / "resolved.cfg").read_text() == resolved
 
-    def test_experiment_on_missing_graph_fails_before_writing(self, tmp_path, capsys):
+    @pytest.mark.parametrize("network, missing", [
+        ("file = gone.edges", "gone.edges"),
+        ("family = configmodel\ndegrees_file = gone.hist", "gone.hist"),
+    ])
+    def test_experiment_on_missing_network_file_fails_before_writing(self, tmp_path, capsys,
+                                                                     network, missing):
         cfg = tmp_path / "missing.cfg"
-        cfg.write_text(re.sub(r"family = (.*\n)*?\n", "file = gone.edges\n\n", self.CFG))
+        cfg.write_text(re.sub(r"family = (.*\n)*?\n", f"{network}\n\n", self.CFG))
         rc = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert "graph file not found: gone.edges" in capsys.readouterr().err
+        _assert_names_missing_file(capsys.readouterr().err, missing)
         assert not (tmp_path / "o").exists()
 
     def test_compare_names_bad_replicate_row(self, tmp_path, monkeypatch, capsys):

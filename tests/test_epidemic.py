@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from wormnet import epidemic
 from wormnet.epidemic import (
@@ -26,7 +27,7 @@ from wormnet.epidemic import (
     time_to_fraction,
 )
 from wormnet.graph import Graph, ParseError
-from wormnet.netgen import build_complete
+from wormnet.netgen import build_complete, build_powerlaw
 from wormnet.throttle import Admitted, ClockError, ThrottleConfig, ThrottleState
 
 
@@ -408,6 +409,120 @@ class TestMeanFieldLaw:
                  for rep in range(40)]
         sem = np.std(rates, ddof=1) / math.sqrt(len(rates))
         assert abs(np.mean(rates) - expected) < 4 * sem
+
+
+# Rejection level of every check in TestOneTickLaw, fixed before any was run.
+LAW_LEVEL = 1e-6
+
+
+def _tick_start(g, worm, dt, init_infected, vaccinated=(), ticks=0):
+    """A simulation ``ticks`` ticks into a run, ready to draw its next tick."""
+    sim = Simulation(g, worm, init_infected=init_infected, vaccinated=vaccinated, dt=dt, seed=9)
+    for _ in range(ticks):
+        sim.step()
+    return sim
+
+
+def _powerlaw_with_sinks(n, seed):
+    """A directed power-law graph in which every tenth node has no out-edge."""
+    edges = build_powerlaw(n, 2.5, 1, 20, seed=seed, directed=True).edge_array
+    return Graph(n, True, edges[edges[:, 0] % 10 != 0])
+
+
+# ROADMAP item 13's cases, by name: the tick's starting state, the number of
+# one-tick samples drawn from it, and the seed of their stream.  The mid-run
+# states have sinks (directed) or idle hosts among their infected.
+ONE_TICK_CASES = {
+    "directed p=1": lambda: (_tick_start(
+        _powerlaw_with_sinks(300, 1), WormBehavior("neighbor", 40.0), 0.05,
+        np.arange(0, 300, 8)), 4000, 1),
+    "directed p=0.5": lambda: (_tick_start(
+        _powerlaw_with_sinks(300, 1), WormBehavior("neighbor", 40.0, 0.5), 0.05,
+        np.arange(0, 300, 8)), 4000, 2),
+    "undirected": lambda: (_tick_start(
+        build_powerlaw(300, 2.5, 1, 20, seed=2), WormBehavior("neighbor", 25.0), 0.1,
+        np.arange(0, 300, 15), vaccinated=np.arange(7, 300, 15)), 4000, 3),
+    "scan over 2n": lambda: (_tick_start(
+        Graph(500, False, []), WormBehavior("scan", 10.0, address_space=1000), 0.1,
+        np.arange(25), vaccinated=np.arange(25, 50)), 4000, 4),
+    "scan over n, p=0.5": lambda: (_tick_start(
+        Graph(500, False, []), WormBehavior("scan", 10.0, 0.5), 0.1, np.arange(10)), 4000, 5),
+    "mid-run directed": lambda: (_tick_start(
+        _powerlaw_with_sinks(400, 3), WormBehavior("neighbor", 10.0), 0.1,
+        np.arange(1, 7), ticks=4), 3000, 6),
+    "mid-run undirected p=0.5": lambda: (_tick_start(
+        build_powerlaw(400, 2.5, 1, 20, seed=4), WormBehavior("neighbor", 10.0, 0.5), 0.1,
+        np.arange(1, 7), vaccinated=np.arange(0, 400, 20), ticks=4), 3000, 7),
+}
+
+
+def _one_tick_law(sim):
+    """Each node's probability of infection in ``sim``'s next tick, and the mean
+    of its ``admitted``, from the compartments alone."""
+    g, worm, compartments = sim.g, sim.worm, sim.compartments
+    infected = compartments == INFECTED
+    if worm.targeting == "neighbor":
+        edges = g.edge_array if g.directed else np.concatenate([g.edge_array,
+                                                                g.edge_array[:, ::-1]])
+        out_deg = np.bincount(edges[:, 0], minlength=g.n)
+        hot = edges[infected[edges[:, 0]]]
+        hazard = np.bincount(hot[:, 1], weights=1.0 / out_deg[hot[:, 0]], minlength=g.n)
+        attempting = np.count_nonzero(infected & (out_deg > 0))
+    else:
+        hazard = np.full(g.n, np.count_nonzero(infected) / sim.address_space)
+        attempting = np.count_nonzero(infected)
+    mean = worm.attempt_rate * sim.dt
+    q = -np.expm1(-mean * worm.infection_probability * hazard)
+    return np.where(compartments == SUSCEPTIBLE, q, 0.0), mean * attempting
+
+
+def _one_tick_samples(sim, reps, seed):
+    """Per node, how many of ``reps`` copies of ``sim`` infect it in one tick, and
+    per copy, the tick's new infections and ``admitted``.  The copies share one
+    generator, seeded with ``seed``, and the graph."""
+    rng = np.random.default_rng(seed)
+    was_infected = sim.compartments == INFECTED
+    counts = np.zeros(sim.g.n, dtype=np.int64)
+    new, admitted = np.empty(reps), np.empty(reps)
+    for r in range(reps):
+        copy_ = copy.deepcopy(sim, {id(sim.g): sim.g, id(sim.rng): rng})
+        admitted[r] = copy_.step()[-1]
+        hit = (copy_.compartments == INFECTED) & ~was_infected
+        counts += hit
+        new[r] = np.count_nonzero(hit)
+    return counts, new, admitted
+
+
+class TestOneTickLaw:
+    """Below MAX_ATTEMPTS_PER_TICK, an unthrottled tick infects each susceptible
+    node v independently, with probability q_v = 1 - exp(-rate * dt * p * h_v):
+    h_v sums 1 / d_out(u) over v's infected in-neighbours u for a neighbour worm,
+    and is I / address_space for a scan worm.  ``admitted`` is Poisson with mean
+    rate * dt times the infected hosts with an out-neighbour (every infected host
+    for a scan worm).  Each check rejects at LAW_LEVEL."""
+
+    @pytest.mark.parametrize("case", list(ONE_TICK_CASES))
+    def test_tick_draws_from_its_law(self, case):
+        sim, reps, seed = ONE_TICK_CASES[case]()
+        q, admitted_mean = _one_tick_law(sim)
+        counts, new, admitted = _one_tick_samples(sim, reps, seed)
+        assert not counts[q == 0].any(), "a node outside the support was infected"
+        # each node's count is Binomial(reps, q_v), where the normal limit holds
+        tested = reps * np.minimum(q, 1 - q) >= 5
+        assert tested.any()
+        expected, var = reps * q[tested], reps * q[tested] * (1 - q[tested])
+        chi2 = float(np.sum((counts[tested] - expected) ** 2 / var))
+        assert stats.chi2.sf(chi2, tested.sum()) >= LAW_LEVEL, (chi2, tested.sum())
+        # the tick's new infections: a sum of independent Bernoulli(q_v)
+        mean, var = q.sum(), np.sum(q * (1 - q))
+        kappa4 = np.sum(q * (1 - q) * (1 - 6 * q * (1 - q)))
+        z = {
+            "mean": (new.mean() - mean) / math.sqrt(var / reps),
+            "variance": (new.var(ddof=1) - var) / math.sqrt((kappa4 + 2 * var**2) / reps),
+            "admitted": (admitted.sum() - reps * admitted_mean) / math.sqrt(reps * admitted_mean),
+        }
+        for name, score in z.items():
+            assert 2 * stats.norm.sf(abs(score)) >= LAW_LEVEL, (name, score)
 
 
 class TestThrottledRuns:

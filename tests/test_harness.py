@@ -145,8 +145,6 @@ class TestLoadConfig:
          "[network] peak weights must be positive"),
         ("preset = net-a", "vaccinate = bogus\nfraction = 0.1",
          "[controls] unknown strategy kind 'bogus'; available: random, targeted"),
-        ("family = configmodel\ndegrees_file = nope.hist", "",
-         "degrees file not found: nope.hist"),
         ("preset = net-a", "fraction = 0.5", "[controls] fraction requires 'vaccinate'"),
         ("preset = net-a", "working_set = 2", "[controls] working_set requires 'throttle_rate'"),
         ("preset = net-a", "queue_capacity = 3",
@@ -181,10 +179,35 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="missing required key 'targeting'"):
             load_config(_write(tmp_path, text))
 
-    def test_missing_graph_file(self, tmp_path):
-        text = "[network]\nfile = /nonexistent.edges\n\n[worm]\ntargeting = scan\nrate = 1\n"
-        with pytest.raises(ConfigError, match="not found"):
-            load_config(_write(tmp_path, text))
+    @pytest.mark.parametrize("network, missing", [
+        ("file = nonexistent.edges", "nonexistent.edges"),
+        ("family = configmodel\ndegrees_file = nope.hist", "nope.hist"),
+    ])
+    def test_missing_network_file_fails_when_the_graph_is_built(self, tmp_path, monkeypatch,
+                                                               network, missing):
+        monkeypatch.chdir(tmp_path)
+        cfg = load_config(_write(tmp_path, f"[network]\n{network}\n\n"
+                                           "[worm]\ntargeting = scan\nrate = 1\n"))
+        with pytest.raises(FileNotFoundError, match=missing):
+            harness.build_graph(cfg)
+
+    def test_load_config_opens_no_file_but_the_config(self, tmp_path, monkeypatch):
+        write_edge_list(build_complete(4), tmp_path / "net.edges")
+        (tmp_path / "h.hist").write_text("2 30\n4 10\n")
+        opened = []
+        real_open = open
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("builtins.open", recording_open)
+        for network in ("file = net.edges", "family = configmodel\ndegrees_file = h.hist"):
+            path = _write(tmp_path, f"[network]\n{network}\n\n[worm]\ntargeting = scan\nrate = 1\n")
+            load_config(path)
+            assert opened == [path]
+            opened.clear()
 
     def test_preset_with_overrides(self, tmp_path):
         text = (
@@ -217,8 +240,8 @@ class TestLoadConfig:
             "[worm]\ntargeting = neighbor\nrate = 1\n"
         )
         cfg = load_config(_write(tmp_path, text))
-        assert cfg.network_spec.n == 40
         g = harness.build_graph(cfg)
+        assert g.n == 40
         assert sorted(g.degrees().tolist()) == [2] * 30 + [4] * 10
 
 

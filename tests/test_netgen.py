@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wormnet import graph
-from wormnet.graph import Graph, _simple_split, read_degree_histogram
+from wormnet.graph import Graph, _simple_split
 from wormnet.netgen import (
     FAMILIES,
     GenerationError,
@@ -76,18 +76,18 @@ class TestNetworkSpec:
         with pytest.raises(ValueError, match="lie in"):
             NetworkSpec("multimodal", 5, peaks=((5, 1.0),))
 
-    def test_configmodel_requires_degrees(self):
-        with pytest.raises(ValueError, match="configmodel family requires degrees"):
-            NetworkSpec("configmodel", 3)
+    def test_configmodel_requires_degrees_file(self):
+        with pytest.raises(ValueError, match="configmodel family requires degrees_file"):
+            NetworkSpec("configmodel")
 
     @pytest.mark.parametrize("family, kwargs", [
-        ("complete", {}),
-        ("configmodel", {"degrees": (1, 1, 0)}),
-        ("powerlaw", {"alpha": 2.0, "k_min": 1, "k_max": 2}),
+        ("complete", {"n": 3}),
+        ("configmodel", {"degrees_file": "h.hist"}),
+        ("powerlaw", {"n": 3, "alpha": 2.0, "k_min": 1, "k_max": 2}),
     ])
     def test_negative_seed_rejected(self, family, kwargs):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-            NetworkSpec(family, 3, seed=-1, **kwargs)
+            NetworkSpec(family, seed=-1, **kwargs)
 
     def test_powerlaw_parameter_validation(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -364,11 +364,13 @@ class TestPowerlaw:
 
 class TestBuildNetwork:
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_dispatch_deterministic(self, family):
+    def test_dispatch_deterministic(self, tmp_path, family):
+        hist = tmp_path / "h.hist"
+        hist.write_text("2 20\n")
         spec = {
             "complete": NetworkSpec("complete", 12),
             "multimodal": NetworkSpec("multimodal", 50, seed=1, peaks=((2, 0.5), (4, 0.5))),
-            "configmodel": NetworkSpec("configmodel", 20, seed=1, degrees=(2,) * 20),
+            "configmodel": NetworkSpec("configmodel", seed=1, degrees_file=str(hist)),
             "powerlaw": NetworkSpec("powerlaw", 80, seed=1, alpha=2.5, k_min=1, k_max=10),
         }[family]
         assert build_network(spec) == build_network(spec)
@@ -376,14 +378,11 @@ class TestBuildNetwork:
     def test_configmodel_from_histogram(self, tmp_path):
         p = tmp_path / "h.hist"
         p.write_text("4 5\n2 10\n")
-        degrees = read_degree_histogram(p)
-        g = build_network(NetworkSpec("configmodel", len(degrees), degrees=tuple(degrees.tolist())))
+        g = build_network(NetworkSpec("configmodel", degrees_file=str(p)))
         assert sorted(g.degrees().tolist()) == [2] * 10 + [4] * 5
 
-    @pytest.mark.parametrize("source", [
-        {"degrees": (1, 1, 1, 0)},
-    ])
-    def test_configmodel_odd_explicit_sum_rejected_not_edited(self, source):
-        spec = NetworkSpec("configmodel", 4, **source)
-        with pytest.raises(ValueError, match="sum must be even, got [35]"):
+    def test_configmodel_odd_histogram_sum_rejected_not_edited(self, tmp_path):
+        (tmp_path / "h.hist").write_text("1 3\n0 1\n")
+        spec = NetworkSpec("configmodel", degrees_file=str(tmp_path / "h.hist"))
+        with pytest.raises(ValueError, match="sum must be even, got 3"):
             build_network(spec)
