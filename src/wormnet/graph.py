@@ -39,6 +39,9 @@ class EdgeError(ValueError):
 # The largest n whose packed edge keys (n + 2)**2 - 1 fit in int64.
 MAX_NODES = 3_037_000_497
 
+# The file-name suffixes np.loadtxt opens through a decompressor.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
 # Rows the edge-list writer and the generators' wiring turn into Python objects
 # at a time: enough that numpy's per-call cost vanishes, few enough that no
 # whole column of Python ints is alive at once.
@@ -57,7 +60,8 @@ class Graph:
     def __init__(self, n: int, directed: bool, edges: Iterable[tuple[int, int]]):
         """``edges``: (m, 2) array or iterable of pairs, left unmodified.  The first
         in input order with an id outside [0, n), a self-loop or a repeat raises EdgeError.
-        ``n`` is at most MAX_NODES."""
+        ``n`` is at most MAX_NODES.  Rows already in canonical sorted order, as
+        ``write_edge_list`` writes them, are copied as they are, with no sort."""
         if n < 0:
             raise ValueError("node count must be >= 0")
         if n > MAX_NODES:
@@ -70,16 +74,14 @@ class Graph:
             raise ValueError(f"edges must be pairs, got an array of shape {arr.shape}")
         arr = arr.reshape(-1, 2)
         u, v, order, bad = _simple_split(self.n, self.directed, arr[:, 0], arr[:, 1])
-        self._edges = np.column_stack((u[order], v[order]))
-        out_of_range = ((arr < 0) | (arr >= self.n)).any(axis=1)
-        bad |= out_of_range
         if bad.any():
             i = int(np.argmax(bad))
             a, b = arr[i].tolist()
             why = "self-loop" if a == b else "duplicate"
-            if out_of_range[i]:
+            if not (0 <= a < self.n and 0 <= b < self.n):
                 why = f"{'negative ' if min(a, b) < 0 else ''}node id out of range [0, {self.n})"
             raise EdgeError(i, f"edge {a} {b}: {why}")
+        self._edges = np.column_stack((u[order], v[order]))
         self._edges.flags.writeable = False
 
     @property
@@ -147,14 +149,24 @@ def int64_array(values) -> np.ndarray:
 def _simple_split(n: int, directed: bool, u: np.ndarray, v: np.ndarray):
     """The simple-graph rule over the pairs (u[i], v[i]): return their canonical
     columns (undirected pairs as (min, max)), the stable order that sorts them, and
-    the mask of the rows that are a self-loop or repeat an earlier row."""
-    if not directed:
+    the mask of the rows that are a self-loop, repeat an earlier row or hold an id
+    outside [0, n).  Pairs already in strictly increasing order, as
+    ``write_edge_list`` writes them, are not sorted: their order is ``slice(None)``."""
+    if not directed and (u > v).any():
         u, v = np.minimum(u, v), np.maximum(u, v)
-    # One int64 key per pair, in (u, v) order.  Ids are clipped to [-1, n] so that
-    # an out-of-range pair never shares a key with an in-range one.
-    keys = (np.clip(u, -1, n) + 1) * (n + 2) + np.clip(v, -1, n) + 1
-    order = np.argsort(keys, kind="stable")
     bad = u == v
+    if not len(u):
+        return u, v, slice(None), bad
+    if min(u.min(), v.min()) >= 0 and max(u.max(), v.max()) < n:
+        keys = u * n + v  # one int64 key per pair, in (u, v) order
+        if (keys[1:] > keys[:-1]).all():
+            return u, v, slice(None), bad
+    else:
+        bad |= (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        # Ids are clipped to [-1, n], so that no key overflows and an out-of-range
+        # pair never shares a key with an in-range one.
+        keys = (np.clip(u, -1, n) + 1) * (n + 2) + np.clip(v, -1, n) + 1
+    order = np.argsort(keys, kind="stable")
     bad[order[1:][np.diff(keys[order]) == 0]] = True
     return u, v, order, bad
 
@@ -223,9 +235,16 @@ def table_text(header: str, rows) -> str:
 
 
 def _content_lines(path):
-    """Yield (lineno, stripped_text) for non-comment, non-blank lines."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Yield (lineno, stripped_text) for non-comment, non-blank lines.  A line
+    with a byte that is not UTF-8, in a comment too, raises ParseError."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError as err:  # the escape of a byte that is not UTF-8
+                    byte = ord(raw[err.start]) - 0xDC00
+                    raise ParseError(path, lineno, f"byte 0x{byte:02x} is not UTF-8") from None
             text = raw.split("#", 1)[0].strip()
             if text:
                 yield lineno, text
@@ -238,11 +257,19 @@ def _int_pairs(path, after: int, fields: str, noun: str, build):
 
     numpy parses the lines in bulk, but without line numbers.  When it cannot, or a
     rule fails, the lines are walked one at a time to name the line at fault: the
-    first bad line in the file wins, whether a rule or a token broke it."""
+    first bad line in the file wins, whether a rule, a token or a byte that is not
+    UTF-8 broke it.  ``build`` gets the rows in file order, and ``Graph`` sorts them
+    only when they are not in canonical order already."""
     with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
         warnings.simplefilter("error")  # loadtxt only warns of a file with no rows
+        # Given a path, loadtxt reads blocks of text rather than lines, in about half
+        # the time.  An absolute path never reads to it as a URL; but it would open
+        # a name with a compressed-file suffix through a decompressor, so such a
+        # file it is given as the open handle.
+        source = fh if os.fspath(path).endswith(_COMPRESSED) else os.path.abspath(path)
         try:
-            pairs = np.loadtxt(fh, dtype=np.int64, comments="#", skiprows=after, ndmin=2)
+            pairs = np.loadtxt(source, dtype=np.int64, comments="#", skiprows=after,
+                               ndmin=2, encoding="utf-8")
         except (ValueError, Warning):
             pairs = None
     if pairs is not None and pairs.shape[1] == 2:
@@ -251,22 +278,25 @@ def _int_pairs(path, after: int, fields: str, noun: str, build):
         except EdgeError:
             pass
     values, linenos, error = array("q"), array("q"), None
-    for lineno, text in _content_lines(path):
-        if lineno <= after:
-            continue
-        parts = text.split()
-        if len(parts) != 2:
-            error = ParseError(path, lineno, f"expected {fields!r}, got {text!r}")
-            break
-        try:
-            values.fromlist([int(parts[0]), int(parts[1])])
-        except ValueError:
-            error = ParseError(path, lineno, f"non-integer {noun} in {text!r}")
-            break
-        except OverflowError:
-            error = ParseError(path, lineno, f"{noun} out of int64 range in {text!r}")
-            break
-        linenos.append(lineno)
+    try:
+        for lineno, text in _content_lines(path):
+            if lineno <= after:
+                continue
+            parts = text.split()
+            if len(parts) != 2:
+                error = ParseError(path, lineno, f"expected {fields!r}, got {text!r}")
+                break
+            try:
+                values.fromlist([int(parts[0]), int(parts[1])])
+            except ValueError:
+                error = ParseError(path, lineno, f"non-integer {noun} in {text!r}")
+                break
+            except OverflowError:
+                error = ParseError(path, lineno, f"{noun} out of int64 range in {text!r}")
+                break
+            linenos.append(lineno)
+    except ParseError as err:  # a byte that is not UTF-8
+        error = err
     try:
         result = build(np.frombuffer(values, dtype=np.int64).reshape(-1, 2))
     except EdgeError as err:

@@ -201,21 +201,24 @@ def _wire(n, directed, src, dst, rng) -> Graph:
     pairs in input order, so they rest on CPython's set order; removing that
     order (roadmap item 6B) moves bytes.
 
-    The graph itself is held as arrays throughout: ``Graph`` gets the kept pairs
-    in sorted order, less the pairs the swaps removed, plus the ones they added.
-    The set and its list are built only to drive the draws, from ``_node_pairs``,
-    and ``_repair`` returns, releasing every tuple, before ``Graph`` is built.
+    The graph itself is held as arrays throughout: the kept pairs in sorted order,
+    less the pairs the swaps removed, with the ones they added merged in.  So
+    ``Graph`` gets its rows in canonical order and skips their sort.  The set and
+    its list are built only to drive the draws, from ``_node_pairs``, and
+    ``_repair`` returns, releasing every tuple, before ``Graph`` is built.
     """
     u, v, order, leftover = _simple_split(n, directed, src, dst)
     if not leftover.any():
         return Graph(n, directed, np.column_stack((u[order], v[order])))
-    kept = (u * n + v)[order[~leftover[order]]]  # one key u * n + v per kept pair, sorted
+    kept = (u * n + v)[order][~leftover[order]]  # one key u * n + v per kept pair, sorted
     pairs = _node_pairs(n, u[~leftover], v[~leftover])  # the kept pairs in input order
     del u, v, order  # free the split's columns before the set is built
     removed, added = _repair(pairs, zip(src[leftover].tolist(), dst[leftover].tolist()),
                              directed, 100 * max(len(src), 1), rng)
     kept = np.delete(kept, np.searchsorted(kept, removed[:, 0] * n + removed[:, 1]))
-    return Graph(n, directed, np.concatenate([np.column_stack(np.divmod(kept, n)), added]))
+    added = added[:, 0] * n + added[:, 1]
+    kept = np.insert(kept, np.searchsorted(kept, added), added)
+    return Graph(n, directed, np.column_stack(np.divmod(kept, n)))
 
 
 def _node_pairs(n, u, v):

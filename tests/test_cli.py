@@ -121,6 +121,16 @@ class TestGenerate:
         assert not out.exists()
 
 
+    def test_degree_histogram_byte_that_is_not_utf8_fails_with_its_line(self, tmp_path, capsys):
+        hist, out = tmp_path / "deg.hist", tmp_path / "x.edges"
+        hist.write_bytes(b"1 2\n2 \xff1\n")
+        rc = main(["generate", "--family", "configmodel", "--degree-histogram", str(hist),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"wormnet: error: {hist}:2: byte 0xff is not UTF-8\n"
+        assert not out.exists()
+
+
 class TestSimulate:
     def test_missing_graph_fails_before_writing(self, tmp_path, capsys):
         graph, out = tmp_path / "gone.edges", tmp_path / "run.csv"
@@ -164,6 +174,28 @@ class TestSimulate:
         ])
         assert rc == 1
         assert "vaccinate requires 'fraction'" in capsys.readouterr().err
+
+    def test_shuffled_rows_simulate_as_the_sorted_file_does(self, tmp_path):
+        # the sorted file skips Graph's sort, and its shuffled copy takes it
+        graph = _generate(tmp_path, "--directed")
+        header, *rows = graph.read_text().splitlines(keepends=True)
+        shuffled = tmp_path / "shuffled.edges"
+        shuffled.write_text(header + "".join(np.random.default_rng(0).permutation(rows)))
+        assert shuffled.read_text() != graph.read_text()
+        for path, out in ((graph, "sorted.csv"), (shuffled, "shuffled.csv")):
+            assert main(["simulate", "--graph", str(path), "--targeting", "neighbor",
+                         "--rate", "10", "--seed-infected", "3", "--dt", "0.05", "--tmax", "5",
+                         "--seed", "7", "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "sorted.csv").read_bytes() == (tmp_path / "shuffled.csv").read_bytes()
+
+    def test_edge_list_byte_that_is_not_utf8_fails_with_its_line(self, tmp_path, capsys):
+        graph, out = tmp_path / "net.edges", tmp_path / "run.csv"
+        graph.write_bytes(b"undirected\n0 1\n1 2 # caf\xff\n")
+        rc = main(["simulate", "--graph", str(graph), "--targeting", "scan", "--rate", "1",
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"wormnet: error: {graph}:3: byte 0xff is not UTF-8\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("content, message", [
         ("undirected\n0 99999999999999999999\n", ":2: node id out of int64 range"),

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wormnet import graph
@@ -174,6 +174,27 @@ def _simple_graphs(draw):
     return Graph(n, directed, sorted(edges))
 
 
+def _assert_agrees_with_per_edge_oracle(n, directed, pairs):
+    """``Graph(n, directed, pairs)`` keeps the pairs a per-edge walk keeps, or
+    names the first pair it fails on, with its index and its rule."""
+    seen, expected = set(), None
+    for i, (a, b) in enumerate(pairs):
+        key = (a, b) if directed else (min(a, b), max(a, b))
+        why = ("out of range" if not (0 <= a < n and 0 <= b < n) else
+               "self-loop" if a == b else "duplicate" if key in seen else None)
+        if why:
+            expected = (i, why)
+            break
+        seen.add(key)
+    if expected is None:
+        assert Graph(n, directed, pairs).edge_array.tolist() == [list(e) for e in sorted(seen)]
+        return
+    with pytest.raises(EdgeError, match=expected[1]) as err:
+        Graph(n, directed, pairs)
+    assert err.value.index == expected[0]
+    assert str(err.value).startswith(f"edge {pairs[expected[0]][0]} {pairs[expected[0]][1]}: ")
+
+
 class TestGraph:
     def test_undirected_edges_canonicalized(self):
         g = Graph(4, False, [(2, 1), (0, 3)])
@@ -230,23 +251,19 @@ class TestGraph:
     @given(st.integers(0, 6), st.booleans(),
            st.lists(st.tuples(*[st.one_of(st.integers(-2, 8), st.sampled_from(
                [-2**63, -2**62, 2**62, 2**63 - 1]))] * 2), max_size=12))
+    # sorted rows: ids whose packed keys u * n + v would overflow, adjacent
+    # duplicates, a directed self-loop, and an out-of-range last row
+    @example(6, True, [(0, 1), (1, 2**62)])
+    @example(6, False, [(-2**63, 0), (0, 1)])
+    @example(6, True, [(2**62, 2**62 + 1), (2**62 + 1, 2**62 + 2)])
+    @example(6, False, [(0, 1), (0, 1)])
+    @example(6, True, [(0, 1), (2, 2), (3, 4)])
+    @example(6, False, [(0, 1), (1, 2), (5, 6)])
     def test_agrees_with_a_per_edge_oracle(self, n, directed, pairs):
-        seen, expected = set(), None
-        for i, (a, b) in enumerate(pairs):
-            key = (a, b) if directed else (min(a, b), max(a, b))
-            why = ("out of range" if not (0 <= a < n and 0 <= b < n) else
-                   "self-loop" if a == b else "duplicate" if key in seen else None)
-            if why:
-                expected = (i, why)
-                break
-            seen.add(key)
-        if expected is None:
-            assert Graph(n, directed, pairs).edge_array.tolist() == [list(e) for e in sorted(seen)]
-            return
-        with pytest.raises(EdgeError, match=expected[1]) as err:
-            Graph(n, directed, pairs)
-        assert err.value.index == expected[0]
-        assert str(err.value).startswith(f"edge {pairs[expected[0]][0]} {pairs[expected[0]][1]}: ")
+        # each list as drawn, and in canonical sorted order, the order that skips the sort
+        canonical = sorted((a, b) if directed else (min(a, b), max(a, b)) for a, b in pairs)
+        for rows in (pairs, canonical):
+            _assert_agrees_with_per_edge_oracle(n, directed, rows)
 
     def test_node_count_limit_of_the_packed_sort(self):
         big = MAX_NODES
@@ -266,6 +283,14 @@ class TestGraph:
         arr = np.array([[3, 1], [0, 2], [1, 0]])
         g = Graph(4, False, arr)
         assert arr.tolist() == [[3, 1], [0, 2], [1, 0]]
+        assert g.edge_array.tolist() == [[0, 1], [0, 2], [1, 3]]
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_sorted_input_array_is_copied(self, directed):
+        arr = np.array([[0, 1], [0, 2], [1, 3]])
+        g = Graph(4, directed, arr)
+        assert arr.flags.writeable and not np.shares_memory(arr, g.edge_array)
+        arr[0] = [2, 3]
         assert g.edge_array.tolist() == [[0, 1], [0, 2], [1, 3]]
 
     def test_edges_and_adjacency_are_read_only(self):
@@ -451,6 +476,29 @@ class TestEdgeListFiles:
         assert err.value.lineno == lineno
 
 
+    @pytest.mark.parametrize("content, lineno, match", [
+        (b"undirected\n0 1\n1 2 # caf\xff\n2 3\n", 3, "byte 0xff is not UTF-8"),
+        (b"undirected\r\n0 1\r\n\xe9 2\r\n", 3, "byte 0xe9 is not UTF-8"),
+        (b"undirected\r0 1\r1 2\r2 \xc33\r", 4, "byte 0xc3 is not UTF-8"),
+        (b"\xef\xbf undirected\n0 1\n", 1, "byte 0xef is not UTF-8"),
+        (b"undirected\n0 1\n0 1\n\xff\n", 3, "duplicate"),
+        (b"undirected\n0 1\n\xff\n0 1\n0 x\n", 3, "byte 0xff is not UTF-8"),
+    ])
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, content, lineno, match):
+        p = tmp_path / "g.edges"
+        p.write_bytes(content)
+        with pytest.raises(ParseError, match=match) as err:
+            read_edge_list(p)
+        assert err.value.lineno == lineno
+        assert str(err.value).startswith(f"{p}:{lineno}: ")
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma", ".edges"])
+    def test_a_file_is_read_as_text_whatever_its_suffix(self, tmp_path, suffix):
+        p = tmp_path / f"g{suffix}"
+        p.write_text("undirected\n0 1\n1 2\n")
+        assert read_edge_list(p) == Graph(3, False, [(0, 1), (1, 2)])
+
+
 class TestHistogramFiles:
     def test_reads_the_sorted_degree_sequence(self, tmp_path):
         p = tmp_path / "h.hist"
@@ -489,6 +537,25 @@ class TestHistogramFiles:
         with pytest.raises(ParseError, match="negative") as err:
             read_degree_histogram(p)
         assert err.value.lineno == 2
+
+    @pytest.mark.parametrize("content, lineno, match", [
+        (b"1 2\n3 \xfe4\n", 2, "byte 0xfe is not UTF-8"),
+        (b"# \x80\n1 2\n", 1, "byte 0x80 is not UTF-8"),
+        (b"1 2\n1 3\n\xff\n", 2, "duplicate degree key"),
+    ])
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, content, lineno, match):
+        p = tmp_path / "h.hist"
+        p.write_bytes(content)
+        with pytest.raises(ParseError, match=match) as err:
+            read_degree_histogram(p)
+        assert err.value.lineno == lineno
+        assert str(err.value).startswith(f"{p}:{lineno}: ")
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_a_file_is_read_as_text_whatever_its_suffix(self, tmp_path, suffix):
+        p = tmp_path / f"h{suffix}"
+        p.write_text("2 1\n1 2\n")
+        assert read_degree_histogram(p).tolist() == [1, 1, 2]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from(["0 3", "1 4", "2 1", "1 2", "-1 2", "3 -4", "x 1", "5",
