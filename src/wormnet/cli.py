@@ -8,7 +8,7 @@ import math
 import sys
 
 from . import harness
-from .graph import ParseError, format_field, read_edge_list, table_text, write_edge_list, write_text
+from .graph import format_field, read_edge_list, read_table, table_text, write_edge_list, write_text
 from .netgen import GenerationError, build_network
 from .percolation import analytical_threshold, empirical_threshold
 from .throttle import ThrottleConfig, process_trace
@@ -57,23 +57,15 @@ def _cmd_threshold(args) -> int:
     return 0
 
 
+def _trace_event(fields) -> tuple[float, int]:
+    t_str, dest_str = fields
+    if not math.isfinite(t := float(t_str)):
+        raise ValueError(t_str)
+    return t, int(dest_str)
+
+
 def _cmd_throttle_demo(args) -> int:
-    events = []
-    with open(args.trace, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "t,dest":
-            raise ParseError(args.trace, 1, f"expected header 't,dest', got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                t_str, dest_str = line.split(",")
-                if not math.isfinite(t := float(t_str)):
-                    raise ValueError(t_str)
-                events.append((t, int(dest_str)))
-            except ValueError:
-                raise ParseError(args.trace, lineno, f"bad trace row {line!r}") from None
+    events = [event for _, event in read_table(args.trace, "t,dest", _trace_event)]
     config = ThrottleConfig(
         rate=args.rate,
         working_set_capacity=args.working_set,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, ParseError, int64_array, table_text, write_text
+from .graph import Graph, ParseError, int64_array, read_table, table_text, write_text
 from .throttle import ClockError, HostThrottles, ThrottleConfig
 
 SUSCEPTIBLE, INFECTED, RECOVERED = 0, 1, 2
@@ -85,24 +85,13 @@ class TimeSeries:
 
     @classmethod
     def from_csv(cls, path) -> "TimeSeries":
-        rows = []
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != CSV_HEADER:
-                raise ParseError(path, 1, f"unexpected CSV header {header!r}")
-            for lineno, line in enumerate(fh, start=2):
-                try:
-                    tick, t, s, i, r, q, a = line.strip().split(",")
-                    row = (int(tick), float(t), int(s), int(i), int(r), int(q), int(a))
-                    if not np.isfinite(row[1]) or min(row) < 0:
-                        raise ValueError
-                except ValueError:
-                    raise ParseError(path, lineno, f"bad row {line.strip()!r}") from None
-                rows.append(row)
+        """The series of a ``to_csv`` file; a bad row, or a tick, ``t`` or S+I+R that
+        breaks the series, fails as ParseError naming its line in the file."""
+        rows = read_table(path, CSV_HEADER, _series_row)
         if not rows:
             raise ParseError(path, 2, "no rows after the header")
-        n = sum(rows[0][2:5])
-        for lineno, (prev, row) in enumerate(zip(rows, rows[1:]), start=3):
+        n = sum(rows[0][1][2:5])
+        for (_, prev), (lineno, row) in zip(rows, rows[1:]):
             if row[0] <= prev[0]:
                 raise ParseError(path, lineno, f"tick {row[0]} does not follow tick {prev[0]}")
             if row[1] < prev[1]:
@@ -110,7 +99,15 @@ class TimeSeries:
             if sum(row[2:5]) != n:
                 raise ParseError(path, lineno, f"susceptible + infected + recovered is "
                                                f"{sum(row[2:5])}, not the first row's {n}")
-        return cls(rows)
+        return cls(row for _, row in rows)
+
+
+def _series_row(fields) -> tuple[int, float, int, int, int, int, int]:
+    tick, t, s, i, r, q, a = fields
+    row = (int(tick), float(t), int(s), int(i), int(r), int(q), int(a))
+    if not math.isfinite(row[1]) or min(row) < 0:
+        raise ValueError
+    return row
 
 
 class Simulation:

@@ -12,6 +12,7 @@ import os
 import stat
 import warnings
 from array import array
+from contextlib import closing
 from functools import cached_property
 from typing import Iterable
 
@@ -234,9 +235,9 @@ def table_text(header: str, rows) -> str:
     return "".join([header + "\n", *(",".join(map(format_field, row)) + "\n" for row in rows)])
 
 
-def _content_lines(path):
-    """Yield (lineno, stripped_text) for non-comment, non-blank lines.  A line
-    with a byte that is not UTF-8, in a comment too, raises ParseError."""
+def text_lines(path):
+    """Yield (lineno, stripped_text) for every line of the UTF-8 file ``path``, the
+    one reader of every input; a line with a byte that is not UTF-8 raises ParseError."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.isascii():
@@ -245,9 +246,30 @@ def _content_lines(path):
                 except UnicodeEncodeError as err:  # the escape of a byte that is not UTF-8
                     byte = ord(raw[err.start]) - 0xDC00
                     raise ParseError(path, lineno, f"byte 0x{byte:02x} is not UTF-8") from None
-            text = raw.split("#", 1)[0].strip()
+            yield lineno, raw.strip()
+
+
+def read_table(path, header: str, parse) -> list:
+    """(lineno, parse(fields)) of each row of a ``table_text`` table: line 1 must be
+    ``header``, blank lines are skipped, and a row whose ``parse`` raises ValueError fails."""
+    rows = []
+    with closing(text_lines(path)) as lines:
+        if (first := next(lines, (1, ""))[1]) != header:
+            raise ParseError(path, 1, f"expected header {header!r}, got {first!r}")
+        for lineno, text in lines:
             if text:
-                yield lineno, text
+                try:
+                    rows.append((lineno, parse(text.split(","))))
+                except ValueError:
+                    raise ParseError(path, lineno, f"bad row {text!r}") from None
+    return rows
+
+
+def _content_lines(path):
+    """The lines of ``text_lines`` that hold more than a ``#`` comment, cut at the ``#``."""
+    for lineno, text in text_lines(path):
+        if text := text.split("#", 1)[0].rstrip():
+            yield lineno, text
 
 
 def _int_pairs(path, after: int, fields: str, noun: str, build):
@@ -284,18 +306,15 @@ def _int_pairs(path, after: int, fields: str, noun: str, build):
                 continue
             parts = text.split()
             if len(parts) != 2:
-                error = ParseError(path, lineno, f"expected {fields!r}, got {text!r}")
-                break
+                raise ParseError(path, lineno, f"expected {fields!r}, got {text!r}")
             try:
                 values.fromlist([int(parts[0]), int(parts[1])])
             except ValueError:
-                error = ParseError(path, lineno, f"non-integer {noun} in {text!r}")
-                break
+                raise ParseError(path, lineno, f"non-integer {noun} in {text!r}") from None
             except OverflowError:
-                error = ParseError(path, lineno, f"{noun} out of int64 range in {text!r}")
-                break
+                raise ParseError(path, lineno, f"{noun} out of int64 range in {text!r}") from None
             linenos.append(lineno)
-    except ParseError as err:  # a byte that is not UTF-8
+    except ParseError as err:  # the first bad line, token or byte; build may fail earlier
         error = err
     try:
         result = build(np.frombuffer(values, dtype=np.int64).reshape(-1, 2))
@@ -314,9 +333,8 @@ def read_edge_list(path) -> Graph:
     with decimal ids.  Undirected files must list each edge once with u < v.
     ``#`` starts a comment.  Without a count, n is max id + 1.
     """
-    lines = _content_lines(path)
-    lineno, header = next(lines, (1, ""))
-    lines.close()
+    with closing(_content_lines(path)) as lines:
+        lineno, header = next(lines, (1, ""))
     kind, *count = header.split() or [""]
     if kind not in ("directed", "undirected") or count[1:] or not all(map(str.isdecimal, count)):
         raise ParseError(

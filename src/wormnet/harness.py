@@ -20,7 +20,7 @@ import numpy as np
 
 from . import presets
 from .epidemic import TimeSeries, WormBehavior, growth_rate, run, time_to_fraction
-from .graph import Graph, read_edge_list, table_text, write_text
+from .graph import Graph, read_edge_list, table_text, text_lines, write_text
 from .netgen import NetworkSpec, build_network
 from .percolation import VaccinationStrategy, vaccinate
 from .throttle import ThrottleConfig
@@ -124,19 +124,12 @@ class ExperimentResult:
 
 
 def _parse_kv_file(path) -> dict[str, dict]:
-    """The typed values of a config file, one dict per section of ``SECTIONS``;
-    each value is converted on its line, so an error names the first bad line.
-    A comment is a whole line whose first non-blank character is ``#``, so a
-    value may hold one."""
+    """The typed values of a config file, one dict per section of ``SECTIONS``; each
+    value is converted on its line, so an error names the first bad line.  Only a
+    whole line whose first non-blank character is ``#`` is a comment."""
     sections: dict[str, dict] = {s: {} for s in SECTIONS}
     current = None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = list(enumerate(fh, start=1))
-    except OSError as exc:
-        raise ConfigError(f"cannot open config {path}: {exc}") from None
-    for lineno, text in lines:
-        text = text.strip()
+    for lineno, text in text_lines(path):
         if not text or text.startswith("#"):
             continue
         if text.startswith("[") and text.endswith("]"):
@@ -227,8 +220,8 @@ def network_spec(net: dict, where, master: int) -> NetworkSpec | None:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate an experiment config file; see ``experiment_config``.
-    Opens no file but ``path``."""
+    """Parse and validate the config file ``path``, and open no other file; it is read
+    by ``text_lines``, as every input is.  See ``experiment_config``."""
     return experiment_config(_parse_kv_file(path), path)
 
 

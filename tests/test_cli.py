@@ -353,10 +353,10 @@ class TestThrottleDemo:
         assert times == pytest.approx([0.0, 1.0, 2.0, 3.0, 4.0])
 
     @pytest.mark.parametrize("content, message", [
-        ("time,destination\n0,1\n", "t,dest"),
-        ("t,dest\n0,1\n\n0.5,x\n", "tr.csv:4: bad trace row '0.5,x'"),
-        ("t,dest\n0,1\nnan,2\n", "tr.csv:3: bad trace row 'nan,2'"),
-        ("t,dest\n0,1\ninf,3\n", "tr.csv:3: bad trace row 'inf,3'"),
+        ("time,destination\n0,1\n", "1: expected header 't,dest', got 'time,destination'"),
+        ("t,dest\n0,1\n\n0.5,x\n", "4: bad row '0.5,x'"),
+        ("t,dest\n0,1\nnan,2\n", "3: bad row 'nan,2'"),
+        ("t,dest\n0,1\ninf,3\n", "3: bad row 'inf,3'"),
     ])
     def test_bad_trace_header_or_row(self, tmp_path, capsys, content, message):
         trace = tmp_path / "tr.csv"
@@ -365,7 +365,15 @@ class TestThrottleDemo:
             "throttle-demo", "--trace", str(trace), "--out", str(tmp_path / "o.csv"),
         ])
         assert rc == 1
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == f"wormnet: error: {trace}:{message}\n"
+
+    def test_trace_byte_that_is_not_utf8_fails_with_its_line(self, tmp_path, capsys):
+        trace, out = tmp_path / "tr.csv", tmp_path / "o.csv"
+        trace.write_bytes(b"t,dest\n0,1\n0.5,\xff2\n")
+        rc = main(["throttle-demo", "--trace", str(trace), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"wormnet: error: {trace}:3: byte 0xff is not UTF-8\n"
+        assert not out.exists()
 
 
 class TestExperimentAndCompare:
@@ -580,6 +588,32 @@ seed = 5
         assert err.startswith("wormnet: error:")
         assert len(err.strip().splitlines()) == 1
         assert os.path.join("treated", "rep_000.csv") in err
+
+    @pytest.mark.parametrize("edit, lineno", [
+        ((b"rate = 8", b"rate = \xff8"), 11),
+        ((b"[worm]", b"# caf\xff\n[worm]"), 9),
+    ], ids=["value", "comment"])
+    def test_config_byte_that_is_not_utf8_fails_with_its_line(self, tmp_path, capsys, edit,
+                                                              lineno):
+        cfg, out = tmp_path / "bad.cfg", tmp_path / "o"
+        cfg.write_bytes(self.CFG.encode().replace(*edit))
+        rc = main(["experiment", "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"wormnet: error: {cfg}:{lineno}: byte 0xff is not UTF-8\n")
+        assert not out.exists()
+
+    def test_compare_replicate_byte_that_is_not_utf8_fails_with_its_line(self, tmp_path,
+                                                                         monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        self._experiments(tmp_path, "preset = net-a\nn = 30")
+        rep = os.path.join("base", "rep_000.csv")
+        header, first, *rest = (tmp_path / rep).read_bytes().splitlines(keepends=True)
+        (tmp_path / rep).write_bytes(b"".join([header, first, b"\xff" + rest[0], *rest[1:]]))
+        rc = main(["compare", "--baseline", "base", "--treated", "treated", "--out", "cmp.csv"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"wormnet: error: {rep}:3: byte 0xff is not UTF-8\n"
+        assert not os.path.exists("cmp.csv")
 
     def test_bad_config_is_one_line_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

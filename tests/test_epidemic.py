@@ -95,11 +95,14 @@ class TestWormBehavior:
 
 
 class TestTimeSeries:
-    def test_csv_roundtrip(self, tmp_path):
+    @pytest.mark.parametrize("gap", ["", "\n"], ids=["as-written", "blank-line-between-rows"])
+    def test_csv_roundtrip(self, tmp_path, gap):
         ts = _series([1, 3, 9], 100)
         p = tmp_path / "run.csv"
         ts.to_csv(p)
         assert p.read_text().splitlines()[0] == CSV_HEADER
+        header, first, *rest = p.read_text().splitlines(keepends=True)
+        p.write_text("".join([header, first, gap, *rest]))  # a blank line is skipped
         back = TimeSeries.from_csv(p)
         assert back.rows == ts.rows
 
@@ -114,7 +117,7 @@ class TestTimeSeries:
         p.write_text("tick,t,s,i\n0,0,9,1\n")
         with pytest.raises(ParseError) as err:
             TimeSeries.from_csv(p)
-        assert str(err.value) == f"{p}:1: unexpected CSV header 'tick,t,s,i'"
+        assert str(err.value) == f"{p}:1: expected header {CSV_HEADER!r}, got 'tick,t,s,i'"
 
     @pytest.mark.parametrize("row", ["1,0.1,9", "1,0.1,9,1,0,0,x", "1,0.1,9,1,0,0,0,0",
                                      "1,nan,-5,15,0,0,0", "1,inf,9,1,0,0,0", "1,0.1,9,1,0,-1,0",
@@ -128,17 +131,19 @@ class TestTimeSeries:
         message = "2: no rows after the header" if row is None else f"3: bad row {row!r}"
         assert str(err.value) == f"{p}:{message}"
 
+    @pytest.mark.parametrize("gap", ["", "\n"], ids=["no-blank-line", "after-a-blank-line"])
     @pytest.mark.parametrize("row, message", [
         ("1,0.2,7,3,0,0,1", "tick 1 does not follow tick 1"),
         ("2,0.05,7,3,0,0,1", "t 0.05 goes back from 0.1"),
         ("2,0.2,7,4,0,0,1", "susceptible + infected + recovered is 11, not the first row's 10"),
     ])
-    def test_series_defect_names_path_and_line(self, tmp_path, row, message):
+    def test_series_defect_names_path_and_line(self, tmp_path, row, message, gap):
+        # the line number is the defect's line in the file, blank lines counted
         p = tmp_path / "rep_000.csv"
-        p.write_text(f"{CSV_HEADER}\n0,0,9,1,0,0,0\n1,0.1,8,2,0,0,1\n{row}\n")
+        p.write_text(f"{CSV_HEADER}\n0,0,9,1,0,0,0\n1,0.1,8,2,0,0,1\n{gap}{row}\n")
         with pytest.raises(ParseError) as err:
             TimeSeries.from_csv(p)
-        assert str(err.value) == f"{p}:4: {message}"
+        assert str(err.value) == f"{p}:{4 + len(gap)}: {message}"
 
     def test_columns(self):
         ts = _series([1, 2], 10)

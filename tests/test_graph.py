@@ -2,6 +2,7 @@ import os
 import stat
 import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from wormnet.graph import (
     int64_array,
     read_degree_histogram,
     read_edge_list,
+    read_table,
     table_text,
     write_edge_list,
     write_text,
@@ -577,6 +579,49 @@ class TestHistogramFiles:
     def test_token_and_layout_cases_agree_with_per_line_oracle(self, tmp_path, content):
         _assert_agrees_with_oracle(tmp_path, content, _read_degree_histogram_oracle,
                                    read_degree_histogram, _sequence_view)
+
+
+def _int_row(fields):
+    a, b = fields
+    return int(a), int(b)
+
+
+class TestReadTable:
+    @staticmethod
+    def _read(path):
+        """``read_table`` of an ``a,b`` table of integers; the one file it opens is
+        closed when it returns, and while the error it raises is still in flight."""
+        real_open, opened = open, []
+
+        def spy(*args, **kwargs):
+            opened.append(real_open(*args, **kwargs))
+            return opened[-1]
+
+        with mock.patch("builtins.open", spy):
+            try:
+                return read_table(path, "a,b", _int_row)
+            finally:
+                assert len(opened) == 1 and opened[0].closed
+
+    def test_blank_lines_are_skipped_and_rows_keep_their_line(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text(table_text("a,b", [(1, 2), (3, 4)]).replace("\n3", "\n\n 3"))
+        assert self._read(p) == [(2, (1, 2)), (4, (3, 4))]
+
+    @pytest.mark.parametrize("content, message", [
+        (b"", "1: expected header 'a,b', got ''"),
+        (b"a,c\n1,2\n", "1: expected header 'a,b', got 'a,c'"),
+        (b"a,b # c\n1,2\n", "1: expected header 'a,b', got 'a,b # c'"),
+        (b"a,b\n1,2\n\n1,x\n", "4: bad row '1,x'"),
+        (b"a,b\n1,2\n3,4,5\n", "3: bad row '3,4,5'"),
+        (b"a,b\n1,2\n3,\xff\n1,x\n", "3: byte 0xff is not UTF-8"),
+    ], ids=["empty", "header", "no-comments", "row", "fields", "byte"])
+    def test_first_bad_line_is_named_and_the_file_closed(self, tmp_path, content, message):
+        p = tmp_path / "t.csv"
+        p.write_bytes(content)
+        with pytest.raises(ParseError) as err:
+            self._read(p)
+        assert str(err.value) == f"{p}:{message}"
 
 
 def _mode(path):

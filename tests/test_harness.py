@@ -71,10 +71,14 @@ class TestLoadConfig:
             load_config(_write(tmp_path, text))
 
     def test_unreadable_config_path(self, tmp_path):
-        with pytest.raises(ConfigError, match="cannot open config"):
-            load_config(str(tmp_path / "missing.cfg"))
-        with pytest.raises(ConfigError, match="cannot open config"):
-            load_config(str(tmp_path))
+        # a config that cannot be opened fails as every input does: the OSError naming it
+        missing, directory = str(tmp_path / "missing.cfg"), str(tmp_path)
+        with pytest.raises(FileNotFoundError) as err:
+            load_config(missing)
+        assert str(err.value) == f"[Errno 2] No such file or directory: '{missing}'"
+        with pytest.raises(IsADirectoryError) as err:
+            load_config(directory)
+        assert str(err.value) == f"[Errno 21] Is a directory: '{directory}'"
 
     def test_key_outside_section(self, tmp_path):
         with pytest.raises(ConfigError, match="outside any"):

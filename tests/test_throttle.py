@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter, OrderedDict, deque
 
@@ -229,6 +230,36 @@ class TestProcessTrace:
         assert len(rows) == len(events)
         assert all(r[2] in ("admit", "release") for r in rows)
         assert all(r[3] >= 0.0 for r in rows)
+
+    @pytest.mark.parametrize("s", [1.0, 1.5])
+    def test_infinite_rate_pass_share_is_kings_lru_law(self, s):
+        # At an infinite rate a miss joins the working set at once, so the working
+        # set is an LRU cache of W = 4 slots.  Under independent requests with a
+        # Zipf law over 20 destinations, its pass share is King's exact law.  Eight
+        # independent traces of 5,000 Poisson requests at 2 per second, the first
+        # 500 dropped; the mean share lies within 4 standard errors of King's.
+        p = np.arange(1, 21) ** -s
+        p /= p.sum()
+        shares = []
+        for trace in range(8):
+            rng = np.random.default_rng([3, trace])
+            times = np.cumsum(rng.exponential(1 / 2, 5000)).tolist()
+            dests = rng.choice(20, size=5000, p=p).tolist()
+            rows = process_trace(zip(times, dests), ThrottleConfig(rate=math.inf))
+            assert len(rows) == 5000  # a miss is released at once, in request order
+            shares.append(np.mean([row[2] == "admit" for row in rows[500:]]))
+        se = np.std(shares, ddof=1) / math.sqrt(len(shares))
+        assert abs(np.mean(shares) - _king_lru_hit_share(p, 4)) <= 4 * se
+
+
+def _king_lru_hit_share(p, w):
+    """The stationary hit share of an LRU cache of ``w`` slots under independent
+    requests with law ``p`` (King, 1971): the cache holds the ordered tuple
+    (i_1 ... i_w) with probability prod_k p_{i_k} / (1 - sum_{j<k} p_{i_j}), and
+    a request hits it with probability sum_k p_{i_k}."""
+    cached = p[np.array(list(itertools.permutations(range(len(p)), w)))]
+    before = np.cumsum(cached, axis=1) - cached
+    return float(np.sum(np.prod(cached / (1 - before), axis=1) * cached.sum(axis=1)))
 
 
 def _lindley(times, rate, free_at):
