@@ -23,8 +23,7 @@ import numpy as np
 
 
 class ClockError(ValueError):
-    """An event's timestamp breaks the state's clock: it is earlier than the
-    clock, or it is a tick past the state's horizon."""
+    """A request or tick precedes a state's clock, or a tick follows a run's last."""
 
 
 # A release may happen up to EARLY service times (EARLY / rate) before its due
@@ -91,44 +90,23 @@ class ThrottleState:
     ``OrderedDict``: a plain dict used as an LRU scans its deleted entries on
     every eviction.
 
-    ``horizon`` is the time of the last tick the caller will make: ``tick``
-    raises past it.  An unbounded queue at a finite rate stores only the
-    attempts that can still leave by then.  A release may come up to
-    EARLY / rate before its due time, and where the cut applies float rounding
-    adds less than that again, so each release moves ``ready_at`` on by at
-    least (1 - 2 EARLY) / rate, and the queue's k-th attempt (from 0) cannot
-    leave before ``ready_at + (k - 2 (k + 1) EARLY) / rate``.  A request whose
-    attempt would sit past the horizon by that rule, or behind one that does,
-    is only counted in ``counted`` and still answers ENQUEUED; the bound only
-    grows as releases go, so a counted attempt never leaves, and the stored
-    queue and the counted attempts stay in FIFO order.  A bounded queue stores
-    every attempt, since an eviction needs the real order, and so does a rate
-    at which rounding could outgrow the EARLY slack (from about 2e4 per second
-    at a horizon of 100).  The default horizon, inf, stores everything; where
-    all is stored, ``_cut`` is None and ``request`` skips the bound.
+    ``room`` (default inf) is how many more attempts the queue may store; a
+    request past it answers ENQUEUED and stores nothing.  A caller gives less
+    than inf only where the attempts past it could not leave by its last tick.
     """
 
-    __slots__ = ("config", "working_set", "delay_queue", "ready_at", "last_update", "horizon",
-                 "counted", "_cut")
+    __slots__ = ("config", "working_set", "delay_queue", "ready_at", "last_update", "room")
 
     def __init__(self, config: ThrottleConfig, t0: float = 0.0, initial_budget: float = 1.0,
-                 horizon: float = math.inf):
+                 room: float = math.inf):
         if not 0.0 <= initial_budget <= 1.0:
             raise ValueError("initial_budget must lie in [0, 1]")
-        if not horizon >= t0:  # NaN fails too
-            raise ValueError("horizon must be >= t0")
         self.config = config
         self.working_set: OrderedDict[int, None] = OrderedDict()
         self.delay_queue: list[tuple[int, float, object]] = []
         self.ready_at = float(t0) + (1.0 - initial_budget) / config.rate
         self.last_update = float(t0)
-        self.horizon = float(horizon)
-        self.counted = 0
-        # every time the state sees lies in [t0, horizon], and ready_at within
-        # 1/rate past it: the cut holds while their rounding is far below EARLY / rate
-        scale = max(abs(t0), abs(horizon)) + 1.0 / config.rate
-        cut = config.queue_capacity is None and EARLY / config.rate > 4 * math.ulp(scale)
-        self._cut = self.horizon if cut else None
+        self.room = room
 
     def request(self, dest: int, t: float, tag=None) -> Admitted | Enqueued:
         """Classify one connection attempt at time t."""
@@ -137,11 +115,9 @@ class ThrottleState:
         if dest in self.working_set:
             self.working_set.move_to_end(dest)
             return ADMITTED
-        k = len(self.delay_queue)
-        if self._cut is not None and (self.counted or self._cut < self.ready_at
-                                      + (k - 2 * (k + 1) * EARLY) / self.config.rate):
-            self.counted += 1  # it cannot leave by the horizon
+        if self.room < 1:
             return ENQUEUED
+        self.room -= 1
         self.delay_queue.append((dest, t, tag))
         cap = self.config.queue_capacity
         if cap is not None and len(self.delay_queue) > cap:
@@ -152,8 +128,6 @@ class ThrottleState:
         """Advance the clock to t; return the released (dest, delay, tag) triples."""
         if t < self.last_update:
             raise ClockError(f"tick at t={t} precedes state clock {self.last_update}")
-        if t > self.horizon:
-            raise ClockError(f"tick at t={t} passes the horizon {self.horizon}")
         self.last_update = t
         rate = self.config.rate
         queue = self.delay_queue
@@ -174,15 +148,13 @@ class ThrottleState:
         return max(self.ready_at, self.delay_queue[0][1])
 
     def _admit_to_working_set(self, dest: int) -> None:
-        w = self.config.working_set_capacity
-        if w == 0:
-            return
-        if dest in self.working_set:
-            self.working_set.move_to_end(dest)
-            return
-        if len(self.working_set) >= w:
-            self.working_set.popitem(last=False)  # evict least recently used
-        self.working_set[dest] = None
+        w, ws = self.config.working_set_capacity, self.working_set
+        if dest in ws:
+            ws.move_to_end(dest)
+        elif w:
+            if len(ws) >= w:
+                ws.popitem(last=False)  # evict least recently used
+            ws[dest] = None
 
 
 # ThrottleState.tick's (dest, delay, tag) triples; a run's tag is the success flag
@@ -193,10 +165,7 @@ class HostThrottles:
     """A run's throttles over n nodes: one ``ThrottleState`` per infected host.
 
     ``states`` is an (n,) object array that holds host u's ``ThrottleState``
-    at index u, and None before u is infected.  Each throttle gets
-    ``horizon``, the time of the caller's last tick, and stores only the
-    queued attempts that can still leave by then (see ``ThrottleState``); it
-    counts the rest, so no counter changes with it.  ``deliver`` passes each
+    at index u, and None before u is infected.  ``deliver`` passes each
     attempt of a tick to its source's throttle, one ``request`` call each,
     then ticks each due host once.  A queued attempt's ``ok`` rides in its
     source's queue as the request's tag.  A host with a non-empty queue has
@@ -208,11 +177,23 @@ class HostThrottles:
     ``release_visits``, the due hosts ticked; ``released``, the attempts they
     let go; and ``wait_sum`` and ``wait_max``, their queue waits.  Every
     enqueued attempt is ``queued``, dropped or released.
+
+    ``horizon`` is the time of the caller's last tick; ``deliver`` raises past
+    it.  A release may come up to EARLY / rate early, and rounding, far below
+    that while 4 ulp(horizon + 1/rate) is, adds less again: so a throttle first
+    free at ``ready_at`` makes its k-th release (from 0) no earlier than
+    ``ready_at + (k - 2 (k + 1) EARLY) / rate``, at most ``room(ready_at)`` by
+    the horizon, and ``start`` lets its FIFO queue store only that many.  A
+    bounded queue (an eviction needs the real order) and a rate whose rounding
+    could outgrow the slack (from about 2e4 per second at a horizon of 100)
+    store every attempt: their room is inf.
     """
 
     def __init__(self, config: ThrottleConfig, n: int, horizon: float):
         self.config = config
         self.horizon = horizon
+        self._cut = (config.queue_capacity is None
+                     and EARLY / config.rate > 4 * math.ulp(horizon + 1.0 / config.rate))
         self.states = np.full(n, None, dtype=object)
         self._ids = np.arange(n).astype(object)
         self._due = np.full(n, np.inf)
@@ -223,13 +204,20 @@ class HostThrottles:
     def queued(self) -> int:
         return self.counters["enqueued"] - self.counters["dropped"] - self.counters["released"]
 
+    def room(self, ready_at: float) -> float:
+        """How many attempts a throttle first free at ``ready_at`` may store."""
+        if not self._cut:
+            return math.inf
+        k = ((self.horizon - ready_at) * self.config.rate + 2 * EARLY) / (1 - 2 * EARLY)
+        return max(0, math.floor(k) + 1)
+
     def start(self, hosts: np.ndarray, t: float) -> None:
         """Give each host infected at t a throttle first free at t + 1/rate: a
         freshly infected machine gets no free instant connection, so its novel-
         destination rate is bounded by the throttle rate from its first contact."""
+        room = self.room(t + 1.0 / self.config.rate)
         for u in hosts.tolist():
-            self.states[u] = ThrottleState(self.config, t0=t, initial_budget=0.0,
-                                           horizon=self.horizon)
+            self.states[u] = ThrottleState(self.config, t0=t, initial_budget=0.0, room=room)
 
     def deliver(self, sources, targets, ok, t):
         """Pass each attempt at t, in order, to its source's throttle, then tick
@@ -246,6 +234,8 @@ class HostThrottles:
         queued attempt and working-set key for a node shares ``_ids``' one int
         for it, gathered, not a fresh one from ``tolist``; a scan target past
         the nodes keeps its own: the address space can be far larger."""
+        if t > self.horizon:
+            raise ClockError(f"tick at t={t} passes the horizon {self.horizon}")
         states, ids = self.states, self._ids
         past = targets >= len(ids)
         dests = ids[np.where(past, 0, targets)]

@@ -6,13 +6,15 @@ matrix of worm x throttle x vaccination settings, and ``wormnet threshold``
 CSVs.  The short outputs are pinned as text instead: an experiment pair's
 ``summary.csv`` files, its compare CSV and its stdout, and ``throttle-demo``
 logs.  The README walkthrough's last rows and the benchmark's seven
-exactness counts are pinned as numbers.  A change may update a digest only
-when it documents the intended output change.
+exactness counts are pinned as numbers, and every file of each benchmark
+workload's seed-0 plan by the digest the benchmark records for it.  A change
+may update a digest only when it documents the intended output change.
 """
 
 import dataclasses
 import hashlib
 import importlib.util
+import json
 import math
 import sys
 from pathlib import Path
@@ -349,15 +351,19 @@ def test_readme_walkthrough_row(tmp_path, walkthrough_net, name):
     assert out.read_text().splitlines()[-1] == row
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
 def _perfbench_workloads():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    path = PERFBENCH / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-# The benchmark's seven exactness counts at seed 0, as its traced runs record them.
+# The benchmark's seven exactness counts at seed 0, as its traced runs record them;
+# threshold-powerlaw runs no epidemic and is checked by its digests only.
 EXACTNESS_COUNTS = {
     "outbreak-directed": {
         "requests": 607744, "passed": 437329, "release_calls": 55912, "released": 55912,
@@ -370,12 +376,14 @@ EXACTNESS_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("workload", sorted(EXACTNESS_COUNTS))
+@pytest.mark.parametrize("workload", [*sorted(EXACTNESS_COUNTS), "threshold-powerlaw"])
 def test_exactness_counts(tmp_path, monkeypatch, workload):
     """Run the workload's seed-0 steps in-process and read the counts from the
     runs' ``HostThrottles.counters`` and their CSVs: ``queued`` peaks at
     queue_peak, every arm's ``admitted`` sums to the deliveries, and an
-    unthrottled arm's ``admitted`` counts its valid attempts."""
+    unthrottled arm's ``admitted`` counts its valid attempts.  Then every file
+    the plan left, its inputs too, has the sha256 that the benchmark records
+    for the workload at seed 0."""
     plan = _perfbench_workloads().plan(workload, 0)
     monkeypatch.chdir(tmp_path)
     for name, text in plan.files.items():
@@ -395,15 +403,20 @@ def test_exactness_counts(tmp_path, monkeypatch, workload):
             _, _, cfg, _, outdir = step.argv
             arms.append((harness.load_config(cfg).throttle is None,
                          TimeSeries.from_csv(Path(outdir) / "rep_000.csv")))
-    total = {key: sum(h.counters[key] for h in throttles)
-             for key in ("requests", "passed", "release_visits", "released")}
-    assert {
-        "requests": total["requests"],
-        "passed": total["passed"],
-        "release_calls": total["release_visits"],
-        "released": total["released"],
-        "queue_peak": max(int(ts.column("queued").max()) for _, ts in arms),
-        "valid_attempts": total["requests"] + sum(
-            int(ts.column("admitted").sum()) for unthrottled, ts in arms if unthrottled),
-        "deliveries": sum(int(ts.column("admitted").sum()) for _, ts in arms),
-    } == EXACTNESS_COUNTS[workload]
+    if workload in EXACTNESS_COUNTS:
+        total = {key: sum(h.counters[key] for h in throttles)
+                 for key in ("requests", "passed", "release_visits", "released")}
+        assert {
+            "requests": total["requests"],
+            "passed": total["passed"],
+            "release_calls": total["release_visits"],
+            "released": total["released"],
+            "queue_peak": max(int(ts.column("queued").max()) for _, ts in arms),
+            "valid_attempts": total["requests"] + sum(
+                int(ts.column("admitted").sum()) for unthrottled, ts in arms if unthrottled),
+            "deliveries": sum(int(ts.column("admitted").sum()) for _, ts in arms),
+        } == EXACTNESS_COUNTS[workload]
+    digests = {path.relative_to(tmp_path).as_posix(): _sha(path.read_bytes())
+               for path in tmp_path.rglob("*") if path.is_file()}
+    with open(PERFBENCH / "baseline" / "digests.json") as fh:
+        assert digests == json.load(fh)[workload]["0"]

@@ -14,6 +14,7 @@ from wormnet.throttle import (
     Admitted,
     ClockError,
     Enqueued,
+    HostThrottles,
     ThrottleConfig,
     ThrottleState,
     process_trace,
@@ -165,6 +166,14 @@ class TestProcessTrace:
         assert [r[0] for r in rows] == pytest.approx([0.0, 1.0, 2.0, 3.0, 4.0])
         assert [r[1] for r in rows] == [100, 101, 102, 103, 104]
         assert [r[3] for r in rows] == pytest.approx([0.0, 1.0, 2.0, 3.0, 4.0])
+
+    def test_each_queued_copy_of_a_destination_waits_for_its_own_release(self):
+        # releasing the head releases that one attempt: the second queued copy
+        # of 2 leaves a service time after the first, though 2 has joined the
+        # working set, rather than with it
+        rows = process_trace([(0.0, 1), (0.0, 2), (0.0, 2)], ThrottleConfig(rate=1.0))
+        assert rows == [(0.0, 1, "release", 0.0), (1.0, 2, "release", 1.0),
+                        (2.0, 2, "release", 2.0)]
 
     def test_repeat_traffic_within_working_set_all_admitted(self):
         # warm up 3 destinations, then hammer them at high rate
@@ -449,39 +458,63 @@ class TestAgainstDequeModel:
 
 
 class TestHorizon:
-    """A state told the time of its last tick stores only the queued attempts
-    that can still leave by then and counts the rest; up to that tick it
-    answers and releases exactly as a state without a horizon does."""
+    """A run's throttles store only the queued attempts that can still leave by
+    its last tick: ``HostThrottles`` gives each the room of the releases it
+    can make by then, and up to that tick a state with that room answers and
+    releases exactly as one that stores every attempt."""
 
-    def test_the_attempts_that_cannot_leave_are_counted(self):
+    @staticmethod
+    def _started(config, horizon, t=0.0):
+        """The state ``HostThrottles`` gives one host infected at t."""
+        throttles = HostThrottles(config, 1, horizon)
+        throttles.start(np.array([0]), t)
+        return throttles.states[0]
+
+    def test_the_attempts_that_cannot_leave_are_not_stored(self):
         # an empty budget at rate 1 frees the server at t = 1, so by a last tick
         # at t = 2 only the queue's first two attempts can leave
-        state = ThrottleState(ThrottleConfig(rate=1.0), initial_budget=0.0, horizon=2.0 + 1e-9)
+        state = self._started(ThrottleConfig(rate=1.0), 2.0 + 1e-9)
+        assert state.room == 2
         for d in range(10):
             assert state.request(d, 0.0, tag=d) is ENQUEUED
-        assert [d for d, _, _ in state.delay_queue] == [0, 1] and state.counted == 8
+        assert [d for d, _, _ in state.delay_queue] == [0, 1] and state.room == 0
         assert state.tick(1.0) == [(0, 1.0, 0)]
         assert state.tick(2.0) == [(1, 2.0, 1)]
         assert state.delay_queue == [] and state.next_release_due() is None
-        assert state.request(10, 2.0) is ENQUEUED and state.counted == 9
-        with pytest.raises(ClockError, match="passes the horizon"):
-            state.tick(2.1)
-        assert state.last_update == 2.0
+        assert state.request(10, 2.0) is ENQUEUED and state.delay_queue == []
+
+    def test_releases_up_to_early_before_their_due_time_fit_the_room(self):
+        # each tick comes 0.9 EARLY service times before its head is due and
+        # still releases it, so ten releases fit by a last tick at the tenth:
+        # the room's 2 EARLY slack per release covers them
+        ticks = [1.0]
+        for _ in range(9):
+            ticks.append(ticks[-1] + 1.0 - 0.9 * EARLY)
+        state = self._started(ThrottleConfig(rate=1.0), ticks[-1])
+        assert state.room == 10
+        for d in range(20):
+            state.request(d, 0.0)
+        assert [len(state.tick(t)) for t in ticks] == [1] * 10
 
     @pytest.mark.parametrize("config", [ThrottleConfig(rate=1.0, queue_capacity=50),
                                         ThrottleConfig(rate=1e6), ThrottleConfig(rate=math.inf)])
     def test_a_bounded_queue_and_a_rate_past_the_rounding_store_every_attempt(self, config):
         # an eviction needs the real queue; at 1e6 per second the rounding of a
         # time near 100 outgrows the EARLY slack of a release
-        state = ThrottleState(config, initial_budget=0.0, horizon=100.0)
+        state = self._started(config, 100.0, t=99.0)
+        assert state.room == math.inf
         for d in range(40):
             state.request(d, 99.0)
-        assert len(state.delay_queue) == 40 and state.counted == 0
+        assert len(state.delay_queue) == 40
 
-    def test_the_horizon_may_not_precede_t0(self):
-        for horizon in (0.5, math.nan):
-            with pytest.raises(ValueError, match="horizon must be >= t0"):
-                ThrottleState(ThrottleConfig(), t0=1.0, horizon=horizon)
+    def test_deliver_refuses_a_tick_past_the_horizon(self):
+        throttles = HostThrottles(ThrottleConfig(rate=1.0), 3, 2.0 + 1e-9)
+        throttles.start(np.array([0]), 0.0)
+        one = (np.array([0]), np.array([1]), np.array([True]))
+        throttles.deliver(*one, 2.0)
+        with pytest.raises(ClockError, match="passes the horizon"):
+            throttles.deliver(*one, 2.1)
+        assert throttles.counters["requests"] == 1 and throttles.states[0].last_update == 2.0
 
     @settings(max_examples=400, deadline=None)
     @given(st.sampled_from([0.5, 1.0, 2.0, 1 / 0.3, 10.0, math.inf]), st.integers(0, 3),
@@ -492,38 +525,38 @@ class TestHorizon:
     # a backlog whose last attempt to leave does so at the last tick itself
     @example(1.0, 0, None, 0.0, 0, 20, True, [(True, 0, d) for d in range(3)])
     @example(2.0, 1, None, 0.0, 3, 10, True, [(True, 0, d) for d in range(4)])
-    def test_matches_a_state_without_a_horizon(self, rate, w, queue_capacity, initial_budget,
-                                               first, span, every_tick, ops):
+    def test_matches_a_state_that_stores_every_attempt(self, rate, w, queue_capacity,
+                                                       initial_budget, first, span, every_tick,
+                                                       ops):
         # times lie on the engine's lattice k * dt and the horizon is the last
-        # tick's time plus 1e-9, as ``run`` sets it.  Each op is a request
-        # (True) or a tick (False) some ticks on; with ``every_tick``, as in the
-        # engine, both states tick at every lattice time instead, so a backlog
-        # leaves at the earliest times the rule allows.  Past the horizon a tick
-        # raises and the ops stop; after them both tick at every time left.
+        # tick's time plus 1e-9, as ``run`` sets it; the cut state's room is
+        # the one ``HostThrottles`` gives a throttle first free when it is.
+        # Each op is a request (True) or a tick (False) some ticks on; with
+        # ``every_tick``, as in the engine, both states tick at every lattice
+        # time instead, so a backlog leaves at the earliest times the rule
+        # allows.  The ops stop at the last tick; after them both tick at
+        # every time left.
         dt = 0.1
         config = ThrottleConfig(rate=rate, working_set_capacity=w, queue_capacity=queue_capacity)
         last = first + span
         horizon = last * dt + 1e-9
-        cut = ThrottleState(config, t0=first * dt, initial_budget=initial_budget, horizon=horizon)
         ref = ThrottleState(config, t0=first * dt, initial_budget=initial_budget)
+        cut = ThrottleState(config, t0=first * dt, initial_budget=initial_budget,
+                            room=HostThrottles(config, 0, horizon).room(ref.ready_at))
 
         def agree():
             stored = len(cut.delay_queue)
-            assert stored + cut.counted == len(ref.delay_queue)
             assert cut.delay_queue == ref.delay_queue[:stored]
             assert list(cut.working_set) == list(ref.working_set)
             due = ref.next_release_due()
             if stored:
                 assert cut.next_release_due() == due
-            else:  # the head of a queue of counted attempts cannot leave
+            else:  # the head of the attempts past the room cannot leave
                 assert cut.next_release_due() is None and (due is None or due > horizon)
 
         def tick(j):
-            """Tick both at lattice time j; past the horizon, check that the
-            state with one refuses, and return False."""
+            """Tick both at lattice time j; past the last tick, return False."""
             if j > last:
-                with pytest.raises(ClockError, match="passes the horizon"):
-                    cut.tick(j * dt)
                 return False
             assert cut.tick(j * dt) == ref.tick(j * dt)
             agree()
@@ -542,4 +575,4 @@ class TestHorizon:
         for j in range(k + 1, last + 1):
             tick(j)
         if queue_capacity is not None or rate == math.inf:
-            assert cut.counted == 0
+            assert cut.delay_queue == ref.delay_queue
