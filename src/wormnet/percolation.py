@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .graph import Graph, int64_array
 
@@ -87,7 +85,7 @@ def vaccinate(g: Graph, strategy: VaccinationStrategy, seed: int = 0) -> np.ndar
     return np.sort(_degree_order(g)[:k])
 
 
-# csgraph labels nodes with int32, so node and edge counts must fit in it.
+# `_rank_edges` and the labeller hold node ids in int32; edge counts are held to the same limit.
 _INT32_MAX = int(np.iinfo(np.int32).max)
 
 
@@ -97,13 +95,47 @@ def _check_int32(g: Graph) -> None:
             raise ValueError(f"{name} {count} exceeds {_INT32_MAX}, the most percolation can label")
 
 
-def _largest_fraction(indptr: np.ndarray, indices: np.ndarray, n: int) -> float:
-    """Largest connected component of the int32 CSR graph ``(indptr, indices)``,
-    each entry taken as an undirected edge, over ``n``."""
-    size = len(indptr) - 1
-    graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(size, size))
-    _, labels = connected_components(graph, directed=False)
-    return int(np.bincount(labels).max()) / n
+def _point_at_roots(parent: np.ndarray, nodes: np.ndarray) -> None:
+    """Point each of ``nodes`` at the root of its chain in the forest ``parent``
+    (pointer jumping; a node drops out once its parent is a root)."""
+    while len(nodes):
+        up = parent[nodes]
+        upup = np.take(parent, up)
+        moved = up != upup
+        nodes = nodes[moved]
+        parent[nodes] = upup[moved]
+
+
+def _component_roots(lo: np.ndarray, hi: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(root, hooked)`` for the ``size``-node graph with the undirected int32 edges
+    ``(lo, hi)``, each with lo < hi: ``root[v]`` is the least node of v's connected
+    component, and ``hooked`` lists the nodes that are not their own root.
+
+    Each round hooks every root that ends an edge as its higher end onto the
+    least root at the other end (Shiloach & Vishkin, J. Algorithms 3, 57, 1982),
+    points the hooked roots at the roots of the chains this makes, and contracts
+    each edge to its pair of roots, dropping the pairs that have become one root.
+    A hook always lowers a node's parent, so no round makes a cycle, and every
+    round hooks at least the higher root of each edge left.  The rounds stop when
+    no edge is left; then, latest round first, each round's hooked nodes are
+    pointed at the roots that their own roots were hooked onto later."""
+    # np.take gathers at int32 indices (edge ends, parents) faster than indexing does.
+    parent = np.arange(size, dtype=np.int32)
+    rounds = []
+    while len(lo):
+        np.minimum.at(parent, hi, lo)
+        ends = np.zeros(size, dtype=bool)
+        ends[hi] = True
+        hooked = np.flatnonzero(ends)
+        _point_at_roots(parent, hooked)
+        rounds.append(hooked)
+        a, b = np.take(parent, lo), np.take(parent, hi)
+        apart = a != b
+        a, b = a[apart], b[apart]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+    for hooked in reversed(rounds[:-1]):
+        parent[hooked] = np.take(parent, parent[hooked])
+    return parent, np.concatenate(rounds) if rounds else np.zeros(0, dtype=np.intp)
 
 
 def giant_component_fraction(g: Graph, removed) -> float:
@@ -119,34 +151,35 @@ def giant_component_fraction(g: Graph, removed) -> float:
     keep[int64_array(removed)] = False
     # The removed nodes rank first, then the kept ones in id order.
     order = np.concatenate([np.flatnonzero(~keep), np.flatnonzero(keep)])
-    return _level_fraction(_rank_csr(g, order), g.n - int(np.count_nonzero(keep)), g.n)
+    return _level_fraction(_rank_edges(g, order), g.n - int(np.count_nonzero(keep)), g.n)
 
 
-def _rank_csr(g: Graph, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The edges of ``g`` with each node renamed to its position in ``order``, as an
-    int32 CSR: row r holds, sorted, the higher ranks of the edges whose lower rank is r.
+def _rank_edges(g: Graph, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of ``g`` with each node renamed to its position in ``order``, as
+    int32 columns ``(lo, hi)`` with lo < hi, sorted by lo, then by hi.
 
-    Removing ``order[:k]`` leaves exactly the rows from k on, shifted down by k."""
+    Removing ``order[:k]`` leaves exactly the edges from ``searchsorted(lo, k)`` on,
+    their ranks shifted down by k."""
     rank = np.empty(g.n, dtype=np.int64)
     rank[order] = np.arange(g.n)
     a, b = rank[g.edge_array[:, 0]], rank[g.edge_array[:, 1]]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    indptr = np.zeros(g.n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(lo, minlength=g.n), out=indptr[1:])
-    # Sorting the packed keys themselves is cheaper than arg-sorting them; hi = key mod n.
-    return indptr, (np.sort(lo * g.n + hi) % g.n).astype(np.int32)
+    # Sorting the packed keys themselves is cheaper than arg-sorting them.
+    lo, hi = np.divmod(np.sort(np.minimum(a, b) * g.n + np.maximum(a, b)), g.n)
+    return lo.astype(np.int32), hi.astype(np.int32)
 
 
-def _level_fraction(csr: tuple[np.ndarray, np.ndarray], k: int, n: int) -> float:
-    """giant_component_fraction of the graph behind ``_rank_csr`` with its k lowest
+def _level_fraction(edges: tuple[np.ndarray, np.ndarray], k: int, n: int) -> float:
+    """giant_component_fraction of the graph behind ``_rank_edges`` with its k lowest
     ranks removed."""
     if k == n:
         return 0.0
-    indptr, indices = csr
-    start = indptr[k]
-    if start == len(indices):
+    lo, hi = edges
+    start = int(np.searchsorted(lo, k))
+    if start == len(lo):
         return 1.0 / n
-    return _largest_fraction(indptr[k:] - start, indices[start:] - k, n)
+    root, hooked = _component_roots(lo[start:] - k, hi[start:] - k, n - k)
+    # A root's component is the root and the hooked nodes that point at it.
+    return (1 + int(np.bincount(root[hooked]).max())) / n
 
 
 def empirical_threshold(
@@ -162,7 +195,8 @@ def empirical_threshold(
     removes a prefix of one fixed permutation), so the response is exactly
     monotone per trial and the bisection is well posed.  Targeted removal is
     deterministic, so a single evaluation per f suffices.  Each order is held as
-    its ``_rank_csr``, so a bisection step only slices the graph that is left.
+    its ``_rank_edges``, so a bisection step only slices the edges that are left,
+    and the labeller (``_component_roots``) labels them.
 
     A level, k = round(f * n) removed nodes, is decided without labelling every
     trial.  Each trial keeps the fractions of the levels it has labelled, and is
@@ -191,20 +225,21 @@ def empirical_threshold(
     _check_int32(g)
 
     if kind == TARGETED:
-        csrs = [_rank_csr(g, _degree_order(g))]
+        ranked = [_rank_edges(g, _degree_order(g))]
         trials = 1
     else:
         ss = np.random.SeedSequence(seed)
-        csrs = [_rank_csr(g, np.random.default_rng(c).permutation(g.n)) for c in ss.spawn(trials)]
+        ranked = [_rank_edges(g, np.random.default_rng(c).permutation(g.n))
+                  for c in ss.spawn(trials)]
 
     def below(f: float) -> bool:
         """Whether the mean giant-component fraction at f is below s_min."""
         k = _target_count(f, g.n)
         lower, upper = [], []
-        for levels, (indptr, indices) in zip(labelled, csrs):
+        for levels, (lo_ranks, _) in zip(labelled, ranked):
             after = [j for j in levels if j >= k]
             lower.append(levels[min(after)] if after else 0.0)
-            edges_left = len(indices) - int(indptr[k])
+            edges_left = len(lo_ranks) - int(np.searchsorted(lo_ranks, k))
             upper.append(min(levels[max(j for j in levels if j <= k)], (edges_left + 1) / g.n))
         for i, levels in enumerate(labelled):
             if float(np.mean(lower)) >= s_min:
@@ -212,14 +247,14 @@ def empirical_threshold(
             if float(np.mean(upper)) < s_min:
                 return True
             if k not in levels:
-                levels[k] = lower[i] = upper[i] = _level_fraction(csrs[i], k, g.n)
+                levels[k] = lower[i] = upper[i] = _level_fraction(ranked[i], k, g.n)
         return float(np.mean(lower)) < s_min
 
     tol = max(1.0 / g.n, 1e-3)
     lo, hi, n_levels = 0.0, 1.0, 0
     # Removing nothing leaves the same graph in every trial: label it once.
-    full = _level_fraction(csrs[0], 0, g.n)
-    labelled = [{0: full} for _ in csrs]  # per trial, {removed count: fraction}
+    full = _level_fraction(ranked[0], 0, g.n)
+    labelled = [{0: full} for _ in ranked]  # per trial, {removed count: fraction}
     if float(np.mean([full] * trials)) < s_min:
         f_c = 0.0
     else:

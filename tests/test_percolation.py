@@ -82,6 +82,15 @@ def _giant_oracle(g, removed):
     return int(sizes.max()) / g.n
 
 
+def _least_mates(lo, hi, size):
+    """Each node's least component mate, from scipy's labels."""
+    adj = coo_matrix((np.ones(len(lo), dtype=np.int8), (lo, hi)), shape=(size, size))
+    _, labels = connected_components(adj, directed=False)
+    least = np.full(labels.max() + 1, size)
+    np.minimum.at(least, labels, np.arange(size))
+    return least[labels]
+
+
 def _reference_threshold(g, kind, s_min, trials, seed):
     """empirical_threshold as a plain bisection that labels every level of every
     trial with _giant_oracle."""
@@ -137,6 +146,40 @@ def _graphs_and_removals(draw):
     return g, removed
 
 
+class TestComponentRoots:
+    """The labeller against scipy's connected_components."""
+
+    @staticmethod
+    def _check(lo, hi, size):
+        lo, hi = np.asarray(lo, dtype=np.int32), np.asarray(hi, dtype=np.int32)
+        root, hooked = percolation._component_roots(lo, hi, size)
+        expected = _least_mates(lo, hi, size)
+        assert root.tolist() == expected.tolist()
+        assert sorted(hooked.tolist()) == np.flatnonzero(expected != np.arange(size)).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda size: st.tuples(
+        st.just(size),
+        st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)), max_size=3 * size),
+    )))
+    def test_equals_scipy_on_random_edge_sets(self, case):
+        # repeated edges included: later rounds contract edges onto repeated root pairs
+        size, pairs = case
+        pairs = [(min(u, v), max(u, v)) for u, v in pairs if u != v]
+        self._check([u for u, _ in pairs], [v for _, v in pairs], size)
+
+    @pytest.mark.parametrize("lo, hi, size", [
+        ([], [], 5),
+        ([], [], 1),
+        ([0] * 9, range(1, 10), 10),
+        (range(9), [9] * 9, 10),
+        # every node hooks onto its predecessor: the deepest chain one round can make
+        (range(4999), range(1, 5000), 5000),
+    ], ids=["no-edges", "one-node", "star-at-0", "star-at-9", "rising-path"])
+    def test_fixed_cases(self, lo, hi, size):
+        self._check(lo, hi, size)
+
+
 class TestGiantComponent:
     @settings(max_examples=300, deadline=None)
     @given(_graphs_and_removals())
@@ -155,16 +198,14 @@ class TestGiantComponent:
 
     @settings(max_examples=300, deadline=None)
     @given(_random_graphs(), st.data())
-    def test_rank_csr_levels_equal_the_oracle(self, g, data):
+    def test_rank_edges_levels_equal_the_oracle(self, g, data):
         # Every level k in 0..n, k = 0 included: for n < 512 a bisection midpoint rounds to it.
         order = np.array(data.draw(st.permutations(range(g.n))), dtype=np.int64)
-        indptr, indices = csr = percolation._rank_csr(g, order)
-        assert indptr.dtype == indices.dtype == np.int32
-        for r in range(g.n):
-            row = indices[indptr[r]:indptr[r + 1]]
-            assert (row > r).all() and (np.diff(row) >= 0).all()
+        lo, hi = edges = percolation._rank_edges(g, order)
+        assert lo.dtype == hi.dtype == np.int32
+        assert (lo < hi).all() and (np.diff(lo) >= 0).all()
         for k in range(g.n + 1):
-            assert percolation._level_fraction(csr, k, g.n) == _giant_oracle(g, order[:k])
+            assert percolation._level_fraction(edges, k, g.n) == _giant_oracle(g, order[:k])
 
     def test_counts_beyond_int32_are_named(self):
         big = Graph(2**31, False, [])
