@@ -122,14 +122,17 @@ class Simulation:
     ``step`` raises past it; a throttled run's ``throttles``, one
     ``HostThrottles``, get it too.
 
-    ``_sus_out`` counts each node's susceptible out-neighbours (neighbour worm
-    only); the run is exhausted when no infected host has one left, or, for a
-    scan worm, when no host is infected or none is susceptible.  ``_sinks``
-    counts the infected hosts that make no valid attempt: a neighbour worm's
-    hosts without out-neighbours (none for a scan worm).  Every worm and
-    throttle arm draws, gathers and filters its attempts through the same
-    lines of ``step``; they differ only in which hosts' attempts the gather
-    keeps, and a throttled run alone passes them through ``throttles``.
+    The seeds are ``_infect``'s first hits, at t = 0, and ``_infected`` lists
+    the infected hosts in infection order.  ``_sus_out`` counts each node's
+    susceptible out-neighbours, and ``_spreaders`` holds the ascending positions
+    in ``_infected`` of the hosts with one (neighbour worm only); the run is
+    exhausted when there is none, or, for a scan worm, when no host is infected
+    or none is susceptible.  ``_sinks`` counts the infected hosts that make no
+    valid attempt: a neighbour worm's hosts without out-neighbours (none for a
+    scan worm).  Every worm and throttle arm draws, gathers and filters its
+    attempts through the same lines of ``step``; they differ only in which
+    hosts' attempts the gather keeps, and a throttled run alone passes them
+    through ``throttles``.
     """
 
     def __init__(
@@ -167,11 +170,11 @@ class Simulation:
 
         self.compartments = np.zeros(g.n, dtype=np.int8)
         self.compartments[vaccinated] = RECOVERED
-        self.compartments[init_infected] = INFECTED
-        self.n_susceptible = g.n - len(vaccinated) - len(init_infected)
-        self.n_infected = len(init_infected)
+        self.n_susceptible = g.n - len(vaccinated)
+        self.n_infected = 0
         self.n_recovered = len(vaccinated)
-        self._infected = init_infected
+        self._infected = self._spreaders = np.zeros(0, dtype=np.int64)
+        self._sinks = 0
 
         if worm.targeting == NEIGHBOR:
             self._indptr, self._adj = g.out_adjacency
@@ -179,17 +182,13 @@ class Simulation:
             rows = np.repeat(np.arange(g.n), self._out_deg)
             sus = self.compartments[self._adj] == SUSCEPTIBLE
             self._sus_out = np.bincount(rows[sus], minlength=g.n)
-            self._spreaders = self._infected[self._sus_out[self._infected] > 0]
-            self._sinks = int(np.count_nonzero(self._out_deg[self._infected] == 0))
         else:
-            self._sinks = 0
             self.address_space = g.n if worm.address_space is None else int(worm.address_space)
             if self.address_space < g.n:
                 raise ValueError("address_space must be >= n")
 
         self.throttles = None if throttle is None else HostThrottles(throttle, g.n, self.horizon)
-        if self.throttles is not None:
-            self.throttles.start(self._infected, 0.0)
+        self._infect(init_infected, 0.0)
 
     def step(self) -> tuple[int, float, int, int, int, int, int]:
         """Advance one tick; return the resulting TimeSeries row.
@@ -198,16 +197,17 @@ class Simulation:
         scan worm's are all valid, and a neighbour worm's host without
         out-neighbours (a sink) makes none.  The gather keeps every valid
         attempt when throttled, since each must reach its source's throttle,
-        and otherwise a neighbour worm's spreaders' only, since an idle host's
-        targets are all infected or vaccinated.  While no infected host is a
-        sink, a throttled or scan tick keeps every draw whole; otherwise one
-        ranged gather picks the kept hosts' draws.  The gathered attempts draw
+        and otherwise a neighbour worm's spreaders' only (the positions in
+        ``_spreaders``, which ``_infect`` keeps), since an idle host's targets
+        are all infected or vaccinated.  While no infected host is a sink, a
+        throttled or scan tick keeps every draw whole; otherwise one ranged
+        gather picks the kept hosts' draws.  The gathered attempts draw
         their targets and success flags.  Without a throttle they are
         delivered, and ``admitted`` counts every valid attempt, gathered or
         not: all drawn attempts while there is no sink.  With one,
         ``admitted`` counts the working-set passes and queue releases that
         ``throttles`` returns.  The tick's deliveries are applied together at
-        the end, as a set.
+        the end, as a set, by ``_infect``; ``row`` builds the returned row.
         """
         t = (self.tick_index + 1) * self.dt
         if t > self.horizon:
@@ -228,8 +228,7 @@ class Simulation:
         if not self._sinks and (throttled or not neighbor):  # every attempt is kept
             sources, pos = np.repeat(snapshot, counts), slice(None)
         else:
-            keep = self._out_deg[snapshot] > 0 if throttled else self._sus_out[snapshot] > 0
-            active = np.flatnonzero(keep)
+            active = np.flatnonzero(self._out_deg[snapshot] > 0) if throttled else self._spreaders
             lens = counts[active]
             pos = _ranges(np.cumsum(counts)[active] - lens, lens)
             sources = np.repeat(snapshot[active], lens)
@@ -251,15 +250,13 @@ class Simulation:
             delivered = total
 
         self._infect(targets[ok], t)
-        return (
-            self.tick_index,
-            t,
-            self.n_susceptible,
-            self.n_infected,
-            self.n_recovered,
-            self.throttles.queued if throttled else 0,
-            delivered,
-        )
+        return self.row(t, delivered)
+
+    def row(self, t: float, delivered: int) -> tuple[int, float, int, int, int, int, int]:
+        """The TimeSeries row of this tick at time ``t``, in which ``delivered``
+        attempts were delivered: ``step``'s rows and ``run``'s row 0 alike."""
+        return (self.tick_index, t, self.n_susceptible, self.n_infected, self.n_recovered,
+                0 if self.throttles is None else self.throttles.queued, delivered)
 
     def _pick(self, sources, picks):
         """The out-neighbour of each source that its uniform draw in [0, 1) picks."""
@@ -269,7 +266,10 @@ class Simulation:
         return self._adj[self._indptr[sources] + idx]
 
     def _infect(self, hits: np.ndarray, t: float) -> None:
-        """Infect the still-susceptible nodes among the successful targets."""
+        """Infect the still-susceptible nodes among ``hits`` (scan misses past n are
+        dropped) at time ``t``: the seeds at t = 0, then each tick's successful
+        targets.  They join ``_infected`` in ascending order and start their
+        throttles; ``_sus_out``, ``_spreaders`` and ``_sinks`` follow."""
         hits = hits[hits < self.g.n]
         hits = hits[self.compartments[hits] == SUSCEPTIBLE]
         if not len(hits):
@@ -278,17 +278,18 @@ class Simulation:
         self.compartments[hits] = INFECTED
         self.n_susceptible -= len(hits)
         self.n_infected += len(hits)
+        self._infected = np.concatenate([self._infected, hits])
         if self.worm.targeting == NEIGHBOR:
             # each in-neighbour of a (unique) hit loses one susceptible out-neighbour
             in_ptr, in_src = self.g.in_adjacency
             pos = _ranges(in_ptr[hits], in_ptr[hits + 1] - in_ptr[hits])
             np.subtract.at(self._sus_out, in_src[pos], 1)
-            hosts = np.concatenate([self._spreaders, hits])
-            self._spreaders = hosts[self._sus_out[hosts] > 0]
+            new = np.arange(self.n_infected - len(hits), self.n_infected)  # the hits' positions
+            pos = np.concatenate([self._spreaders, new])
+            self._spreaders = pos[self._sus_out[self._infected[pos]] > 0]
             self._sinks += int(np.count_nonzero(self._out_deg[hits] == 0))
         if self.throttles is not None:
             self.throttles.start(hits, t)
-        self._infected = np.concatenate([self._infected, hits])
 
     def exhausted(self) -> bool:
         """True when no further compartment change is possible.
@@ -319,8 +320,7 @@ def run(g: Graph, worm: WormBehavior, *, t_max: float = 60.0, **settings) -> Tim
         raise ValueError("t_max must be > 0")
     horizon = t_max + 1e-9
     sim = Simulation(g, worm, horizon=horizon, **settings)
-    ts = TimeSeries()
-    ts.append((0, 0.0, sim.n_susceptible, sim.n_infected, sim.n_recovered, 0, 0))
+    ts = TimeSeries([sim.row(0.0, 0)])
     while (sim.tick_index + 1) * sim.dt <= horizon:
         if sim.exhausted():
             break

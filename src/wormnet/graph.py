@@ -111,14 +111,13 @@ class Graph:
     def out_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only CSR-style (indptr, targets) adjacency over out-neighbors.
 
-        Undirected graphs include both orientations.  Neighbor lists are
-        sorted, so lookups are deterministic.
+        Undirected graphs include both orientations.  Neighbor lists are sorted,
+        so lookups are deterministic; ``targets`` is never a view of ``edge_array``.
         """
         e = self._edges
-        if self.directed:  # the edges are sorted by (source, target) already
-            return _csr(self.n, e[:, 0], e[:, 1], order=slice(None))
-        src, dst = np.concatenate([e, e[:, ::-1]]).T
-        return _csr(self.n, src, dst)
+        if not self.directed:
+            e = np.concatenate([e, e[:, ::-1]])
+        return _csr(self.n, e[:, 0], e[:, 1])
 
     @cached_property
     def in_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
@@ -177,11 +176,11 @@ def _chunks(a: np.ndarray):
     return (a[i:i + CHUNK] for i in range(0, len(a), CHUNK))
 
 
-def _csr(n: int, rows: np.ndarray, cols: np.ndarray, order=None) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only CSR (indptr, cols) of the entries (rows[i], cols[i]), sorted by
-    (row, col) with ``order``, or with a lexsort when it is not given."""
+def _csr(n: int, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only CSR (indptr, cols) of the distinct entries (rows[i], cols[i]), sorted
+    as the packed keys rows * n + cols, below n**2 and so in int64 (MAX_NODES)."""
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-    cols = cols[np.lexsort((cols, rows)) if order is None else order]
+    cols = np.sort(rows * n + cols) % n
     indptr.flags.writeable = cols.flags.writeable = False
     return indptr, cols
 

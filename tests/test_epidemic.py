@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -27,7 +28,8 @@ from wormnet.epidemic import (
     time_to_fraction,
 )
 from wormnet.graph import Graph, ParseError
-from wormnet.netgen import build_complete, build_powerlaw
+from wormnet.netgen import build_complete, build_network, build_powerlaw
+from wormnet.presets import preset
 from wormnet.throttle import Admitted, ClockError, ThrottleConfig, ThrottleState
 
 
@@ -281,6 +283,10 @@ class TestReachability:
             sus_out = [int((sim.compartments[adj[indptr[u]:indptr[u + 1]]] == SUSCEPTIBLE).sum())
                        for u in range(g.n)]
             assert sim._sus_out.tolist() == sus_out
+            # _infect alone keeps the spreaders, as positions in _infected, and the sinks
+            spreaders = np.flatnonzero(sim._sus_out[sim._infected] > 0)
+            assert sim._spreaders.tolist() == spreaders.tolist()
+            assert sim._sinks == sum(indptr[u] == indptr[u + 1] for u in infected)
             sim.step()
 
     def test_vaccinated_node_blocks_the_path(self):
@@ -798,6 +804,103 @@ class TestThrottledRuns:
         with pytest.raises(ValueError, match="horizon must be > 0"):
             Simulation(Graph(10, False, []), WormBehavior("scan", attempt_rate=5.0),
                        init_infected={0}, horizon=math.nan)
+
+
+def _renewal_root(excess):
+    """The rate lambda > 0 at which ``excess(lambda)``, a renewal sum less 1 that
+    falls as lambda grows, crosses 0: bisection to float resolution."""
+    lo, hi = 0.0, 1.0
+    while excess(hi) > 0:
+        lo, hi = hi, 2 * hi
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if excess(mid) > 0 else (lo, mid)
+    return (lo + hi) / 2
+
+
+class TestRenewal:
+    """The early growth rate of a run on a sparse directed graph follows from the
+    graph's degrees through the renewal (Euler-Lotka) equation
+    1 = sum_a m(a) e^(-lambda a), m(a) being the expected new infections a host
+    makes at age a.  Early on the graph is tree-like, and a node reached along an
+    edge has out-degree k with the in-degree-weighted law
+    q_k = sum_v k_in(v) [k_out(v) = k] / m.
+
+    Fixed before the first run: the graph, 8 replicates of 3 random seed hosts,
+    each run stopped once infected passes 1,500, the slope of ln I over the rows
+    with infected in [30, 1500], and a tolerance of 4 standard errors of the
+    replicate mean."""
+
+    REPLICATES, SEEDS, WINDOW = 8, 3, (30, 1500)
+
+    @pytest.fixture(scope="class")
+    def net(self):
+        g = build_network(replace(preset("net-c"), n=50000, seed=3))
+        q = np.bincount(g.degrees("out"), weights=g.degrees("in")) / g.num_edges
+        return g, np.arange(1, len(q)), q[1:]  # out-degree 0 spreads nothing
+
+    def _rates(self, g, worm, dt, throttle=None):
+        """Each replicate's least-squares slope of ln I over the window."""
+        rates = []
+        for rep in range(self.REPLICATES):
+            pick, engine = np.random.SeedSequence([3, rep]).spawn(2)
+            seeds = np.random.default_rng(pick).choice(g.n, self.SEEDS, replace=False)
+            sim = Simulation(g, worm, init_infected=seeds, throttle=throttle, dt=dt, seed=engine)
+            rows = [sim.row(0.0, 0)]
+            while sim.n_infected <= self.WINDOW[1]:
+                assert not sim.exhausted()
+                rows.append(sim.step())
+            ts = TimeSeries(rows)
+            t, infected = ts.column("t"), ts.column("infected")
+            window = (infected >= self.WINDOW[0]) & (infected <= self.WINDOW[1])
+            rates.append(np.polyfit(t[window], np.log(infected[window]), 1)[0])
+        return np.mean(rates), np.std(rates, ddof=1) / math.sqrt(len(rates))
+
+    def test_unthrottled_rate(self, net):
+        # a host of out-degree k hits each out-neighbour in a tick with
+        # probability p_k = 1 - exp(-beta dt / k), and the node it hits draws
+        # from the next tick on:
+        # 1 = sum_k q_k k sum_{T>=1} p_k (1 - p_k)^(T-1) e^(-lambda T dt)
+        g, k, q = net
+        beta, dt = 10.0, 0.05
+        p = -np.expm1(-beta * dt / k)
+
+        def excess(lam):
+            x = math.exp(-lam * dt)
+            return np.sum(q * k * p * x / (1 - (1 - p) * x)) - 1
+
+        predicted = _renewal_root(excess)
+        assert predicted == pytest.approx(3.377, abs=1e-3)
+        mean, sem = self._rates(g, WormBehavior("neighbor", attempt_rate=beta), dt)
+        assert abs(mean - predicted) < 4 * sem
+
+    def test_throttled_rate_follows_one_release_per_copy(self, net):
+        # beta >> r: a host's queue fills faster than it drains, so its releases
+        # are its draws in order, one every 1/r seconds from 1/r after infection
+        # (on the tick lattice, since 1/r is a whole number of ticks).  Each
+        # queued copy of a destination takes a release of its own, so the j-th
+        # release reaches a fresh node with probability (1 - 1/k)^(j-1):
+        # 1 = sum_k q_k sum_{j>=1} (1 - 1/k)^(j-1) e^(-lambda j / r).
+        # Under a rule that flushed every queued copy of the released
+        # destination, the first k releases would be k distinct neighbours:
+        # 1 = sum_k q_k sum_{j=1..k} e^(-lambda j / r); the engine rejects it.
+        g, k, q = net
+        beta, r, dt = 10.0, 1.0, 0.1
+
+        def excess(lam):
+            y = math.exp(-lam / r)
+            return np.sum(q * y / (1 - (1 - 1 / k) * y)) - 1
+
+        def flush_excess(lam):
+            y = math.exp(-lam / r)
+            return np.sum(q * y * (1 - y ** k) / (1 - y)) - 1
+
+        predicted, flushed = _renewal_root(excess), _renewal_root(flush_excess)
+        assert predicted == pytest.approx(0.343, abs=1e-3)
+        mean, sem = self._rates(g, WormBehavior("neighbor", attempt_rate=beta), dt,
+                                throttle=ThrottleConfig(rate=r, working_set_capacity=4))
+        assert abs(mean - predicted) < 4 * sem
+        assert abs(mean - flushed) > 4 * sem
 
 
 class TestMetrics:

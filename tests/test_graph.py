@@ -305,6 +305,10 @@ class TestGraph:
 
     @settings(max_examples=200, deadline=None)
     @given(_simple_graphs())
+    @example(Graph(0, True, []))
+    @example(Graph(0, False, []))
+    @example(Graph(1, True, []))
+    @example(Graph(1, False, []))
     def test_in_adjacency_is_the_out_adjacency_of_the_reversal(self, g):
         reversal = Graph(g.n, True, g.edge_array[:, ::-1]) if g.directed else g
         for mine, theirs in zip(g.in_adjacency, reversal.out_adjacency):
@@ -318,6 +322,10 @@ class TestGraph:
         indptr, targets = g.out_adjacency
         assert [targets[indptr[u]:indptr[u + 1]].tolist() for u in range(g.n)] == [
             sorted(v for w, v in arcs if w == u) for u in range(g.n)]
+        assert len(indptr) == g.n + 1
+        for array in (targets, g.in_adjacency[1]):
+            assert array.dtype == np.int64 and array.flags.c_contiguous
+            assert not np.shares_memory(array, g.edge_array)
 
 
 def test_int64_array_passes_an_array_through_and_lists_other_iterables():
