@@ -178,13 +178,21 @@ def convert_value(where, section, key, value):
         raise ConfigError(f"{where}: bad value {value!r} for key {key!r}") from None
 
 
+# Each section's fields that are named apart from their config keys, with the key:
+# an error that starts with such a field names the key a user wrote instead.
+_KEYS = {"worm": {"attempt_rate": "rate", "infection_probability": "pinfect"},
+         "controls": {"rate": "throttle_rate", "working_set_capacity": "working_set"}}
+
+
 def _checked(where, section, build, *args, **kwargs):
     """``build(*args, **kwargs)``, with the ValueError it raises reported as a
-    ConfigError in ``[section]`` at ``where``."""
+    ConfigError in ``[section]`` at ``where``, naming the key of a field."""
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{where}: [{section}] {exc}") from None
+        field, space, rest = str(exc).partition(" ")
+        key = _KEYS.get(section, {}).get(field, field)
+        raise ConfigError(f"{where}: [{section}] {key}{space}{rest}") from None
 
 
 def network_spec(net: dict, where, master: int) -> NetworkSpec | None:
@@ -209,14 +217,10 @@ def network_spec(net: dict, where, master: int) -> NetworkSpec | None:
         return None
     if "preset" in net:
         spec = _checked(where, "network", presets.preset, net["preset"])
-        for key in ("n", "seed"):
-            if key in net:
-                spec = _checked(where, "network", dataclasses.replace, spec, **{key: net[key]})
-        return spec
-    return _checked(where, "network", NetworkSpec, net["family"], n=net.get("n"),
-                    seed=net.get("seed", master), directed=net.get("directed", False),
-                    alpha=net.get("alpha"), k_min=net.get("k_min"), k_max=net.get("k_max"),
-                    peaks=net.get("peaks"), degrees_file=net.get("degrees_file"))
+        return _checked(where, "network", dataclasses.replace, spec,
+                        **{key: net[key] for key in ("n", "seed") if key in net})
+    # a family's keys are its spec's fields
+    return _checked(where, "network", NetworkSpec, **{"seed": master, **net})
 
 
 def load_config(path) -> ExperimentConfig:

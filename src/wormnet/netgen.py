@@ -31,7 +31,7 @@ FAMILIES = ("complete", "multimodal", "configmodel", "powerlaw")
 class NetworkSpec:
     """Declarative description of one network to generate.
 
-    Exactly the fields relevant to ``family`` are consulted:
+    Exactly the fields relevant to ``family`` are consulted; only this class checks them:
 
     * ``complete``: n
     * ``multimodal``: n, peaks (list of ``(degree, weight)``)
@@ -79,6 +79,13 @@ class NetworkSpec:
                 raise ValueError("powerlaw requires k_min and k_max")
             if not (1 <= self.k_min <= self.k_max < self.n):
                 raise ValueError("powerlaw requires 1 <= k_min <= k_max < n")
+            if self.k_min == self.k_max and self.n * self.k_min % 2:  # no even-sum draw
+                raise ValueError(
+                    f"k_min = k_max = {self.k_min} with n = {self.n} gives an odd degree sum; "
+                    "widen the degree range or change n"
+                )
+        if self.directed and self.family in ("complete", "multimodal"):
+            raise ValueError(f"{self.family} family is undirected")
 
 
 def build_complete(n: int) -> Graph:
@@ -272,78 +279,34 @@ def _repair(pairs, leftovers, directed, budget, rng) -> tuple[np.ndarray, np.nda
             np.array(sorted(added), dtype=np.int64).reshape(-1, 2))
 
 
-def build_multimodal(
-    n: int,
-    peaks: Sequence[tuple[int, float]],
-    seed: int | np.random.Generator = 0,
-) -> Graph:
-    """Graph whose degrees are drawn from a discrete mixture of peaks."""
-    spec = NetworkSpec("multimodal", n, peaks=tuple((int(d), float(w)) for d, w in peaks))
-    rng = np.random.default_rng(seed)
-    peak_degs = np.array([d for d, _ in spec.peaks], dtype=np.int64)
-    weights = np.array([w for _, w in spec.peaks], dtype=float)
-    weights = weights / weights.sum()
-    degrees = rng.choice(peak_degs, size=n, p=weights)
-    degrees = _even_sum(degrees, rng, n)
-    return build_configuration_model(degrees, directed=False, seed=rng)
-
-
-def sample_powerlaw_degrees(
-    n: int,
-    alpha: float,
-    k_min: int,
-    k_max: int,
-    seed: int | np.random.Generator = 0,
-) -> np.ndarray:
-    """Draw n degrees from the discrete distribution p_k proportional to k^-alpha.
-
-    The support is [k_min, k_max]; the sum is forced even by resampling
-    uniformly chosen entries.  A single-degree support (k_min == k_max) with
-    an odd n * k_min has no even-sum sample inside it and is rejected.
-    """
-    if not alpha > 1:  # NaN fails too
-        raise ValueError("alpha must be > 1")
-    if not (1 <= k_min <= k_max):
-        raise ValueError("need 1 <= k_min <= k_max")
-    if k_min == k_max and n * k_min % 2:
-        raise ValueError(
-            f"k_min = k_max = {k_min} with n = {n} gives an odd degree sum; "
-            "widen the degree range or change n"
-        )
-    rng = np.random.default_rng(seed)
-    ks = np.arange(k_min, k_max + 1, dtype=np.int64)
+def _powerlaw_degrees(spec: NetworkSpec, rng: np.random.Generator) -> np.ndarray:
+    """Draw n degrees from the discrete distribution p_k proportional to k^-alpha
+    on [k_min, k_max]; the sum is forced even by redrawing uniformly chosen
+    entries."""
+    ks = np.arange(spec.k_min, spec.k_max + 1, dtype=np.int64)
     with np.errstate(over="ignore"):
-        weights = ks.astype(float) ** (-alpha)
+        weights = ks.astype(float) ** (-spec.alpha)
     p = weights / weights.sum()
-    degrees = rng.choice(ks, size=n, p=p)
+    degrees = rng.choice(ks, size=spec.n, p=p)
     while degrees.sum() % 2:
-        i = int(rng.integers(n))
+        i = int(rng.integers(spec.n))  # drawn before the new degree
         degrees[i] = rng.choice(ks, p=p)
     return degrees
 
 
-def build_powerlaw(
-    n: int,
-    alpha: float,
-    k_min: int,
-    k_max: int,
-    seed: int | np.random.Generator = 0,
-    directed: bool = False,
-) -> Graph:
-    """Configuration-model graph with power-law sampled degrees."""
-    rng = np.random.default_rng(seed)
-    degrees = sample_powerlaw_degrees(n, alpha, k_min, k_max, rng)
-    return build_configuration_model(degrees, directed=directed, seed=rng)
-
-
 def build_network(spec: NetworkSpec) -> Graph:
-    """Generate the graph described by a NetworkSpec (deterministic per seed);
-    a ``configmodel`` spec's histogram is read here."""
+    """Generate the graph described by a NetworkSpec (deterministic per seed).
+    Every family but ``complete`` draws its degrees, or reads a ``configmodel``
+    histogram, and wires them by ``build_configuration_model``."""
     if spec.family == "complete":
         return build_complete(spec.n)
-    if spec.family == "multimodal":
-        return build_multimodal(spec.n, spec.peaks, spec.seed)
+    rng = np.random.default_rng(spec.seed)
     if spec.family == "configmodel":
-        return build_configuration_model(read_degree_histogram(spec.degrees_file),
-                                         directed=spec.directed, seed=spec.seed)
-    return build_powerlaw(spec.n, spec.alpha, spec.k_min, spec.k_max, spec.seed, spec.directed)
+        degrees = read_degree_histogram(spec.degrees_file)
+    elif spec.family == "powerlaw":
+        degrees = _powerlaw_degrees(spec, rng)
+    else:
+        peak_degs, weights = np.array(spec.peaks).T
+        degrees = rng.choice(peak_degs.astype(np.int64), size=spec.n, p=weights / weights.sum())
+        degrees = _even_sum(degrees, rng, spec.n)
+    return build_configuration_model(degrees, directed=spec.directed, seed=rng)

@@ -78,6 +78,9 @@ class TestGenerate:
         (["--preset", "net-a", "--seed", "-1"], "[network] seed must be >= 0, got -1"),
         (["--family", "configmodel", "--degree-histogram", "{tmp}/h.hist"],
          "h.hist:2: counts sum past 3037000497, the most a Graph can hold"),
+        # a single-degree support whose every draw has an odd sum: the spec refuses it
+        (["--family", "powerlaw", "--n", "7", "--alpha", "2.5", "--k-min", "3", "--k-max", "3"],
+         "generate: [network] k_min = k_max = 3 with n = 7 gives an odd degree sum"),
         # an odd degree sum whose parity fix would need a degree of n or more
         (["--family", "multimodal", "--n", "5", "--peaks", "4:0.5,1:0.5", "--seed", "1"],
          "cannot adjust degree parity without exceeding n - 1"),
@@ -216,9 +219,12 @@ class TestSimulate:
         assert message in err
 
     @pytest.mark.parametrize("argv, message", [
-        (["--rate", "nan"], "[worm] attempt_rate must be > 0 and finite"),
-        (["--rate", "inf"], "[worm] attempt_rate must be > 0 and finite"),
-        (["--rate", "5", "--throttle-rate", "nan"], "[controls] rate must be > 0"),
+        (["--rate", "nan"], "[worm] rate must be > 0 and finite"),
+        (["--rate", "inf"], "[worm] rate must be > 0 and finite"),
+        (["--rate", "5", "--throttle-rate", "nan"], "[controls] throttle_rate must be > 0"),
+        (["--rate", "5", "--pinfect", "2"], "[worm] pinfect must lie in (0, 1]"),
+        (["--rate", "5", "--throttle-rate", "1", "--working-set", "-1"],
+         "[controls] working_set must be >= 0"),
         (["--rate", "5", "--dt", "nan"], "dt must be > 0 and finite"),
         (["--rate", "5", "--dt", "inf"], "dt must be > 0 and finite"),
         (["--rate", "5", "--tmax", "nan"], "[run] tmax must be > 0"),
@@ -690,6 +696,9 @@ class TestConfigKeyFlags:
         (["--rate", "5"], "[worm]\nrate = 5\n", "[worm] missing required key 'targeting'"),
         (["--targeting", "scan"], "[worm]\ntargeting = scan\n",
          "[worm] missing required key 'rate'"),
+        (["--targeting", "scan", "--rate", "5", "--throttle-rate", "0"],
+         "[worm]\ntargeting = scan\nrate = 5\n[controls]\nthrottle_rate = 0\n",
+         "[controls] throttle_rate must be > 0"),
     ])
     def test_flag_fails_as_its_config_line_does(self, tmp_path, capsys, flags, config, message):
         graph = tmp_path / "g.edges"

@@ -28,7 +28,7 @@ from wormnet.epidemic import (
     time_to_fraction,
 )
 from wormnet.graph import Graph, ParseError
-from wormnet.netgen import build_complete, build_network, build_powerlaw
+from wormnet.netgen import NetworkSpec, build_complete, build_network
 from wormnet.presets import preset
 from wormnet.throttle import Admitted, ClockError, ThrottleConfig, ThrottleState
 
@@ -436,7 +436,8 @@ def _tick_start(g, worm, dt, init_infected, vaccinated=(), ticks=0):
 
 def _powerlaw_with_sinks(n, seed):
     """A directed power-law graph in which every tenth node has no out-edge."""
-    edges = build_powerlaw(n, 2.5, 1, 20, seed=seed, directed=True).edge_array
+    edges = build_network(NetworkSpec("powerlaw", n, seed=seed, directed=True, alpha=2.5,
+                                      k_min=1, k_max=20)).edge_array
     return Graph(n, True, edges[edges[:, 0] % 10 != 0])
 
 
@@ -451,7 +452,8 @@ ONE_TICK_CASES = {
         _powerlaw_with_sinks(300, 1), WormBehavior("neighbor", 40.0, 0.5), 0.05,
         np.arange(0, 300, 8)), 4000, 2),
     "undirected": lambda: (_tick_start(
-        build_powerlaw(300, 2.5, 1, 20, seed=2), WormBehavior("neighbor", 25.0), 0.1,
+        build_network(NetworkSpec("powerlaw", 300, seed=2, alpha=2.5, k_min=1, k_max=20)),
+        WormBehavior("neighbor", 25.0), 0.1,
         np.arange(0, 300, 15), vaccinated=np.arange(7, 300, 15)), 4000, 3),
     "scan over 2n": lambda: (_tick_start(
         Graph(500, False, []), WormBehavior("scan", 10.0, address_space=1000), 0.1,
@@ -462,7 +464,8 @@ ONE_TICK_CASES = {
         _powerlaw_with_sinks(400, 3), WormBehavior("neighbor", 10.0), 0.1,
         np.arange(1, 7), ticks=4), 3000, 6),
     "mid-run undirected p=0.5": lambda: (_tick_start(
-        build_powerlaw(400, 2.5, 1, 20, seed=4), WormBehavior("neighbor", 10.0, 0.5), 0.1,
+        build_network(NetworkSpec("powerlaw", 400, seed=4, alpha=2.5, k_min=1, k_max=20)),
+        WormBehavior("neighbor", 10.0, 0.5), 0.1,
         np.arange(1, 7), vaccinated=np.arange(0, 400, 20), ticks=4), 3000, 7),
 }
 

@@ -420,3 +420,17 @@ def test_exactness_counts(tmp_path, monkeypatch, workload):
                for path in tmp_path.rglob("*") if path.is_file()}
     with open(PERFBENCH / "baseline" / "digests.json") as fh:
         assert digests == json.load(fh)[workload]["0"]
+
+
+def test_directed_redraw_edge_list(tmp_path, monkeypatch):
+    """outbreak-directed's seed-1 network: its first power-law draw has an odd
+    degree sum, so the sampler's redraw loop runs on a directed spec.  Only the
+    plan's ``generate`` step runs; its edge list has the sha256 that the
+    benchmark records for it."""
+    (step,) = [s for s in _perfbench_workloads().plan("outbreak-directed", 1).steps
+               if s.command == "generate"]
+    monkeypatch.chdir(tmp_path)
+    assert main(list(step.argv)) == 0
+    with open(PERFBENCH / "baseline" / "digests.json") as fh:
+        expected = json.load(fh)["outbreak-directed"]["1"]["net.edges"]
+    assert _sha(Path("net.edges").read_bytes()) == expected

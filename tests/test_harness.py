@@ -8,7 +8,7 @@ from wormnet import harness
 from wormnet.epidemic import TimeSeries, WormBehavior
 from wormnet.graph import read_edge_list, write_edge_list
 from wormnet.harness import ConfigError, load_config
-from wormnet.netgen import build_complete, build_powerlaw
+from wormnet.netgen import NetworkSpec, build_complete, build_network
 from wormnet.percolation import VaccinationStrategy
 from wormnet.throttle import ThrottleConfig
 
@@ -315,7 +315,8 @@ class TestRunExperiment:
 
     def test_network_from_edge_list_file(self, tmp_path):
         graph = tmp_path / "net.edges"
-        write_edge_list(build_powerlaw(150, 2.5, 1, 15, seed=4), graph)
+        spec = NetworkSpec("powerlaw", 150, seed=4, alpha=2.5, k_min=1, k_max=15)
+        write_edge_list(build_network(spec), graph)
         text = BASE_CFG.replace(
             "family = powerlaw\nn = 200\nalpha = 2.5\nk_min = 1\nk_max = 20\nseed = 3\n",
             f"file = {graph}\n")

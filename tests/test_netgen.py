@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 from unittest import mock
 
@@ -15,12 +16,10 @@ from wormnet.netgen import (
     NetworkSpec,
     build_complete,
     build_configuration_model,
-    build_multimodal,
     build_network,
-    build_powerlaw,
-    sample_powerlaw_degrees,
     _check_digraphic,
     _check_graphical,
+    _powerlaw_degrees,
     _wire,
 )
 
@@ -89,13 +88,37 @@ class TestNetworkSpec:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             NetworkSpec(family, seed=-1, **kwargs)
 
-    def test_powerlaw_parameter_validation(self):
-        with pytest.raises(ValueError, match="alpha"):
-            NetworkSpec("powerlaw", 100, alpha=1.0, k_min=1, k_max=10)
-        with pytest.raises(ValueError, match="k_min"):
-            NetworkSpec("powerlaw", 100, alpha=2.0)
-        with pytest.raises(ValueError, match="1 <= k_min"):
-            NetworkSpec("powerlaw", 100, alpha=2.0, k_min=5, k_max=3)
+    @pytest.mark.parametrize("alpha, k_min, k_max, match", [
+        (1.0, 1, 10, "powerlaw requires alpha > 1"),
+        (0.5, 1, 10, "powerlaw requires alpha > 1"),
+        (float("nan"), 1, 10, "powerlaw requires alpha > 1"),
+        (2.5, 5, 3, "powerlaw requires 1 <= k_min <= k_max < n"),
+        (2.5, 0, 3, "powerlaw requires 1 <= k_min <= k_max < n"),
+        (2.5, 1, 100, "powerlaw requires 1 <= k_min <= k_max < n"),
+        (2.0, None, None, "powerlaw requires k_min and k_max"),
+    ])
+    def test_powerlaw_parameter_validation(self, alpha, k_min, k_max, match):
+        with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+            NetworkSpec("powerlaw", 100, alpha=alpha, k_min=k_min, k_max=k_max)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_single_degree_support_with_odd_sum_rejected(self, directed):
+        # 7 nodes of degree 3 cannot form a graph; bumping one degree to 4
+        # would leave the requested support
+        with pytest.raises(ValueError, match="^k_min = k_max = 3 with n = 7 gives an odd "
+                                             "degree sum; widen the degree range or change n$"):
+            NetworkSpec("powerlaw", 7, directed=directed, alpha=2.5, k_min=3, k_max=3)
+        g = build_network(NetworkSpec("powerlaw", 8, directed=directed, alpha=2.5,
+                                      k_min=3, k_max=3))
+        assert g.degrees("out").tolist() == [3] * 8
+
+    @pytest.mark.parametrize("family, kwargs", [
+        ("complete", {"n": 5}),
+        ("multimodal", {"n": 10, "peaks": ((2, 1.0),)}),
+    ])
+    def test_undirected_family_rejects_directed(self, family, kwargs):
+        with pytest.raises(ValueError, match=f"^{family} family is undirected$"):
+            NetworkSpec(family, directed=True, **kwargs)
 
 
 class TestComplete:
@@ -283,7 +306,7 @@ class TestGraphicality:
     def test_non_graphical_power_law_fails_fast(self):
         start = time.perf_counter()
         with pytest.raises(GenerationError, match="Erdős–Gallai inequality fails for the k = 2"):
-            build_powerlaw(2000, 1.5, 1, 1999, seed=1)
+            build_network(NetworkSpec("powerlaw", 2000, seed=1, alpha=1.5, k_min=1, k_max=1999))
         assert time.perf_counter() - start < 1.0
 
     def test_non_digraphic_pairs_rejected(self):
@@ -296,7 +319,7 @@ class TestGraphicality:
 class TestMultimodal:
     def test_degrees_land_on_peaks(self):
         peaks = ((3, 0.5), (9, 0.5))
-        g = build_multimodal(400, peaks, seed=11)
+        g = build_network(NetworkSpec("multimodal", 400, seed=11, peaks=peaks))
         degs = g.degrees()
         # the parity fix may bump one node off-peak by exactly +1
         on_peak = np.isin(degs, [3, 9])
@@ -307,59 +330,45 @@ class TestMultimodal:
 
     def test_peak_proportions(self):
         peaks = ((2, 0.25), (8, 0.75))
-        g = build_multimodal(4000, peaks, seed=5)
+        g = build_network(NetworkSpec("multimodal", 4000, seed=5, peaks=peaks))
         frac_low = np.mean(np.isin(g.degrees(), [2, 3]))
         assert abs(frac_low - 0.25) < 0.03
 
 
+def _powerlaw_spec(n, alpha, k_min, k_max, seed=0, directed=False):
+    return NetworkSpec("powerlaw", n, seed=seed, directed=directed, alpha=alpha,
+                       k_min=k_min, k_max=k_max)
+
+
 class TestPowerlaw:
     def test_support_and_parity(self):
-        degs = sample_powerlaw_degrees(501, 2.5, 2, 40, seed=3)
+        degs = build_network(_powerlaw_spec(501, 2.5, 2, 40, seed=3)).degrees()
         assert degs.min() >= 2 and degs.max() <= 40
         assert degs.sum() % 2 == 0
         assert len(degs) == 501
 
     def test_exponent_recovered_from_samples(self):
-        degs = sample_powerlaw_degrees(100_000, 2.5, 1, 100, seed=0)
+        degs = build_network(_powerlaw_spec(100_000, 2.5, 1, 100, seed=0)).degrees()
         ks, counts = np.unique(degs, return_counts=True)
         mask = (ks >= 2) & (ks <= 30) & (counts >= 10)
         slope = np.polyfit(np.log(ks[mask]), np.log(counts[mask]), 1)[0]
         assert slope == pytest.approx(-2.5, abs=0.2)
 
     def test_steep_exponent_concentrates_at_k_min(self):
-        degs = sample_powerlaw_degrees(10_000, 50.0, 3, 60, seed=1)
+        degs = build_network(_powerlaw_spec(10_000, 50.0, 3, 60, seed=1)).degrees()
         assert np.mean(degs == 3) > 0.99
 
-    def test_graph_degrees_match_sample(self):
-        rng = np.random.default_rng(12)
-        degs = sample_powerlaw_degrees(600, 2.2, 1, 30, rng)
-        g = build_configuration_model(degs, seed=rng)
-        assert sorted(g.degrees().tolist()) == sorted(degs.tolist())
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_graph_degrees_are_the_seeds_first_draw(self, directed):
+        spec = _powerlaw_spec(600, 2.2, 1, 30, seed=12, directed=directed)
+        degs = _powerlaw_degrees(spec, np.random.default_rng(12))
+        g = build_network(spec)
+        assert sorted(g.degrees("out").tolist()) == sorted(degs.tolist())
 
-    @pytest.mark.parametrize("alpha, k_min, k_max, match", [
-        (1.0, 1, 10, "alpha must be > 1"),
-        (0.5, 1, 10, "alpha must be > 1"),
-        (float("nan"), 1, 10, "alpha must be > 1"),
-        (2.5, 5, 3, "need 1 <= k_min <= k_max"),
-        (2.5, 0, 3, "need 1 <= k_min <= k_max"),
-    ])
-    def test_sample_parameter_validation(self, alpha, k_min, k_max, match):
-        with pytest.raises(ValueError, match=match):
-            sample_powerlaw_degrees(100, alpha, k_min, k_max)
-
-    def test_single_degree_support_with_odd_sum_rejected(self):
-        # 7 nodes of degree 3 cannot form a graph; bumping one degree to 4
-        # would leave the requested support
-        with pytest.raises(ValueError, match="k_min = k_max = 3 with n = 7"):
-            build_powerlaw(7, 2.5, 3, 3)
-        g = build_powerlaw(8, 2.5, 3, 3)
-        assert g.degrees().tolist() == [3] * 8
-
-    def test_build_powerlaw_deterministic(self):
-        a = build_powerlaw(300, 2.5, 1, 20, seed=8)
-        b = build_powerlaw(300, 2.5, 1, 20, seed=8)
-        assert a == b
-        assert a != build_powerlaw(300, 2.5, 1, 20, seed=9)
+    def test_build_network_deterministic(self):
+        a = build_network(_powerlaw_spec(300, 2.5, 1, 20, seed=8))
+        assert a == build_network(_powerlaw_spec(300, 2.5, 1, 20, seed=8))
+        assert a != build_network(_powerlaw_spec(300, 2.5, 1, 20, seed=9))
 
 
 class TestBuildNetwork:

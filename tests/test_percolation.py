@@ -9,7 +9,7 @@ from scipy.sparse.csgraph import connected_components
 
 from wormnet import percolation
 from wormnet.graph import Graph
-from wormnet.netgen import build_complete, build_configuration_model, build_powerlaw
+from wormnet.netgen import NetworkSpec, build_complete, build_configuration_model, build_network
 from wormnet.percolation import (
     RANDOM,
     TARGETED,
@@ -394,7 +394,7 @@ class TestEmpiricalThreshold:
         assert abs(res.f_c - 0.5) < 0.08
 
     def test_bounds_decide_levels_without_labelling_every_trial(self, monkeypatch):
-        g = build_powerlaw(2000, 2.5, 1, 100, 0)
+        g = build_network(NetworkSpec("powerlaw", 2000, alpha=2.5, k_min=1, k_max=100))
         calls = []
         level_fraction = percolation._level_fraction
 
