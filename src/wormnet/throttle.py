@@ -46,7 +46,7 @@ class ThrottleConfig:
         if self.working_set_capacity < 0:
             raise ValueError("working_set_capacity must be >= 0")
         if self.queue_capacity is not None and self.queue_capacity < 1:
-            raise ValueError("queue_capacity must be >= 1 or None")
+            raise ValueError("queue_capacity must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,8 @@ class ThrottleState:
     has come, and the next release is then due a service time 1/rate later.
     So at a finite rate at most one request leaves per call and releases
     cannot burst; at an infinite rate 1/rate = 0 and the whole queue drains.
-    ``initial_budget``, in [0, 1], is the share of a release the throttle has
-    in hand at ``t0``: the first release may happen at
-    ``t0 + (1 - initial_budget) / rate``.
+    A throttle is first free at ``ready_at`` (default ``t0``): its first
+    release may happen then.
     The queue holds ``(dest, t_enq, tag)``: the caller's ``tag`` (the engine's
     success flag) comes back with the attempt's release or eviction.
 
@@ -97,15 +96,13 @@ class ThrottleState:
 
     __slots__ = ("config", "working_set", "delay_queue", "ready_at", "last_update", "room")
 
-    def __init__(self, config: ThrottleConfig, t0: float = 0.0, initial_budget: float = 1.0,
+    def __init__(self, config: ThrottleConfig, t0: float = 0.0, ready_at: float | None = None,
                  room: float = math.inf):
-        if not 0.0 <= initial_budget <= 1.0:
-            raise ValueError("initial_budget must lie in [0, 1]")
         self.config = config
         self.working_set: OrderedDict[int, None] = OrderedDict()
         self.delay_queue: list[tuple[int, float, object]] = []
-        self.ready_at = float(t0) + (1.0 - initial_budget) / config.rate
         self.last_update = float(t0)
+        self.ready_at = self.last_update if ready_at is None else float(ready_at)
         self.room = room
 
     def request(self, dest: int, t: float, tag=None) -> Admitted | Enqueued:
@@ -212,12 +209,14 @@ class HostThrottles:
         return max(0, math.floor(k) + 1)
 
     def start(self, hosts: np.ndarray, t: float) -> None:
-        """Give each host infected at t a throttle first free at t + 1/rate: a
-        freshly infected machine gets no free instant connection, so its novel-
-        destination rate is bounded by the throttle rate from its first contact."""
-        room = self.room(t + 1.0 / self.config.rate)
+        """Give each host infected at t a throttle, with the room of its first
+        free time: no free instant connection; first free 1/r after infection.
+        So a freshly infected machine's novel-destination rate is bounded by
+        the throttle rate from its first contact."""
+        ready_at = t + 1.0 / self.config.rate
+        room = self.room(ready_at)
         for u in hosts.tolist():
-            self.states[u] = ThrottleState(self.config, t0=t, initial_budget=0.0, room=room)
+            self.states[u] = ThrottleState(self.config, t0=t, ready_at=ready_at, room=room)
 
     def deliver(self, sources, targets, ok, t):
         """Pass each attempt at t, in order, to its source's throttle, then tick

@@ -381,6 +381,16 @@ class TestThrottleDemo:
         assert capsys.readouterr().err == f"wormnet: error: {trace}:3: byte 0xff is not UTF-8\n"
         assert not out.exists()
 
+    def test_a_queue_capacity_of_zero_is_refused(self, tmp_path, capsys):
+        # leaving --queue-capacity out gives an unbounded queue; 0 is no bound
+        trace, out = tmp_path / "tr.csv", tmp_path / "o.csv"
+        trace.write_text("t,dest\n0,1\n")
+        rc = main(["throttle-demo", "--trace", str(trace), "--queue-capacity", "0",
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "wormnet: error: queue_capacity must be >= 1\n"
+        assert not out.exists()
+
 
 class TestExperimentAndCompare:
     CFG = """\
@@ -699,6 +709,9 @@ class TestConfigKeyFlags:
         (["--targeting", "scan", "--rate", "5", "--throttle-rate", "0"],
          "[worm]\ntargeting = scan\nrate = 5\n[controls]\nthrottle_rate = 0\n",
          "[controls] throttle_rate must be > 0"),
+        (["--targeting", "scan", "--rate", "5", "--throttle-rate", "1", "--queue-capacity", "0"],
+         "[worm]\ntargeting = scan\nrate = 5\n[controls]\nthrottle_rate = 1\nqueue_capacity = 0\n",
+         "[controls] queue_capacity must be >= 1"),
     ])
     def test_flag_fails_as_its_config_line_does(self, tmp_path, capsys, flags, config, message):
         graph = tmp_path / "g.edges"

@@ -612,8 +612,8 @@ class TestThrottledRuns:
     def test_matches_per_host_throttle_oracle(self, targeting, case, p, rate, capacity,
                                               queue_capacity, seed):
         # differential oracle: each tick, a full gather's attempts go through
-        # one ThrottleState per infected host, made at its infection tick with
-        # an empty budget; then every host whose queue head is due ticks once,
+        # one ThrottleState per infected host, made at its infection tick and
+        # first free a service time later; then every host whose queue head is due ticks once,
         # and the tick's passes and releases are delivered together.  The
         # replay tallies each counter of the engine as it goes.  The engine has
         # the horizon ``run`` gives a 15-tick run, and its throttles store only
@@ -627,7 +627,7 @@ class TestThrottledRuns:
         sim = Simulation(g, worm, horizon=3.0 + 1e-9, **kw)
         rows = [(0, 0.0, sim.n_susceptible, sim.n_infected, sim.n_recovered, 0, 0)]
         compartments = sim.compartments.copy()
-        hosts = {u: ThrottleState(config, t0=0.0, initial_budget=0.0) for u in seeds}
+        hosts = {u: ThrottleState(config, t0=0.0, ready_at=1.0 / rate) for u in seeds}
         tally = {"requests": 0, "passed": 0, "enqueued": 0, "dropped": 0,
                  "released": 0, "release_visits": 0}
         waits = []
@@ -654,7 +654,7 @@ class TestThrottledRuns:
             for d, ok in delivered:
                 if ok and d < g.n and compartments[d] == SUSCEPTIBLE:
                     compartments[d] = INFECTED
-                    hosts[d] = ThrottleState(config, t0=t, initial_budget=0.0)
+                    hosts[d] = ThrottleState(config, t0=t, ready_at=t + 1.0 / rate)
             queued = sum(len(state.delay_queue) for state in hosts.values())
             sir = [int((compartments == c).sum()) for c in (SUSCEPTIBLE, INFECTED, RECOVERED)]
             rows.append(sim.step())
@@ -687,9 +687,10 @@ class TestThrottledRuns:
                                           (1.0, 0.002)])
     def test_release_counts_are_exact(self, rate, dt):
         # an empty working set passes nothing and a fast scan worm keeps every
-        # queue full, so host h, infected at tick k_h with an empty budget,
-        # releases once every P = ceil(1 / (rate * dt)) ticks: floor((T - k_h) / P)
-        # times in T ticks, with P taken to the 1e-9 tolerance of a due time
+        # queue full, so host h, infected at tick k_h and first free a service
+        # time later, releases once every P = ceil(1 / (rate * dt)) ticks:
+        # floor((T - k_h) / P) times in T ticks, with P taken to the 1e-9
+        # tolerance of a due time
         g = Graph(40, False, [])
         worm = WormBehavior("scan", attempt_rate=400.0)
         sim = Simulation(g, worm, init_infected={0}, dt=dt, seed=3,

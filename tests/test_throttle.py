@@ -29,12 +29,8 @@ class TestConfig:
         assert ThrottleConfig(rate=math.inf).rate == math.inf
         with pytest.raises(ValueError):
             ThrottleConfig(working_set_capacity=-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^queue_capacity must be >= 1$"):
             ThrottleConfig(queue_capacity=0)
-
-    def test_initial_budget_must_lie_in_unit_interval(self):
-        with pytest.raises(ValueError, match=r"initial_budget must lie in \[0, 1\]"):
-            ThrottleState(ThrottleConfig(), initial_budget=1.5)
 
 
 class TestStateMachine:
@@ -52,7 +48,7 @@ class TestStateMachine:
         assert len(st_.delay_queue) == 2
 
     def test_budget_cap_prevents_bursts(self):
-        # long idle accrues at most one token
+        # after a long idle, one tick still releases one request
         st_ = ThrottleState(ThrottleConfig(rate=1.0))
         for d in range(5):
             st_.request(d, 0.0)
@@ -60,7 +56,7 @@ class TestStateMachine:
         assert len(released) == 1
 
     def test_release_order_is_fifo(self):
-        st_ = ThrottleState(ThrottleConfig(rate=1.0), initial_budget=0.0)
+        st_ = ThrottleState(ThrottleConfig(rate=1.0), ready_at=1.0)
         for d in (9, 4, 6):
             st_.request(d, 0.0)
         out = []
@@ -69,7 +65,7 @@ class TestStateMachine:
         assert out == [9, 4, 6]
 
     def test_released_delay_is_queue_wait(self):
-        st_ = ThrottleState(ThrottleConfig(rate=1.0), initial_budget=0.0)
+        st_ = ThrottleState(ThrottleConfig(rate=1.0), ready_at=1.0)
         st_.request(3, 0.5)
         [(dest, delay, _)] = st_.tick(1.5)
         assert dest == 3
@@ -95,7 +91,7 @@ class TestStateMachine:
         assert len(st_.tick(0.0)) == 10
 
     def test_bounded_queue_drops_oldest(self):
-        st_ = ThrottleState(ThrottleConfig(rate=1.0, queue_capacity=2), initial_budget=0.0)
+        st_ = ThrottleState(ThrottleConfig(rate=1.0, queue_capacity=2), ready_at=1.0)
         assert st_.request(1, 0.0) == Enqueued(None)
         assert st_.request(2, 0.0) == Enqueued(None)
         assert st_.request(3, 0.0) == Enqueued((1, 0.0, None))
@@ -118,7 +114,7 @@ class TestStateMachine:
     )
     def test_every_queued_tag_returns_once_in_fifo_order(self, cfg, ops):
         # each op is a request (True) or a tick (False) after a time step
-        st_ = ThrottleState(cfg, initial_budget=0.0)
+        st_ = ThrottleState(cfg, ready_at=1.0 / cfg.rate)
         t = 0.0
         queued, returned = [], []
         for i, (is_request, step, dest) in enumerate(ops):
@@ -145,7 +141,7 @@ class TestStateMachine:
             st_.tick(4.0)
 
     def test_next_release_due(self):
-        st_ = ThrottleState(ThrottleConfig(rate=0.5), initial_budget=0.0)
+        st_ = ThrottleState(ThrottleConfig(rate=0.5), ready_at=2.0)
         assert st_.next_release_due() is None
         st_.request(1, 0.0)
         assert st_.next_release_due() == pytest.approx(2.0)
@@ -303,9 +299,8 @@ class TestSingleServerQueue:
     @settings(max_examples=200, deadline=None)
     @given(_trace(), _RATES, st.integers(0, 3))
     def test_process_trace_releases_by_the_lindley_recursion(self, events, rate, w):
-        # process_trace starts with a full budget at the first request, so the
-        # server is free from then on; at an infinite rate 1/rate = 0 and each
-        # request leaves at its own t
+        # process_trace's throttle is first free at the first request; at an
+        # infinite rate 1/rate = 0 and each request leaves at its own t
         rows = process_trace(events, ThrottleConfig(rate=rate, working_set_capacity=w))
         missed = Counter(events) - Counter((t, d) for t, d, decision, _ in rows
                                            if decision == "admit")
@@ -317,17 +312,17 @@ class TestSingleServerQueue:
         released = [t for t, _, decision, _ in rows if decision == "release"]
         assert released == pytest.approx(_lindley(queued, rate, events[0][0]), rel=0, abs=1e-9)
 
-    @pytest.mark.parametrize("initial_budget", [0.0, 1.0])
+    @pytest.mark.parametrize("lag", [0.0, 1.0])
     @settings(max_examples=100, deadline=None)
     @given(_trace(), _RATES, st.integers(0, 3), st.floats(0, 2))
-    def test_the_initial_budget_sets_when_the_server_is_first_free(self, initial_budget, events,
-                                                                   rate, w, lead):
-        # a full budget frees the server at t0, an empty one a service time later;
+    def test_ready_at_sets_when_the_server_is_first_free(self, lag, events, rate, w, lead):
+        # the server is first free at ready_at, lag service times after t0;
         # each request's tag is its enqueue time, so the tags come back with the
         # times the recursion starts from
         t0 = events[0][0] - lead
+        free_at = t0 + lag / rate
         state = ThrottleState(ThrottleConfig(rate=rate, working_set_capacity=w), t0=t0,
-                              initial_budget=initial_budget)
+                              ready_at=free_at)
         queued, released = [], []
 
         def drain_until(t_limit):
@@ -341,7 +336,6 @@ class TestSingleServerQueue:
             drain_until(t)
         drain_until(math.inf)
         assert [tag for _, tag in released] == queued
-        free_at = t0 + (1.0 - initial_budget) / rate
         assert [due for due, _ in released] == pytest.approx(_lindley(queued, rate, free_at),
                                                               rel=0, abs=1e-9)
 
@@ -377,7 +371,9 @@ def _same_answer(got, want):
 
 class _DequeThrottle:
     """The reference model: the throttle's rules written apart from
-    ThrottleState, over a deque as the delay queue."""
+    ThrottleState, over a deque as the delay queue.  It is first free once it
+    has a whole release in hand, and ``initial_budget``, in [0, 1], is the
+    share it has at ``t0``."""
 
     def __init__(self, config, t0, initial_budget):
         self.config = config
@@ -423,7 +419,7 @@ class TestAgainstDequeModel:
     @staticmethod
     def _run(config, initial_budget, ops):
         # each op is a request (True) or a tick (False) after a time step
-        state = ThrottleState(config, t0=0.0, initial_budget=initial_budget)
+        state = ThrottleState(config, t0=0.0, ready_at=(1.0 - initial_budget) / config.rate)
         model = _DequeThrottle(config, 0.0, initial_budget)
         t = 0.0
         for i, (is_request, step, dest) in enumerate(ops):
@@ -470,9 +466,26 @@ class TestHorizon:
         throttles.start(np.array([0]), t)
         return throttles.states[0]
 
+    @pytest.mark.parametrize("config, room", [
+        (ThrottleConfig(rate=0.5), 3),
+        (ThrottleConfig(rate=math.inf), math.inf),
+        (ThrottleConfig(rate=1.0, queue_capacity=3), math.inf),
+    ])
+    def test_start_gives_a_batch_one_first_free_time_and_its_room(self, config, room):
+        # hosts infected at t = 2.5 are first free at 2.5 + 1/rate; at rate 0.5
+        # that is 4.5, and releases at 4.5, 6.5 and 8.5 fit by the horizon 10
+        throttles = HostThrottles(config, 5, 10.0)
+        throttles.start(np.array([1, 3, 4]), 2.5)
+        ready_at = 2.5 + 1.0 / config.rate
+        assert throttles.room(ready_at) == room
+        for u in (1, 3, 4):
+            state = throttles.states[u]
+            assert (state.last_update, state.ready_at, state.room) == (2.5, ready_at, room)
+        assert throttles.states[0] is None and throttles.states[2] is None
+
     def test_the_attempts_that_cannot_leave_are_not_stored(self):
-        # an empty budget at rate 1 frees the server at t = 1, so by a last tick
-        # at t = 2 only the queue's first two attempts can leave
+        # a throttle started at t = 0 at rate 1 is first free at t = 1, so by a
+        # last tick at t = 2 only the queue's first two attempts can leave
         state = self._started(ThrottleConfig(rate=1.0), 2.0 + 1e-9)
         assert state.room == 2
         for d in range(10):
@@ -518,19 +531,19 @@ class TestHorizon:
 
     @settings(max_examples=400, deadline=None)
     @given(st.sampled_from([0.5, 1.0, 2.0, 1 / 0.3, 10.0, math.inf]), st.integers(0, 3),
-           st.sampled_from([None, None, 2]), st.sampled_from([0.0, 1.0]), st.integers(0, 5),
+           st.sampled_from([None, None, 2]), st.sampled_from([1.0, 0.0]), st.integers(0, 5),
            st.integers(0, 60), st.booleans(),
            st.lists(st.tuples(st.booleans(), st.sampled_from([0, 1, 2, 3, 7]), st.integers(0, 6)),
                     max_size=80))
     # a backlog whose last attempt to leave does so at the last tick itself
-    @example(1.0, 0, None, 0.0, 0, 20, True, [(True, 0, d) for d in range(3)])
-    @example(2.0, 1, None, 0.0, 3, 10, True, [(True, 0, d) for d in range(4)])
-    def test_matches_a_state_that_stores_every_attempt(self, rate, w, queue_capacity,
-                                                       initial_budget, first, span, every_tick,
-                                                       ops):
+    @example(1.0, 0, None, 1.0, 0, 20, True, [(True, 0, d) for d in range(3)])
+    @example(2.0, 1, None, 1.0, 3, 10, True, [(True, 0, d) for d in range(4)])
+    def test_matches_a_state_that_stores_every_attempt(self, rate, w, queue_capacity, lag, first,
+                                                       span, every_tick, ops):
         # times lie on the engine's lattice k * dt and the horizon is the last
         # tick's time plus 1e-9, as ``run`` sets it; the cut state's room is
-        # the one ``HostThrottles`` gives a throttle first free when it is.
+        # the one ``HostThrottles`` gives a throttle first free when it is,
+        # ``lag`` service times after its start.
         # Each op is a request (True) or a tick (False) some ticks on; with
         # ``every_tick``, as in the engine, both states tick at every lattice
         # time instead, so a backlog leaves at the earliest times the rule
@@ -540,9 +553,10 @@ class TestHorizon:
         config = ThrottleConfig(rate=rate, working_set_capacity=w, queue_capacity=queue_capacity)
         last = first + span
         horizon = last * dt + 1e-9
-        ref = ThrottleState(config, t0=first * dt, initial_budget=initial_budget)
-        cut = ThrottleState(config, t0=first * dt, initial_budget=initial_budget,
-                            room=HostThrottles(config, 0, horizon).room(ref.ready_at))
+        ready_at = first * dt + lag / rate
+        ref = ThrottleState(config, t0=first * dt, ready_at=ready_at)
+        cut = ThrottleState(config, t0=first * dt, ready_at=ready_at,
+                            room=HostThrottles(config, 0, horizon).room(ready_at))
 
         def agree():
             stored = len(cut.delay_queue)
