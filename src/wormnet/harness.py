@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import presets
 from .epidemic import TimeSeries, WormBehavior, growth_rate, run, time_to_fraction
 from .graph import Graph, read_edge_list, table_text, text_lines, write_text
-from .netgen import NetworkSpec, build_network
+from .netgen import NetworkSpec, build_network, preset
 from .percolation import VaccinationStrategy, vaccinate
 from .throttle import ThrottleConfig
 
@@ -65,17 +64,6 @@ SECTIONS = {
         "seed": int,
         "seed_infected": int,
     },
-}
-
-# The [network] keys that each source uses: a preset, a file, or a family.  Every
-# source but a file takes a seed.
-_NETWORK_KEYS = {
-    "preset": {"preset", "n", "seed"},
-    "file": {"file"},
-    "complete family": {"family", "n", "seed"},
-    "multimodal family": {"family", "n", "peaks", "seed"},
-    "configmodel family": {"family", "degrees_file", "directed", "seed"},
-    "powerlaw family": {"family", "n", "alpha", "k_min", "k_max", "directed", "seed"},
 }
 
 # Fraction of nodes whose first infection time an experiment summarises.
@@ -198,27 +186,24 @@ def _checked(where, section, build, *args, **kwargs):
 def network_spec(net: dict, where, master: int) -> NetworkSpec | None:
     """The NetworkSpec of a ``[network]`` section, or None when it names a file.
 
-    Exactly one of preset/family/file must be given, with only the keys that
-    ``_NETWORK_KEYS`` lists for it.  A family's seed defaults to the run's
-    ``master`` seed; ``configmodel`` names its histogram in ``degrees_file``,
-    and every other family requires ``n``.  No file is opened: a named graph
-    or histogram is read when the graph is built.
+    Exactly one of preset/family/file must be given, and a file takes no other
+    key; ``netgen.preset`` and ``NetworkSpec`` decide which keys a preset and a
+    family take.  A family's seed defaults to the run's ``master`` seed.  No file
+    is opened: a named graph or histogram is read when the graph is built.
     """
     sources = [k for k in ("preset", "family", "file") if k in net]
     if len(sources) != 1:
         raise ConfigError(
             f"{where}: [network] requires exactly one of preset/family/file, got {sources}"
         )
-    source = f"{net['family']} family" if "family" in net else sources[0]
-    unused = net.keys() - _NETWORK_KEYS.get(source, net.keys())  # an unknown family fails below
-    if unused:
-        raise ConfigError(f"{where}: [network] {source} does not take {sorted(unused)}")
-    if "file" in net:
+    source = sources[0]
+    rest = {key: value for key, value in net.items() if key != source}
+    if source == "file":
+        if rest:
+            raise ConfigError(f"{where}: [network] file does not take {sorted(rest)}")
         return None
-    if "preset" in net:
-        spec = _checked(where, "network", presets.preset, net["preset"])
-        return _checked(where, "network", dataclasses.replace, spec,
-                        **{key: net[key] for key in ("n", "seed") if key in net})
+    if source == "preset":
+        return _checked(where, "network", preset, net["preset"], **rest)
     # a family's keys are its spec's fields
     return _checked(where, "network", NetworkSpec, **{"seed": master, **net})
 

@@ -7,11 +7,15 @@ model with a heavy-tailed degree distribution (email traffic).
 
 All generators are deterministic given their seed and produce simple graphs
 whose degree sequences match the request exactly.
+
+The real datasets behind the families are not available, so the named presets
+``net-a`` … ``net-d`` (``preset``), one per family in that order, are documented
+approximations sized for desk-scale experiments, not ground truth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from itertools import chain
 from typing import Sequence
 
@@ -24,20 +28,24 @@ class GenerationError(RuntimeError):
     """A degree sequence could not be wired into a simple graph."""
 
 
-FAMILIES = ("complete", "multimodal", "configmodel", "powerlaw")
+# The fields each family reads besides ``family`` and ``seed``: ``peaks`` is a tuple
+# of ``(degree, weight)``, and ``degrees_file`` a ``k count`` histogram, read when
+# the graph is built, that gives n.
+FAMILIES = {
+    "complete": ("n",),
+    "multimodal": ("n", "peaks"),
+    "configmodel": ("degrees_file", "directed"),
+    "powerlaw": ("n", "alpha", "k_min", "k_max", "directed"),
+}
 
 
 @dataclass(frozen=True)
 class NetworkSpec:
     """Declarative description of one network to generate.
 
-    Exactly the fields relevant to ``family`` are consulted; only this class checks them:
-
-    * ``complete``: n
-    * ``multimodal``: n, peaks (list of ``(degree, weight)``)
-    * ``configmodel``: degrees_file (a ``k count`` histogram, read when the
-      graph is built; it gives n), directed
-    * ``powerlaw``: n, alpha, k_min, k_max, directed
+    A field that ``FAMILIES`` does not list for ``family`` must be left unset
+    (None); only this class checks the fields.  ``directed`` unset builds an
+    undirected graph.
     """
 
     family: str
@@ -45,7 +53,7 @@ class NetworkSpec:
     seed: int = 0
     peaks: tuple[tuple[int, float], ...] | None = None
     degrees_file: str | None = None
-    directed: bool = False
+    directed: bool | None = None
     alpha: float | None = None
     k_min: int | None = None
     k_max: int | None = None
@@ -53,6 +61,10 @@ class NetworkSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; available: {', '.join(FAMILIES)}")
+        unused = [f.name for f in fields(self) if getattr(self, f.name) is not None
+                  and f.name not in ("family", "seed", *FAMILIES[self.family])]
+        if unused:
+            raise ValueError(f"{self.family} family does not take {sorted(unused)}")
         if self.family == "configmodel":
             if self.degrees_file is None:
                 raise ValueError("configmodel family requires degrees_file")
@@ -84,8 +96,27 @@ class NetworkSpec:
                     f"k_min = k_max = {self.k_min} with n = {self.n} gives an odd degree sum; "
                     "widen the degree range or change n"
                 )
-        if self.directed and self.family in ("complete", "multimodal"):
-            raise ValueError(f"{self.family} family is undirected")
+
+
+_PRESETS = {
+    "net-a": NetworkSpec("complete", n=1000),
+    "net-b": NetworkSpec("multimodal", n=2000, seed=20,
+                         peaks=((1, 0.40), (4, 0.35), (12, 0.20), (40, 0.05))),
+    "net-c": NetworkSpec("powerlaw", n=5000, seed=30, directed=True, alpha=2.0, k_min=1, k_max=70),
+    "net-d": NetworkSpec("powerlaw", n=10000, seed=40, directed=False, alpha=2.5, k_min=1,
+                         k_max=100),
+}
+
+
+def preset(name: str, **overrides) -> NetworkSpec:
+    """The preset ``name``, with its ``n`` and ``seed`` replaced by any given in
+    ``overrides``, which may set no other field."""
+    unused = overrides.keys() - {"n", "seed"}
+    if unused:
+        raise ValueError(f"preset does not take {sorted(unused)}")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; available: {', '.join(sorted(_PRESETS))}")
+    return replace(_PRESETS[name], **overrides)
 
 
 def build_complete(n: int) -> Graph:
@@ -309,4 +340,4 @@ def build_network(spec: NetworkSpec) -> Graph:
         peak_degs, weights = np.array(spec.peaks).T
         degrees = rng.choice(peak_degs.astype(np.int64), size=spec.n, p=weights / weights.sum())
         degrees = _even_sum(degrees, rng, spec.n)
-    return build_configuration_model(degrees, directed=spec.directed, seed=rng)
+    return build_configuration_model(degrees, directed=bool(spec.directed), seed=rng)

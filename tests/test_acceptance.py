@@ -12,9 +12,9 @@ import os
 import numpy as np
 import pytest
 
-from wormnet import harness, presets
+from wormnet import harness
 from wormnet.epidemic import WormBehavior, growth_rate, run
-from wormnet.netgen import build_configuration_model, build_network
+from wormnet.netgen import build_configuration_model, build_network, preset
 from wormnet.percolation import (
     RANDOM,
     TARGETED,
@@ -31,7 +31,7 @@ def _report(num: int, title: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_throttle_slowdown_factor():
     """Throttling at 1/s slows a 400-attempts/s worm by roughly 400x."""
-    g = build_network(presets.preset("net-a"))  # complete graph, n=1000
+    g = build_network(preset("net-a"))  # complete graph, n=1000
     worm = WormBehavior("neighbor", attempt_rate=400.0, infection_probability=1.0)
     throttle = ThrottleConfig(rate=1.0, working_set_capacity=4)
     dt = 0.002
@@ -88,7 +88,7 @@ def test_criterion_3_targeted_much_cheaper_than_random():
       it because the giant component of a heavy-tailed graph drains slowly
       towards the threshold.
     """
-    g = build_network(presets.preset("net-d"))  # power law, alpha=2.5, n=10^4
+    g = build_network(preset("net-d"))  # power law, alpha=2.5, n=10^4
     tgt = empirical_threshold(g, TARGETED, s_min=0.01).f_c
     res = empirical_threshold(g, RANDOM, s_min=0.01, trials=10, seed=0)
     rnd = res.f_c

@@ -28,8 +28,7 @@ from wormnet.epidemic import (
     time_to_fraction,
 )
 from wormnet.graph import Graph, ParseError
-from wormnet.netgen import NetworkSpec, build_complete, build_network
-from wormnet.presets import preset
+from wormnet.netgen import NetworkSpec, build_complete, build_network, preset
 from wormnet.throttle import Admitted, ClockError, ThrottleConfig, ThrottleState
 
 

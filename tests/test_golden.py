@@ -21,11 +21,11 @@ from pathlib import Path
 
 import pytest
 
-from wormnet import harness, presets
+from wormnet import harness
 from wormnet.cli import main
 from wormnet.epidemic import TimeSeries, WormBehavior
 from wormnet.graph import write_edge_list
-from wormnet.netgen import build_network
+from wormnet.netgen import build_network, preset
 from wormnet.percolation import VaccinationStrategy
 from wormnet.throttle import HostThrottles, ThrottleConfig
 
@@ -45,7 +45,7 @@ EDGE_LISTS = {
 @pytest.mark.parametrize("name", sorted(EDGE_LISTS))
 def test_preset_edge_list(tmp_path, name):
     path = tmp_path / f"{name}.edges"
-    write_edge_list(build_network(presets.preset(name)), path)
+    write_edge_list(build_network(preset(name)), path)
     assert _sha(path.read_bytes()) == EDGE_LISTS[name]
 
 
@@ -81,7 +81,7 @@ REPLICATES = {
 
 @pytest.fixture(scope="module")
 def small_net_b():
-    return build_network(dataclasses.replace(presets.preset("net-b"), n=300))
+    return build_network(dataclasses.replace(preset("net-b"), n=300))
 
 
 @pytest.mark.parametrize("key", sorted(REPLICATES), ids="-".join)
@@ -152,7 +152,7 @@ DIRECTED_REPLICATES = {
 
 @pytest.fixture(scope="module")
 def small_net_c():
-    return build_network(dataclasses.replace(presets.preset("net-c"), n=300))
+    return build_network(dataclasses.replace(preset("net-c"), n=300))
 
 
 @pytest.mark.parametrize("key", sorted(DIRECTED_REPLICATES), ids="-".join)
@@ -174,7 +174,7 @@ THRESHOLDS = {
 @pytest.mark.parametrize("strategy", sorted(THRESHOLDS))
 def test_threshold_csv(tmp_path, strategy):
     graph = tmp_path / "net-d.edges"
-    write_edge_list(build_network(presets.preset("net-d")), graph)
+    write_edge_list(build_network(preset("net-d")), graph)
     out = tmp_path / "thr.csv"
     rc = main(["threshold", "--graph", str(graph), "--strategy", strategy,
                "--out", str(out)])
@@ -193,7 +193,7 @@ ANALYTICAL_THRESHOLDS = {
 @pytest.mark.parametrize("strategy", sorted(ANALYTICAL_THRESHOLDS))
 def test_analytical_threshold_csv(tmp_path, strategy):
     graph = tmp_path / "net-d.edges"
-    write_edge_list(build_network(presets.preset("net-d")), graph)
+    write_edge_list(build_network(preset("net-d")), graph)
     out = tmp_path / "thr.csv"
     rc = main(["threshold", "--graph", str(graph), "--strategy", strategy,
                "--method", "analytical", "--out", str(out)])

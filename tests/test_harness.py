@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 
@@ -8,7 +9,7 @@ from wormnet import harness
 from wormnet.epidemic import TimeSeries, WormBehavior
 from wormnet.graph import read_edge_list, write_edge_list
 from wormnet.harness import ConfigError, load_config
-from wormnet.netgen import NetworkSpec, build_complete, build_network
+from wormnet.netgen import FAMILIES, NetworkSpec, build_complete, build_network
 from wormnet.percolation import VaccinationStrategy
 from wormnet.throttle import ThrottleConfig
 
@@ -126,6 +127,10 @@ class TestLoadConfig:
          "[network] file does not take ['directed', 'n']"),
         ("family = multimodal\nn = 10\npeaks = 2:1\ndirected = true",
          "[network] multimodal family does not take ['directed']"),
+        ("family = multimodal\nn = 10\npeaks = 2:1\ndirected = false",
+         "[network] multimodal family does not take ['directed']"),
+        ("family = complete\nn = 5\ndirected = false",
+         "[network] complete family does not take ['directed']"),
         ("family = configmodel\ndegrees_file = h.hist\nn = 999",
          "[network] configmodel family does not take ['n']"),
         ("family = complete\nn = 5\nalpha = 3\nk_min = 2\npeaks = 1:1",
@@ -138,6 +143,26 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as err:
             load_config(path)
         assert str(err.value) == f"{path}: {message}"
+
+    # a value of each NetworkSpec field that a family may leave unset
+    _FIELD_VALUES = {"n": 5, "peaks": ((1, 1.0),), "degrees_file": "h.hist", "directed": True,
+                     "alpha": 2.5, "k_min": 1, "k_max": 3}
+
+    @pytest.mark.parametrize("family, field", [
+        (family, f.name) for family, taken in FAMILIES.items()
+        for f in dataclasses.fields(NetworkSpec) if f.name not in ("family", "seed", *taken)
+    ])
+    def test_field_the_family_does_not_take_is_refused(self, tmp_path, family, field):
+        value = self._FIELD_VALUES[field]
+        message = f"{family} family does not take [{field!r}]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NetworkSpec(family, **{field: value})
+        path = _write(tmp_path, f"[network]\nfamily = {family}\n"
+                                f"{field} = {harness._format_value(value)}\n"
+                                "\n[worm]\ntargeting = scan\nrate = 1\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == f"{path}: [network] {message}"
 
     @pytest.mark.parametrize("network, controls, message", [
         ("preset = bogus", "", "[network] unknown preset 'bogus'; available: "

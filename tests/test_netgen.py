@@ -1,6 +1,7 @@
 import itertools
 import re
 import time
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -17,6 +18,7 @@ from wormnet.netgen import (
     build_complete,
     build_configuration_model,
     build_network,
+    preset,
     _check_digraphic,
     _check_graphical,
     _powerlaw_degrees,
@@ -117,8 +119,22 @@ class TestNetworkSpec:
         ("multimodal", {"n": 10, "peaks": ((2, 1.0),)}),
     ])
     def test_undirected_family_rejects_directed(self, family, kwargs):
-        with pytest.raises(ValueError, match=f"^{family} family is undirected$"):
+        with pytest.raises(ValueError, match=rf"^{family} family does not take \['directed'\]$"):
             NetworkSpec(family, directed=True, **kwargs)
+
+
+class TestPreset:
+    def test_overrides_replace_n_and_seed(self):
+        assert preset("net-d", n=300, seed=1) == replace(preset("net-d"), n=300, seed=1)
+
+    def test_other_override_refused(self):
+        with pytest.raises(ValueError, match=r"^preset does not take \['alpha'\]$"):
+            preset("net-d", alpha=3.5)
+
+    def test_unknown_name_refused(self):
+        with pytest.raises(ValueError, match="^unknown preset 'net-e'; available: "
+                                             "net-a, net-b, net-c, net-d$"):
+            preset("net-e")
 
 
 class TestComplete:
